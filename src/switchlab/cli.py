@@ -17,29 +17,23 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import closmodel, contention, deflection, fixtures, matching, pathswitch, sched
 from .closmodel import ClosSpec
-from .errors import DomainError, PreconditionError
+from .errors import ConvergenceError, DomainError, PreconditionError, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-EXPERIMENT_IDS = (
-    "fig6",
-    "fig10",
-    "table2",
-    "table4",
-    "table5",
-    "table6",
-    "sec6c",
-    "fig21",
-    "montecarlo",
-    "boltzmann",
-)
+# (file stem, comment tag, header, rows) of one CSV artifact
+Table = tuple[str, str, list[str], list[list]]
+# fn(data rows, tolerance) -> (ok, detail), and (check name, file stem, fn)
+CheckFn = Callable[[list[list[str]], float], tuple[bool, str]]
+Check = tuple[str, str, CheckFn]
 
 
 def _fmt(x) -> str:
@@ -48,18 +42,50 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, experiment: str, header: list[str], rows: list[list]) -> None:
-    lines = [f"# experiment: {experiment}"]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _csv_line(row) -> str:
+    return ",".join(_fmt(v) for v in row)
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    lines = [ln for ln in path.read_text().splitlines() if ln and not ln.startswith("#")]
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
+def _write_csv(outdir: Path, table: Table) -> Path:
+    stem, tag, header, rows = table
+    path = outdir / f"{stem}.csv"
+    path.write_text("\n".join([f"# experiment: {tag}", *map(_csv_line, [header, *rows])]) + "\n")
+    return path
+
+
+def _content_lines(text: str) -> list[str]:
+    """Stripped lines of a text file, without blank and '#' comment lines."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+
+
+def _read_csv(path: Path) -> list[list[str]]:
+    """Data rows of an artifact; ValueError when the header is missing or a
+    row's field count differs from the header's."""
+    lines = _content_lines(path.read_text())
+    if not lines:
+        raise ValueError("no header line")
+    width = len(lines[0].split(","))
+    rows = [ln.split(",") for ln in lines[1:]]
+    if any(len(r) != width for r in rows):
+        raise ValueError(f"a row does not have the header's {width} fields")
+    return rows
+
+
+def _key_values(items: list[str], what: str) -> dict[str, str]:
+    raw = {}
+    for item in items:
+        if "=" not in item:
+            raise DomainError(f"{what} is not key=value: {item!r}")
+        key, val = item.split("=", 1)
+        raw[key.strip()] = val.strip()
+    return raw
+
+
+def _int_param(key: str, value) -> int:
+    try:
+        return int(str(value))
+    except ValueError:
+        raise DomainError(f"parameter {key}={value!r} is not an integer") from None
 
 
 @dataclass
@@ -75,198 +101,150 @@ class ExperimentManifest:
     def from_file(cls, path: Path) -> "ExperimentManifest":
         text = Path(path).read_text()
         if text.lstrip().startswith("{"):
-            raw = json.loads(text)
+            try:
+                raw = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise DomainError(f"manifest is not valid JSON: {exc}") from None
         else:
-            raw = {}
-            for line in text.splitlines():
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise DomainError(f"manifest line is not key=value: {line!r}")
-                key, val = line.split("=", 1)
-                raw[key.strip()] = val.strip()
+            raw = _key_values(_content_lines(text), "manifest line")
         exp = raw.pop("experiment", None)
         if exp is None:
             raise DomainError("manifest misses the experiment id")
-        seed = int(raw.pop("seed", 0))
+        seed = _int_param("seed", raw.pop("seed", 0))
         outdir = Path(raw.pop("outdir", "out"))
         return cls(experiment=str(exp), seed=seed, outdir=outdir, params=raw)
 
 
-# --- experiment implementations ---------------------------------------------
+# --- experiment writers -------------------------------------------------------
+# Each takes the resolved integer params and the seed and returns its tables.
 
-def _exp_fig6(man: ExperimentManifest) -> list[Path]:
-    n = int(man.params.get("n", 16))
-    max_m = int(man.params.get("max_m", 4 * n))
+def _fig6_rows(n: int, max_m: int) -> list[list]:
     rows = []
     for m in range(n + 1, max_m + 1):  # empty grid allowed: header-only CSV
         spec = ClosSpec(m=m, n=n, k=max(2, n))
-        psnr_nb = closmodel.nonblocking_psnr(spec)
-        sigma_p = closmodel.random_routing_carried_load(spec, asymptotic_k=True)
-        psnr_rand = contention.psnr(sigma_p)
-        rows.append([m, psnr_nb, psnr_rand,
+        psnr_rand = contention.psnr(closmodel.random_routing_carried_load(spec, asymptotic_k=True))
+        rows.append([m, closmodel.nonblocking_psnr(spec), psnr_rand,
                      closmodel.max_data_rate(m, psnr_rand)])
-    out = man.outdir / "fig6.csv"
-    _write_csv(out, "fig6",
-               ["central_modules", "psnr_nonblocking", "psnr_random", "rate_random_nats"],
-               rows)
-    return [out]
+    return rows
 
 
-def _exp_fig10(man: ExperimentManifest) -> list[Path]:
-    rhos = [i / 20 for i in range(1, 21)]
-    rows_a, rows_b = [], []
-    for rho in rhos:
-        par = deflection.DeflectionParams.from_rho(rho)
-        rows_a.append([rho, par.p, par.q])
-        rows_b.append([rho, par.a, par.c])
-    n = int(man.params.get("n", 4))
-    stages = int(man.params.get("stages", 30))
-    slots = int(man.params.get("slots", 4000))
-    sim = deflection.simulate_deflection(n, stages, 1.0, slots, seed=man.seed)
-    rows_c = []
-    for length in range(2, stages + 1):
-        bound = deflection.loss_bound(1.0, length)
-        emp = sim.loss_after(length)
-        rows_c.append([length, math.log(bound), emp])
-    paths = []
-    for name, header, rows in (
-        ("fig10a", ["rho", "success_p", "deflect_q"], rows_a),
-        ("fig10b", ["rho", "a", "c"], rows_b),
-        ("fig10c", ["length", "ln_loss_bound", "empirical_loss"], rows_c),
-    ):
-        path = man.outdir / f"{name}.csv"
-        _write_csv(path, name, header, rows)
-        paths.append(path)
-    return paths
+def _exp_fig6(p: dict, seed: int) -> list[Table]:
+    max_m = 4 * p["n"] if p["max_m"] is None else p["max_m"]
+    return [("fig6", "fig6",
+             ["central_modules", "psnr_nonblocking", "psnr_random", "rate_random_nats"],
+             _fig6_rows(p["n"], max_m))]
 
 
-def _exp_table2(man: ExperimentManifest) -> list[Path]:
+def _load_sweep() -> list[deflection.DeflectionParams]:
+    """Deflection constants at offered loads 0.05, 0.10, ..., 1."""
+    return [deflection.DeflectionParams.from_rho(i / 20) for i in range(1, 21)]
+
+
+def _exp_fig10(p: dict, seed: int) -> list[Table]:
+    sweep = _load_sweep()
+    sim = deflection.simulate_deflection(p["n"], p["stages"], 1.0, p["slots"], seed=seed)
+    return [
+        ("fig10a", "fig10a", ["rho", "success_p", "deflect_q"], [[d.rho, d.p, d.q] for d in sweep]),
+        ("fig10b", "fig10b", ["rho", "a", "c"], [[d.rho, d.a, d.c] for d in sweep]),
+        ("fig10c", "fig10c", ["length", "ln_loss_bound", "empirical_loss"],
+         [[length, math.log(deflection.loss_bound(1.0, length)), sim.loss_after(length)]
+          for length in range(2, p["stages"] + 1)]),
+    ]
+
+
+def _tag_rows(reqs: matching.CallRequestSet, tags: list) -> list[list[int]]:
+    """Per request: source, destination and its routing tag (central module,
+    output module, output port)."""
+    return [[s, d, t.central, t.out_module, t.out_port] for (s, d), t in zip(reqs.pairs, tags)]
+
+
+def _exp_table2(p: dict, seed: int) -> list[Table]:
     reqs = fixtures.eight_port_request_set()
     tags = matching.clos_route_assignment(reqs)
-    ok = matching.verify_route_assignment(reqs, tags)
-    ref_ok = matching.verify_route_assignment(reqs, fixtures.eight_port_reference_tags())
-    rows = [
-        [s, d, t.central, t.out_module, t.out_port, int(ok), int(ref_ok)]
-        for (s, d), t in zip(reqs.pairs, tags)
-    ]
-    out = man.outdir / "table2.csv"
-    _write_csv(out, "table2",
-               ["source", "destination", "central", "out_module", "out_port",
-                "assignment_valid", "reference_tags_valid"], rows)
-    return [out]
+    ok = int(matching.verify_route_assignment(reqs, tags))
+    ref_ok = int(matching.verify_route_assignment(reqs, fixtures.eight_port_reference_tags()))
+    return [("table2", "table2",
+             ["source", "destination", "central", "out_module", "out_port",
+              "assignment_valid", "reference_tags_valid"],
+             [row + [ok, ref_ok] for row in _tag_rows(reqs, tags)])]
 
 
-def _exp_table4(man: ExperimentManifest) -> list[Path]:
+def _finish_columns(weights: sched.WeightSet) -> list[str]:
+    return [f"finish_P{i + 1}" for i in range(len(weights))]
+
+
+def _exp_table4(p: dict, seed: int) -> list[Table]:
     weights = fixtures.five_state_weights()
-    finish = [Fraction(1, 1) / w for w in weights.weights]
-    rows = []
-    for tau in range(1, weights.frame_size + 1):
-        snapshot = [float(f) for f in finish]
-        pick = min(range(len(weights)), key=lambda i: (finish[i], i))
-        rows.append([tau] + snapshot + [f"P{pick + 1}"])
-        finish[pick] += 1 / weights.weights[pick]
-    out = man.outdir / "table4.csv"
-    _write_csv(out, "table4",
-               ["slot"] + [f"finish_P{i + 1}" for i in range(len(weights))] + ["selection"],
-               rows)
-    return [out]
+    return [("table4", "table4", ["slot"] + _finish_columns(weights) + ["selection"],
+             [[tau] + [float(f) for f in finish] + [f"P{pick + 1}"]
+              for tau, (finish, pick) in enumerate(sched.wfq_trace(weights), start=1)])]
 
 
-def _exp_table5(man: ExperimentManifest) -> list[Path]:
+def _exp_table5(p: dict, seed: int) -> list[Table]:
     weights = fixtures.five_state_weights()
-    rows = []
-    for tau, tr in enumerate(sched.wf2q_trace(weights), start=1):
-        rows.append(
-            [tau]
-            + [float(f) for f in tr.finish]
-            + [" ".join(f"P{i + 1}" for i in tr.qualified), f"P{tr.selection + 1}"]
-        )
-    out = man.outdir / "table5.csv"
-    _write_csv(out, "table5",
-               ["slot"] + [f"finish_P{i + 1}" for i in range(len(weights))]
-               + ["qualified", "selection"], rows)
-    return [out]
+    return [("table5", "table5", ["slot"] + _finish_columns(weights) + ["qualified", "selection"],
+             [[tau] + [float(f) for f in tr.finish]
+              + [" ".join(f"P{i + 1}" for i in tr.qualified), f"P{tr.selection + 1}"]
+              for tau, tr in enumerate(sched.wf2q_trace(weights), start=1)])]
 
 
-def _exp_table6(man: ExperimentManifest) -> list[Path]:
+def _exp_table6(p: dict, seed: int) -> list[Table]:
     rows = []
     for entry in fixtures.scheduler_table():
         w = entry["weights"]
-        rnd = sched.entropy(w) + sched.expected_random_smoothness_gap(w)
-        wfq = sched.smoothness(sched.schedule_wfq(w), w).average
-        wf2q = sched.smoothness(sched.schedule_wf2q(w), w).average
-        hurr = sched.smoothness(sched.schedule_hurr(w), w).average
-        rows.append(
-            [" ".join(str(float(x)) for x in w.weights), rnd, wfq, wf2q, hurr, sched.entropy(w)]
-        )
-    out = man.outdir / "table6.csv"
-    _write_csv(out, "table6",
-               ["weights", "random", "wfq", "wf2q", "hurr", "entropy"], rows)
-    return [out]
+        rows.append([" ".join(str(float(x)) for x in w.weights),
+                     sched.entropy(w) + sched.expected_random_smoothness_gap(w)]
+                    + [sched.smoothness(schedule(w), w).average
+                       for schedule in sched.SCHEDULERS.values()]
+                    + [sched.entropy(w)])
+    return [("table6", "table6", ["weights", "random", *sched.SCHEDULERS, "entropy"], rows)]
 
 
-def _exp_sec6c(man: ExperimentManifest) -> list[Path]:
-    cap = fixtures.capacity_4x4()
-    h_in, h_out, h_total = sched.entropy_2d(cap)
-    rows = [["capacity_entropy", h_total, "", "", ""]]
-    rows.append(["input_entropy"] + list(h_in))
-    rows.append(["output_entropy"] + list(h_out))
-    for name in ("wfq", "hurr", "hurr_alt"):
-        grid = fixtures.reference_grid(name)
-        rep = sched.smoothness_2d(grid)
+def _exp_sec6c(p: dict, seed: int) -> list[Table]:
+    h_in, h_out, h_total = sched.entropy_2d(fixtures.capacity_4x4())
+    rows = [["capacity_entropy", h_total, "", "", ""],
+            ["input_entropy"] + list(h_in),
+            ["output_entropy"] + list(h_out)]
+    for name in fixtures.GRID_TOTALS:
+        rep = sched.smoothness_2d(fixtures.reference_grid(name))
         rows.append([f"{name}_total", rep.total, "", "", ""])
         rows.append([f"{name}_input"] + list(rep.input_smoothness))
         rows.append([f"{name}_output"] + list(rep.output_smoothness))
-    out = man.outdir / "sec6c.csv"
-    _write_csv(out, "sec6c", ["quantity", "v1", "v2", "v3", "v4"], rows)
-    return [out]
+    return [("sec6c", "sec6c", ["quantity", "v1", "v2", "v3", "v4"], rows)]
 
 
-def _exp_fig21(man: ExperimentManifest) -> list[Path]:
-    k = int(man.params.get("k", 4))
-    m = int(man.params.get("m", 8))
-    rng = np.random.default_rng(man.seed)
+def _exp_fig21(p: dict, seed: int) -> list[Table]:
+    k, m = p["k"], p["m"]
+    spec = ClosSpec(m=m, n=m, k=k)  # rejects a bad shape before any draw
+    rng = np.random.default_rng(seed)
     lam = rng.uniform(0.2, 1.0, size=(k, k))
     lam *= 0.8 * m / max(lam.sum(axis=0).max(), lam.sum(axis=1).max())
-    traffic = pathswitch.TrafficMatrix(tuple(map(tuple, lam)), ClosSpec(m=m, n=m, k=k))
-    cap = pathswitch.allocate_capacity(traffic)
-    rows = []
-    for f in (16, 32, 64, 128):
-        _, err = pathswitch.bandlimit_and_round(cap, f, modules=m)
-        rows.append([f, err, 1.0 / f])
-    out = man.outdir / "fig21.csv"
-    _write_csv(out, "fig21", ["frame_size", "max_roundoff", "one_over_f"], rows)
-    return [out]
+    cap = pathswitch.allocate_capacity(pathswitch.TrafficMatrix(tuple(map(tuple, lam)), spec))
+    return [("fig21", "fig21", ["frame_size", "max_roundoff", "one_over_f"],
+             [[f, pathswitch.bandlimit_and_round(cap, f, modules=m)[1], 1.0 / f]
+              for f in (16, 32, 64, 128)])]
 
 
-def _exp_montecarlo(man: ExperimentManifest) -> list[Path]:
-    slots = int(man.params.get("slots", 200_000))
-    rows = []
+def _exp_montecarlo(p: dict, seed: int) -> list[Table]:
+    crossbar = []
     for n_ports in (8, 32):
         for rho in (0.5, 1.0):
-            sim = contention.simulate_crossbar(n_ports, rho, slots, seed=man.seed)
-            rows.append([n_ports, rho, sim.load.carried_load,
-                         contention.carried_load(rho, n_ports),
-                         sim.busy_mean, sim.busy_variance, sim.busy_skewness])
-    out1 = man.outdir / "montecarlo_crossbar.csv"
-    _write_csv(out1, "montecarlo",
-               ["ports", "rho", "carried_empirical", "carried_analytic",
-                "busy_mean", "busy_variance", "busy_skewness"], rows)
-    n = int(man.params.get("n", 4))
-    stages = int(man.params.get("stages", 20))
-    dsim = deflection.simulate_deflection(n, stages, 1.0, int(man.params.get("dslots", 4000)),
-                                          seed=man.seed)
-    rows2 = []
-    for length in (10, 15, stages):
-        rows2.append([length, dsim.loss_after(length), deflection.loss_bound(1.0, length)])
-    out2 = man.outdir / "montecarlo_deflection.csv"
-    _write_csv(out2, "montecarlo", ["length", "empirical_loss", "loss_bound"], rows2)
-    return [out1, out2]
+            sim = contention.simulate_crossbar(n_ports, rho, p["slots"], seed=seed)
+            crossbar.append([n_ports, rho, sim.load.carried_load,
+                             contention.carried_load(rho, n_ports),
+                             sim.busy_mean, sim.busy_variance, sim.busy_skewness])
+    sim = deflection.simulate_deflection(p["n"], p["stages"], 1.0, p["dslots"], seed=seed)
+    return [
+        ("montecarlo_crossbar", "montecarlo",
+         ["ports", "rho", "carried_empirical", "carried_analytic",
+          "busy_mean", "busy_variance", "busy_skewness"], crossbar),
+        ("montecarlo_deflection", "montecarlo", ["length", "empirical_loss", "loss_bound"],
+         [[length, sim.loss_after(length), deflection.loss_bound(1.0, length)]
+          for length in (10, 15, p["stages"])]),
+    ]
 
 
-def _exp_boltzmann(man: ExperimentManifest) -> list[Path]:
+def _exp_boltzmann(p: dict, seed: int) -> list[Table]:
     rows = []
     for n_ports in (6, 8, 10):
         for packets in range(0, n_ports + 1):
@@ -274,117 +252,131 @@ def _exp_boltzmann(man: ExperimentManifest) -> list[Path]:
             rows.append([n_ports, packets,
                          " ".join(map(str, res.maximizer)), res.max_states,
                          " ".join(map(str, res.poisson_vector)), res.poisson_states])
-    out = man.outdir / "boltzmann.csv"
-    _write_csv(out, "boltzmann",
-               ["ports", "packets", "maximizer", "states", "poisson_vector",
-                "poisson_states"], rows)
-    return [out]
+    return [("boltzmann", "boltzmann",
+             ["ports", "packets", "maximizer", "states", "poisson_vector", "poisson_states"],
+             rows)]
 
 
-_EXPERIMENTS = {
-    "fig6": _exp_fig6,
-    "fig10": _exp_fig10,
-    "table2": _exp_table2,
-    "table4": _exp_table4,
-    "table5": _exp_table5,
-    "table6": _exp_table6,
-    "sec6c": _exp_sec6c,
-    "fig21": _exp_fig21,
-    "montecarlo": _exp_montecarlo,
-    "boltzmann": _exp_boltzmann,
+# --- checks run by `validate` ---------------------------------------------------
+
+def _every_row(pred: Callable[[list[str]], bool]) -> CheckFn:
+    """A check that passes when ``pred`` holds on every data row."""
+    return lambda rows, tol: (all(pred(r) for r in rows), "")
+
+
+def _selections_are(expected: str) -> CheckFn:
+    """A check that the last column of a scheduler trace reads ``expected``."""
+    return lambda rows, tol: ([r[-1] for r in rows] == expected.split(),
+                              " ".join(r[-1] for r in rows))
+
+
+def _check_deflection_constants(rows: list[list[str]], tol: float) -> tuple[bool, str]:
+    by_rho = {float(r[0]): (float(r[1]), float(r[2])) for r in rows}
+    a, c = by_rho.get(1.0, (math.nan, math.nan))
+    ok = abs(a - fixtures.DEFLECTION_A) <= tol and abs(c - fixtures.DEFLECTION_C) <= tol
+    return ok, f"a={a:.5f} c={c:.5f}"
+
+
+def _check_grid_totals(rows: list[list[str]], tol: float) -> tuple[bool, str]:
+    values = {r[0]: [float(v) for v in r[1:] if v] for r in rows}
+    ok = abs(values["capacity_entropy"][0] - fixtures.CAPACITY_ENTROPY) <= tol and all(
+        abs(values[f"{name}_total"][0] - total) <= 2e-3
+        for name, total in fixtures.GRID_TOTALS.items()
+    )
+    return ok, ""
+
+
+def _check_poisson_shape(rows: list[list[str]], tol: float) -> tuple[bool, str]:
+    ok = True
+    for r in rows:
+        n_ports, packets = int(r[0]), int(r[1])
+        vec = [int(v) for v in r[2].split()]
+        for level, target in enumerate(contention.poisson_profile(packets / n_ports, packets)):
+            actual = vec[level] / n_ports if level < len(vec) else 0.0
+            ok &= abs(actual - target) <= max(2.0 / n_ports, 0.1)
+    return ok, ""
+
+
+# --- the registry -----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment id: its integer params with their defaults, the writer
+    of its CSV tables, and the checks `validate` runs on those tables."""
+
+    params: dict[str, int | None]
+    write: Callable[[dict[str, int], int], list[Table]]
+    checks: list[Check]
+
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "fig6": Experiment({"n": 16, "max_m": None}, _exp_fig6, []),  # max_m None: 4 * n
+    "fig10": Experiment({"n": 4, "stages": 30, "slots": 4000}, _exp_fig10, [
+        ("deflection_constants", "fig10b", _check_deflection_constants),
+        ("deflection_loss_under_bound", "fig10c",
+         _every_row(lambda r: float(r[2]) <= math.exp(float(r[1])) + 1e-2))]),
+    "table2": Experiment({}, _exp_table2, [
+        ("route_assignment_valid", "table2", _every_row(lambda r: r[5] == "1" and r[6] == "1"))]),
+    "table4": Experiment({}, _exp_table4, [
+        ("wfq_trace", "table4", _selections_are("P1 P1 P1 P1 P2 P3 P4 P5"))]),
+    "table5": Experiment({}, _exp_table5, [
+        ("wf2q_trace", "table5", _selections_are("P1 P2 P1 P3 P1 P4 P1 P5"))]),
+    "table6": Experiment({}, _exp_table6, [
+        ("scheduler_entropy_column", "table6", lambda rows, tol: (
+            all(abs(float(r[5]) - entry["entropy"]) <= 2e-3
+                for r, entry in zip(rows, fixtures.scheduler_table())), ""))]),
+    "sec6c": Experiment({}, _exp_sec6c, [("grid_smoothness_totals", "sec6c", _check_grid_totals)]),
+    "fig21": Experiment({"k": 4, "m": 8}, _exp_fig21, [
+        ("roundoff_within_1_over_f", "fig21",
+         _every_row(lambda r: float(r[1]) <= 1.0 / float(r[0]) + 1e-12))]),
+    "montecarlo": Experiment({"slots": 200_000, "n": 4, "stages": 20, "dslots": 4000},
+                             _exp_montecarlo, [
+        ("crossbar_carried_load", "montecarlo_crossbar",
+         _every_row(lambda r: abs(float(r[2]) - float(r[3])) < 5e-3))]),
+    "boltzmann": Experiment({}, _exp_boltzmann, [
+        ("boltzmann_poisson_shape", "boltzmann", _check_poisson_shape)]),
 }
+
+EXPERIMENT_IDS = tuple(EXPERIMENTS)
+
+# a key counts as known if any experiment declares it, so that one set of
+# params can drive `experiment all`
+_KNOWN_PARAMS = {key for exp in EXPERIMENTS.values() for key in exp.params}
 
 
 def run_experiment(man: ExperimentManifest) -> list[Path]:
-    if man.experiment not in _EXPERIMENTS:
+    exp = EXPERIMENTS.get(man.experiment)
+    if exp is None:
         raise DomainError(f"unknown experiment id {man.experiment!r}")
+    unknown = sorted(set(man.params) - _KNOWN_PARAMS)
+    if unknown:
+        raise DomainError(f"unknown experiment parameter {' '.join(unknown)}; "
+                          f"known: {' '.join(sorted(_KNOWN_PARAMS))}")
+    given = {key: _int_param(key, val) for key, val in man.params.items()}
+    tables = exp.write({key: given.get(key, default) for key, default in exp.params.items()},
+                       man.seed)
     man.outdir.mkdir(parents=True, exist_ok=True)
-    return _EXPERIMENTS[man.experiment](man)
-
-
-# --- validation ---------------------------------------------------------------
-
-def _check(name: str, ok: bool, detail: str = "") -> dict:
-    return {"check": name, "status": "pass" if ok else "FAIL", "detail": detail}
+    return [_write_csv(man.outdir, table) for table in tables]
 
 
 def validate_outputs(outdir: Path, tolerance: float = 5e-4) -> tuple[list[dict], bool]:
     """Re-derive the key quantities and compare them with the CSV artifacts.
 
-    Returns (report rows, all_ok).  Missing files are reported individually.
+    Returns (report rows, all_ok).  A missing file is reported under its own
+    name; a file that cannot be read or parsed fails its check.
     """
     report: list[dict] = []
-
-    def missing(name: str) -> bool:
-        if not (outdir / name).exists():
-            report.append(_check(name, False, "missing output file"))
-            return True
-        return False
-
-    if not missing("fig10b.csv"):
-        _, rows = _read_csv(outdir / "fig10b.csv")
-        by_rho = {float(r[0]): (float(r[1]), float(r[2])) for r in rows}
-        a, c = by_rho.get(1.0, (math.nan, math.nan))
-        report.append(_check("deflection_constants",
-                             abs(a - 1.4285) <= tolerance and abs(c - 1.2906) <= tolerance,
-                             f"a={a:.5f} c={c:.5f}"))
-    if not missing("fig10c.csv"):
-        _, rows = _read_csv(outdir / "fig10c.csv")
-        ok = all(float(r[2]) <= math.exp(float(r[1])) + 1e-2 for r in rows)
-        report.append(_check("deflection_loss_under_bound", ok))
-    if not missing("table2.csv"):
-        _, rows = _read_csv(outdir / "table2.csv")
-        ok = all(r[5] == "1" and r[6] == "1" for r in rows)
-        report.append(_check("route_assignment_valid", ok))
-    if not missing("table4.csv"):
-        _, rows = _read_csv(outdir / "table4.csv")
-        seq = [r[-1] for r in rows]
-        report.append(_check("wfq_trace", seq == ["P1", "P1", "P1", "P1", "P2", "P3", "P4", "P5"],
-                             " ".join(seq)))
-    if not missing("table5.csv"):
-        _, rows = _read_csv(outdir / "table5.csv")
-        seq = [r[-1] for r in rows]
-        report.append(_check("wf2q_trace", seq == ["P1", "P2", "P1", "P3", "P1", "P4", "P1", "P5"],
-                             " ".join(seq)))
-    if not missing("table6.csv"):
-        _, rows = _read_csv(outdir / "table6.csv")
-        ent_ok = True
-        for r, entry in zip(rows, fixtures.scheduler_table()):
-            ent_ok &= abs(float(r[5]) - entry["entropy"]) <= 2e-3
-        report.append(_check("scheduler_entropy_column", ent_ok))
-    if not missing("sec6c.csv"):
-        _, rows = _read_csv(outdir / "sec6c.csv")
-        values = {r[0]: [float(v) for v in r[1:] if v] for r in rows}
-        ok = (
-            abs(values["capacity_entropy"][0] - 5.1714) <= tolerance
-            and abs(values["wfq_total"][0] - 6.2522) <= 2e-3
-            and abs(values["hurr_total"][0] - 5.3794) <= 2e-3
-            and abs(values["hurr_alt_total"][0] - 5.3392) <= 2e-3
-        )
-        report.append(_check("grid_smoothness_totals", ok))
-    if not missing("fig21.csv"):
-        _, rows = _read_csv(outdir / "fig21.csv")
-        ok = all(float(r[1]) <= 1.0 / float(r[0]) + 1e-12 for r in rows)
-        report.append(_check("roundoff_within_1_over_f", ok))
-    if not missing("montecarlo_crossbar.csv"):
-        _, rows = _read_csv(outdir / "montecarlo_crossbar.csv")
-        ok = all(abs(float(r[2]) - float(r[3])) < 5e-3 for r in rows)
-        report.append(_check("crossbar_carried_load", ok))
-    if not missing("boltzmann.csv"):
-        _, rows = _read_csv(outdir / "boltzmann.csv")
-        ok = True
-        for r in rows:
-            n_ports, packets = int(r[0]), int(r[1])
-            vec = [int(v) for v in r[2].split()]
-            tol = max(2.0 / n_ports, 0.1)
-            rho = packets / n_ports
-            for level in range(packets + 1):
-                target = (math.exp(-rho) * rho**level / math.factorial(level)
-                          if rho > 0 else (1.0 if level == 0 else 0.0))
-                actual = vec[level] / n_ports if level < len(vec) else 0.0
-                if abs(actual - target) > tol:
-                    ok = False
-        report.append(_check("boltzmann_poisson_shape", ok))
+    for exp in EXPERIMENTS.values():
+        for name, stem, fn in exp.checks:
+            path = outdir / f"{stem}.csv"
+            if not path.exists():
+                name, ok, detail = path.name, False, "missing output file"
+            else:
+                try:
+                    ok, detail = fn(_read_csv(path), tolerance)
+                except (OSError, ValueError, IndexError, KeyError, ArithmeticError) as exc:
+                    ok, detail = False, f"malformed {path.name}: {exc}"
+            report.append({"check": name, "status": "pass" if ok else "FAIL", "detail": detail})
     all_ok = all(r["status"] == "pass" for r in report)
     return report, all_ok
 
@@ -392,13 +384,8 @@ def validate_outputs(outdir: Path, tolerance: float = 5e-4) -> tuple[list[dict],
 # --- command implementations ---------------------------------------------------
 
 def _cmd_tradeoff(args: argparse.Namespace) -> int:
-    for m in range(args.n + 1, args.max_m + 1):
-        spec = ClosSpec(m=m, n=args.n, k=max(2, args.n))
-        psnr_nb = closmodel.nonblocking_psnr(spec)
-        psnr_rand = contention.psnr(
-            closmodel.random_routing_carried_load(spec, asymptotic_k=True)
-        )
-        print(f"{m},{_fmt(psnr_nb)},{_fmt(psnr_rand)}")
+    for row in _fig6_rows(args.n, args.max_m):
+        print(_csv_line(row[:3]))
     return EXIT_OK
 
 
@@ -408,16 +395,14 @@ def _cmd_deflect(args: argparse.Namespace) -> int:
           f"slope={par.slope_m:.4f} intercept={par.intercept_b:.4f}")
     if args.sweep:
         print("rho,success_p,deflect_q,a,c")
-        for i in range(1, 21):
-            sw = deflection.DeflectionParams.from_rho(i / 20)
-            print(f"{i / 20},{_fmt(sw.p)},{_fmt(sw.q)},{_fmt(sw.a)},{_fmt(sw.c)}")
+        for d in _load_sweep():
+            print(_csv_line([d.rho, d.p, d.q, d.a, d.c]))
     if args.slots:
         sim = deflection.simulate_deflection(args.n, args.stages, args.rho, args.slots,
                                              seed=args.seed)
         print("length,empirical_loss,loss_bound")
         for length in range(2, args.stages + 1):
-            print(f"{length},{_fmt(sim.loss_after(length))},"
-                  f"{_fmt(deflection.loss_bound(args.rho, length))}")
+            print(_csv_line([length, sim.loss_after(length), deflection.loss_bound(args.rho, length)]))
     return EXIT_OK
 
 
@@ -437,28 +422,16 @@ def _cmd_assign(args: argparse.Namespace) -> int:
     spec = ClosSpec(m=args.m if args.m else n, n=n, k=n_ports // n)
     reqs = matching.CallRequestSet.from_permutation(pi, spec)
     tags = matching.clos_route_assignment(reqs)
-    labels = ["S", "D", "G", "Q", "R"]
-    columns = [
-        [str(s) for s, _ in reqs.pairs],
-        [str(d) for _, d in reqs.pairs],
-        [str(t.central) for t in tags],
-        [str(t.out_module) for t in tags],
-        [str(t.out_port) for t in tags],
-    ]
-    for label, col in zip(labels, columns):
-        print(label + "\t" + "\t".join(col))
+    for label, col in zip("SDGQR", zip(*_tag_rows(reqs, tags))):
+        print("\t".join([label, *map(str, col)]))
     ok = matching.verify_route_assignment(reqs, tags)
     print(f"valid={ok}")
     return EXIT_OK if ok else EXIT_FAIL
 
 
 def _parse_matrix(path: Path, frame: int | None) -> pathswitch.CapacityMatrix:
-    rows = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append([Fraction(tok) for tok in line.replace(",", " ").split()])
+    rows = [[Fraction(tok) for tok in line.replace(",", " ").split()]
+            for line in _content_lines(path.read_text())]
     all_integer = all(v.denominator == 1 for row in rows for v in row)
     if frame:
         if all_integer:
@@ -489,18 +462,13 @@ def _weights_from_arg(text: str) -> sched.WeightSet:
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
     weights = _weights_from_arg(args.weights)
-    if args.algorithm == "wfq":
-        seq = sched.schedule_wfq(weights)
-    elif args.algorithm == "wf2q":
-        seq = sched.schedule_wf2q(weights)
-    elif args.algorithm == "hurr":
-        seq = sched.schedule_hurr(weights)
-    else:
+    if args.algorithm == "random":
         draws = sched.schedule_random(weights, args.slots, seed=args.seed)
         print(" ".join(f"P{i + 1}" for i in draws[:min(len(draws), 64)]))
         gap = sched.random_sequence_smoothness(draws, weights)
         print(f"empirical_smoothness={gap:.4f} entropy={sched.entropy(weights):.4f}")
         return EXIT_OK
+    seq = sched.SCHEDULERS[args.algorithm](weights)
     rep = sched.smoothness(seq, weights)
     print(" ".join(f"P{i + 1}" for i in seq.slots))
     print(f"smoothness={rep.average:.4f} entropy={rep.entropy:.4f} "
@@ -512,20 +480,15 @@ def _cmd_schedule2d(args: argparse.Namespace) -> int:
     cap = _parse_matrix(Path(args.matrix), args.frame)
     dec = pathswitch.bvn_decompose(cap)
     weights = sched.WeightSet(tuple(w for _, w in dec.states))
-    if args.algorithm == "wfq":
-        seq = sched.schedule_wfq(weights)
-    elif args.algorithm == "wf2q":
-        seq = sched.schedule_wf2q(weights)
-    else:
-        seq = sched.schedule_hurr(weights)
+    seq = sched.SCHEDULERS[args.algorithm](weights)
     patterns = [dec.states[i][0] for i in seq.slots]
     grid = sched.grid_from_schedule(patterns)
     print(grid.to_text())
     rep = sched.smoothness_2d(grid)
     h_in, h_out, h_total = sched.entropy_2d(cap)
     print("metric,total," + ",".join(f"m{i+1}" for i in range(cap.size)))
-    print("smoothness," + _fmt(rep.total) + "," + ",".join(_fmt(v) for v in rep.input_smoothness))
-    print("entropy," + _fmt(h_total) + "," + ",".join(_fmt(v) for v in h_in))
+    print(_csv_line(["smoothness", rep.total, *rep.input_smoothness]))
+    print(_csv_line(["entropy", h_total, *h_in]))
     return EXIT_OK
 
 
@@ -536,24 +499,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         if not args.id:
             print("experiment id or --manifest required", file=sys.stderr)
             return EXIT_USAGE
-        params = {}
-        for item in args.param or []:
-            if "=" not in item:
-                print(f"bad --param {item!r}, need key=value", file=sys.stderr)
-                return EXIT_USAGE
-            key, val = item.split("=", 1)
-            params[key] = val
-        man = ExperimentManifest(experiment=args.id, seed=args.seed,
-                                 outdir=Path(args.outdir), params=params)
-    if man.experiment == "all":
-        written = []
-        for exp in EXPERIMENT_IDS:
-            sub = ExperimentManifest(exp, man.seed, man.outdir, dict(man.params))
-            written.extend(run_experiment(sub))
-    else:
-        written = run_experiment(man)
-    for path in written:
-        print(path)
+        man = ExperimentManifest(experiment=args.id, seed=args.seed, outdir=Path(args.outdir),
+                                 params=_key_values(args.param or [], "--param"))
+    for exp in EXPERIMENT_IDS if man.experiment == "all" else (man.experiment,):
+        for path in run_experiment(ExperimentManifest(exp, man.seed, man.outdir, man.params)):
+            print(path)
     return EXIT_OK
 
 
@@ -606,8 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="run a frame scheduler over weights")
     p.add_argument("weights", help="comma list, e.g. 0.5,0.125,0.125,0.125,0.125")
-    p.add_argument("--algorithm", choices=("wfq", "wf2q", "hurr", "random"),
-                   default="wfq")
+    p.add_argument("--algorithm", choices=(*sched.SCHEDULERS, "random"), default="wfq")
     p.add_argument("--slots", type=int, default=10000, help="random-schedule length")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_schedule)
@@ -615,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule2d", help="decompose, schedule and print token grids")
     p.add_argument("matrix")
     p.add_argument("--frame", type=int, default=0)
-    p.add_argument("--algorithm", choices=("wfq", "wf2q", "hurr"), default="wfq")
+    p.add_argument("--algorithm", choices=tuple(sched.SCHEDULERS), default="wfq")
     p.set_defaults(func=_cmd_schedule2d)
 
     p = sub.add_parser("experiment", help="write deterministic CSV artifacts")
@@ -641,7 +590,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (DomainError, PreconditionError, FileNotFoundError) as exc:
+    except (DomainError, PreconditionError, ResourceLimitError, ConvergenceError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

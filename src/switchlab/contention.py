@@ -28,6 +28,7 @@ __all__ = [
     "power_stats",
     "simulate_crossbar",
     "boltzmann_pmf",
+    "poisson_profile",
     "count_states",
     "maximize_entropy_bruteforce",
 ]
@@ -207,6 +208,12 @@ def boltzmann_pmf(rho: float, model: OccupancyModel = "distinguishable") -> Occu
     return OccupancyDistribution(pmf=tuple(terms), model=model)
 
 
+def poisson_profile(rho: float, levels: int) -> list[float]:
+    """Poisson probabilities exp(-rho) rho^i / i! of levels i = 0..levels,
+    the continuous profile exhaustive maximizers are compared with."""
+    return [math.exp(-rho) * rho**i / math.factorial(i) for i in range(levels + 1)]
+
+
 def _validate_occupancy(occupancy: Sequence[int], n_ports: int, n_packets: int) -> None:
     if any(c < 0 for c in occupancy):
         raise PreconditionError("occupancy counts must be nonnegative")
@@ -281,9 +288,6 @@ class BruteForceResult:
     poisson_vector: tuple[int, ...]
     poisson_states: int
 
-    def proportions(self, n_ports: int) -> tuple[float, ...]:
-        return tuple(c / n_ports for c in self.maximizer)
-
 
 def maximize_entropy_bruteforce(
     n_ports: int, n_packets: int, model: StateModel = "one-per-input"
@@ -300,7 +304,7 @@ def maximize_entropy_bruteforce(
         )
     if model == "one-per-input" and n_packets > n_ports:
         raise PreconditionError("one packet per input allows at most N packets")
-    rho = n_packets / n_ports
+    targets = [n_ports * p for p in poisson_profile(n_packets / n_ports, n_packets)]
     best: tuple[int, ...] | None = None
     best_w = -1
     nearest: tuple[int, ...] | None = None
@@ -309,7 +313,7 @@ def maximize_entropy_bruteforce(
         w = count_states(n_ports, n_packets, vec, model)
         if w > best_w:
             best, best_w = vec, w
-        dist = _l1_to_poisson(vec, n_ports, rho, n_packets)
+        dist = sum(abs((vec[i] if i < len(vec) else 0) - t) for i, t in enumerate(targets))
         if dist < nearest_dist - 1e-12:
             nearest, nearest_dist = vec, dist
     assert best is not None and nearest is not None
@@ -319,14 +323,3 @@ def maximize_entropy_bruteforce(
         poisson_vector=nearest,
         poisson_states=count_states(n_ports, n_packets, nearest, model),
     )
-
-
-def _l1_to_poisson(vec: Sequence[int], n_ports: int, rho: float, levels: int) -> float:
-    dist = 0.0
-    for i in range(levels + 1):
-        target = n_ports * math.exp(-rho) * rho**i / math.factorial(i) if rho > 0 else (
-            n_ports if i == 0 else 0.0
-        )
-        actual = vec[i] if i < len(vec) else 0
-        dist += abs(actual - target)
-    return dist

@@ -17,8 +17,11 @@ from .pathswitch import CapacityMatrix
 from .sched import TokenGrid, WeightSet
 
 __all__ = [
+    "DEFLECTION_A",
+    "DEFLECTION_C",
+    "CAPACITY_ENTROPY",
+    "GRID_TOTALS",
     "parity_check_8x4",
-    "eight_port_permutation",
     "eight_port_request_set",
     "eight_port_reference_tags",
     "benes_permutation",
@@ -30,6 +33,15 @@ __all__ = [
     "five_state_weights",
     "load_text",
 ]
+
+
+# Published reference values (4 decimals) that `validate` and the acceptance
+# tests compare with: the deflection constants a and c at full load, the
+# entropy of capacity_4x4, and the smoothness totals of its reference grids.
+DEFLECTION_A = 1.4285
+DEFLECTION_C = 1.2906
+CAPACITY_ENTROPY = 5.1714
+GRID_TOTALS = {"wfq": 6.2522, "hurr": 5.3794, "hurr_alt": 5.3392}
 
 
 def load_text(name: str) -> str:
@@ -58,10 +70,6 @@ _EIGHT_PORT_TAGS = (
     (0, 3, 1),
     (2, 2, 1),
 )
-
-
-def eight_port_permutation() -> tuple[int, ...]:
-    return _EIGHT_PORT_DEST
 
 
 def eight_port_request_set() -> CallRequestSet:

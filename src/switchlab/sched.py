@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,9 +28,11 @@ __all__ = [
     "TokenGrid",
     "TwoDimReport",
     "schedule_wfq",
+    "wfq_trace",
     "schedule_wf2q",
     "wf2q_trace",
     "schedule_hurr",
+    "SCHEDULERS",
     "schedule_random",
     "smoothness",
     "entropy",
@@ -87,10 +89,17 @@ class FrameSequence:
     def interstate_times(self, state: int) -> list[int]:
         """Circular gaps between consecutive occurrences; they sum to F."""
         pos = self.occurrences(state)
-        if not pos:
-            return []
-        f = len(self.slots)
-        return [pos[i + 1] - pos[i] for i in range(len(pos) - 1)] + [f - pos[-1] + pos[0]]
+        return _circular_gaps(pos, len(self.slots)) if pos else []
+
+
+def _circular_gaps(positions: list[int], frame: int) -> list[int]:
+    """Gaps between consecutive sorted positions, wrapping around the frame."""
+    return [b - a for a, b in zip(positions, positions[1:])] + [frame - positions[-1] + positions[0]]
+
+
+def _log_rms(gaps: list[int]) -> float:
+    """log2 of the root mean square of the gaps."""
+    return 0.5 * math.log2(sum(g * g for g in gaps) / len(gaps))
 
 
 def _check_frame(seq: FrameSequence, weights: WeightSet) -> None:
@@ -106,22 +115,33 @@ def _check_frame(seq: FrameSequence, weights: WeightSet) -> None:
         raise DomainError(f"state counts {seen} do not match weights {counts}")
 
 
-def _wfq_order(weights: Sequence[Fraction], slots: int) -> list[int]:
+def _wfq_steps(weights: Sequence[Fraction], slots: int) -> Iterator[tuple[list[Fraction], int]]:
     """Virtual-finish-time scheduling core shared by WFQ and the tree
     scheduler: start each state at finish 1/phi, serve the smallest finish
-    time (lowest index on ties), then push it by 1/phi."""
+    time (lowest index on ties), then push it by 1/phi.  Yields, per slot,
+    the finish times entering it (a list updated in place after the yield)
+    and the state served."""
     finish = [Fraction(1, 1) / w for w in weights]
-    out = []
     for _ in range(slots):
         pick = min(range(len(weights)), key=lambda i: (finish[i], i))
-        out.append(pick)
+        yield finish, pick
         finish[pick] += 1 / weights[pick]
-    return out
+
+
+def _wfq_order(weights: Sequence[Fraction], slots: int) -> list[int]:
+    return [pick for _, pick in _wfq_steps(weights, slots)]
 
 
 def schedule_wfq(weights: WeightSet) -> FrameSequence:
     """Weighted fair queueing over one frame."""
     return FrameSequence(tuple(_wfq_order(weights.weights, weights.frame_size)))
+
+
+def wfq_trace(weights: WeightSet) -> list[tuple[tuple[Fraction, ...], int]]:
+    """Per slot of the WFQ frame: the finish times entering the slot and the
+    chosen state."""
+    return [(tuple(finish), pick)
+            for finish, pick in _wfq_steps(weights.weights, weights.frame_size)]
 
 
 @dataclass(frozen=True)
@@ -205,6 +225,9 @@ def schedule_hurr(weights: WeightSet) -> FrameSequence:
     return FrameSequence(tuple(nd.state for nd in seq))
 
 
+SCHEDULERS = {"wfq": schedule_wfq, "wf2q": schedule_wf2q, "hurr": schedule_hurr}
+
+
 def schedule_random(weights: WeightSet, slots: int, seed: int = 0) -> list[int]:
     """Memoryless scheduling: each slot draws a state i.i.d. with the given
     probabilities.  No frame structure is kept."""
@@ -237,11 +260,7 @@ def smoothness(seq: FrameSequence, weights: WeightSet) -> SmoothnessReport:
     entropy for every valid frame, with equality exactly at constant gaps
     1/phi."""
     _check_frame(seq, weights)
-    per = []
-    for i, w in enumerate(weights.weights):
-        gaps = seq.interstate_times(i)
-        mean_sq = sum(g * g for g in gaps) / len(gaps)
-        per.append(0.5 * math.log2(mean_sq))
+    per = [_log_rms(seq.interstate_times(i)) for i in range(len(weights))]
     avg = sum(float(w) * l for w, l in zip(weights.weights, per))
     kraft = sum(2.0 ** (-l) for l in per)
     return SmoothnessReport(
@@ -367,12 +386,6 @@ class TwoDimReport:
     kraft_matrix: np.ndarray
 
 
-def _circular_gaps(slots: list[int], frame: int) -> list[int]:
-    gaps = [slots[a + 1] - slots[a] for a in range(len(slots) - 1)]
-    gaps.append(frame - slots[-1] + slots[0])
-    return gaps
-
-
 def smoothness_2d(grid: TokenGrid, capacity: CapacityMatrix | None = None) -> TwoDimReport:
     """Two-dimensional smoothness of a token grid.
 
@@ -390,15 +403,12 @@ def smoothness_2d(grid: TokenGrid, capacity: CapacityMatrix | None = None) -> Tw
             raise DomainError("token counts disagree with the capacity matrix")
     ni, no = counts.shape
     d = np.zeros((ni, no))
-    kraft = np.zeros((ni, no))
     for i in range(ni):
         for j in range(no):
             if counts[i, j] == 0:
                 continue
-            gaps = _circular_gaps(grid.token_slots(i, j), f)
-            mean_sq = sum(g * g for g in gaps) / len(gaps)
-            d[i, j] = 0.5 * math.log2(mean_sq)
-            kraft[i, j] = mean_sq**-0.5
+            d[i, j] = _log_rms(_circular_gaps(grid.token_slots(i, j), f))
+    kraft = np.where(counts > 0, np.exp2(-d), 0.0)
     rates = counts / f
     input_s = (rates * d).sum(axis=1)
     output_s = (rates * d).sum(axis=0)

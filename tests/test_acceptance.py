@@ -41,8 +41,8 @@ def test_criterion_01_deflection_constants():
         "q": (par.q, 0.3679),
         "m": (par.slope_m, -0.3566),
         "b": (par.intercept_b, 0.9683),
-        "a": (par.a, 1.4285),
-        "c": (par.c, 1.2906),
+        "a": (par.a, fixtures.DEFLECTION_A),
+        "c": (par.c, fixtures.DEFLECTION_C),
     }
     bad = {k: v for k, (v, want) in expected.items() if abs(v - want) > 5e-4}
     _report(1, "deflection constants at full load within 5e-4", not bad,
@@ -309,10 +309,10 @@ def test_criterion_12_entropy_bound_property_suites():
 
 def test_criterion_13_grid_worked_examples():
     h_in, _, h_total = sc.entropy_2d(fixtures.capacity_4x4())
-    ok = abs(h_total - 5.1714) <= 5e-4
+    ok = abs(h_total - fixtures.CAPACITY_ENTROPY) <= 5e-4
     ok &= bool(np.allclose(h_in, [1.0613, 1.4056, 1.7500, 0.9544], atol=5e-4))
     totals = {}
-    for name, want in (("wfq", 6.2522), ("hurr", 5.3794), ("hurr_alt", 5.3392)):
+    for name, want in fixtures.GRID_TOTALS.items():
         rep = sc.smoothness_2d(fixtures.reference_grid(name))
         totals[name] = rep.total
         ok &= abs(rep.total - want) <= 1e-3
@@ -325,14 +325,8 @@ def test_criterion_14_boltzmann_brute_force():
     for n in range(2, 11):
         for m in range(0, n + 1):
             res = ct.maximize_entropy_bruteforce(n, m, "one-per-input")
-            rho = m / n
             tol = max(2.0 / n, 0.1)
-            for level in range(m + 1):
-                want = (
-                    math.exp(-rho) * rho**level / math.factorial(level)
-                    if rho > 0
-                    else (1.0 if level == 0 else 0.0)
-                )
+            for level, want in enumerate(ct.poisson_profile(m / n, m)):
                 have = res.maximizer[level] / n if level < len(res.maximizer) else 0.0
                 if abs(have - want) > tol:
                     ok = False

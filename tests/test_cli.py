@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from switchlab import cli
+from switchlab.errors import ConvergenceError, ResourceLimitError
 
 
 def _run(capsys, *argv):
@@ -138,3 +139,64 @@ def test_validate_tolerance_override(tmp_path, capsys):
 def test_missing_outdir_is_usage_error(tmp_path, capsys):
     code, _, _ = _run(capsys, "validate", "--outdir", str(tmp_path / "nothere"))
     assert code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("name, text", [
+    ("fig10b.csv", ""),
+    ("table2.csv", "# experiment: table2\nsource,destination,central,out_module,out_port,"
+                   "assignment_valid,reference_tags_valid\n0,1,0\n"),
+], ids=["empty_fig10b", "short_table2_row"])
+def test_validate_reports_malformed_file(tmp_path, capsys, name, text):
+    (tmp_path / name).write_text(text)
+    code, out, _ = _run(capsys, "validate", "--outdir", str(tmp_path))
+    assert code == cli.EXIT_FAIL
+    assert f"FAIL,malformed {name}" in out
+
+
+def test_non_integer_param_is_usage_error(tmp_path, capsys):
+    code, _, err = _run(capsys, "experiment", "fig6", "--outdir", str(tmp_path),
+                        "--param", "n=abc")
+    assert code == cli.EXIT_USAGE
+    assert "n='abc' is not an integer" in err
+
+
+def test_unknown_param_is_usage_error(tmp_path, capsys):
+    code, _, err = _run(capsys, "experiment", "fig10", "--outdir", str(tmp_path),
+                        "--param", "slot=3")
+    assert code == cli.EXIT_USAGE
+    assert "slot" in err
+    assert not (tmp_path / "fig10a.csv").exists()
+
+
+def test_unknown_manifest_key_is_usage_error(tmp_path, capsys):
+    manifest = tmp_path / "run.manifest"
+    manifest.write_text(f"experiment=fig10\noutdir={tmp_path / 'out'}\nslot=3\n")
+    code, _, err = _run(capsys, "experiment", "--manifest", str(manifest))
+    assert code == cli.EXIT_USAGE
+    assert "slot" in err
+
+
+def test_malformed_json_manifest_is_usage_error(tmp_path, capsys):
+    manifest = tmp_path / "run.json"
+    manifest.write_text('{"experiment": "fig10",')
+    code, _, err = _run(capsys, "experiment", "--manifest", str(manifest))
+    assert code == cli.EXIT_USAGE
+    assert "not valid JSON" in err
+
+
+def test_fig21_rejects_zero_modules(tmp_path, capsys):
+    code, _, err = _run(capsys, "experiment", "fig21", "--outdir", str(tmp_path),
+                        "--param", "k=0")
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("error", [ResourceLimitError, ConvergenceError])
+def test_resource_and_convergence_errors_are_usage_errors(tmp_path, capsys, monkeypatch, error):
+    def refuse(*args, **kwargs):
+        raise error("refused")
+
+    monkeypatch.setattr(cli.pathswitch, "allocate_capacity", refuse)
+    code, _, err = _run(capsys, "experiment", "fig21", "--outdir", str(tmp_path))
+    assert code == cli.EXIT_USAGE
+    assert "error: refused" in err

@@ -41,8 +41,12 @@ class TestWeightSet:
 
 class TestWfq:
     def test_five_state_trace(self):
-        seq = sc.schedule_wfq(fixtures.five_state_weights())
+        w = fixtures.five_state_weights()
+        seq = sc.schedule_wfq(w)
         assert seq.slots == (0, 0, 0, 0, 1, 2, 3, 4)
+        trace = sc.wfq_trace(w)
+        assert [pick for _, pick in trace] == list(seq.slots)
+        assert trace[0][0] == (2, 8, 8, 8, 8) and trace[4][0] == (10, 8, 8, 8, 8)
 
     def test_single_state(self):
         seq = sc.schedule_wfq(sc.WeightSet.of(1))
