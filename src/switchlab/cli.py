@@ -240,7 +240,7 @@ def _exp_montecarlo(p: dict, seed: int) -> list[Table]:
           "busy_mean", "busy_variance", "busy_skewness"], crossbar),
         ("montecarlo_deflection", "montecarlo", ["length", "empirical_loss", "loss_bound"],
          [[length, sim.loss_after(length), deflection.loss_bound(1.0, length)]
-          for length in (10, 15, p["stages"])]),
+          for length in (*(x for x in (10, 15) if x < p["stages"]), p["stages"])]),
     ]
 
 
@@ -408,9 +408,10 @@ def _cmd_deflect(args: argparse.Namespace) -> int:
 
 def _parse_permutation(text: str) -> list[int]:
     text = text.strip()
-    if text.startswith("["):
-        return [int(v) for v in json.loads(text)]
-    return [int(v) for v in text.split(",")]
+    try:
+        return [int(v) for v in (json.loads(text) if text.startswith("[") else text.split(","))]
+    except (ValueError, TypeError):  # bad JSON or a non-integer entry
+        raise DomainError(f"permutation is not a list of integers: {text!r}") from None
 
 
 def _cmd_assign(args: argparse.Namespace) -> int:
@@ -429,19 +430,20 @@ def _cmd_assign(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+def _fraction(token: str) -> Fraction:
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"not a rational number: {token!r}") from None
+
+
 def _parse_matrix(path: Path, frame: int | None) -> pathswitch.CapacityMatrix:
-    rows = [[Fraction(tok) for tok in line.replace(",", " ").split()]
+    rows = [[_fraction(tok) for tok in line.replace(",", " ").split()]
             for line in _content_lines(path.read_text())]
-    all_integer = all(v.denominator == 1 for row in rows for v in row)
-    if frame:
-        if all_integer:
-            # the usual on-disk form: an integer matrix already scaled by F
-            return pathswitch.CapacityMatrix.from_integer_matrix(
-                [[int(v) for v in row] for row in rows], frame
-            )
-        return pathswitch.CapacityMatrix(rows, frame)
-    denom = math.lcm(*[v.denominator for row in rows for v in row])
-    return pathswitch.CapacityMatrix(rows, denom)
+    if frame and all(v.denominator == 1 for row in rows for v in row):
+        # the usual on-disk form: an integer matrix already scaled by F
+        return pathswitch.CapacityMatrix.from_integer_matrix([[int(v) for v in row] for row in rows], frame)
+    return pathswitch.CapacityMatrix(rows, frame or math.lcm(*[v.denominator for row in rows for v in row]))
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
@@ -457,7 +459,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _weights_from_arg(text: str) -> sched.WeightSet:
-    return sched.WeightSet.of(*[tok.strip() for tok in text.split(",")])
+    return sched.WeightSet(tuple(map(_fraction, text.split(","))))
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:

@@ -152,8 +152,8 @@ def simulate_crossbar(
         b = min(chunk, slots - done)
         held = rng.random((b, n_ports)) < rho
         dests = rng.integers(0, n_ports, size=(b, n_ports))
-        flat = (dests + n_ports * np.arange(b)[:, None])[held]
-        counts = np.bincount(flat, minlength=b * n_ports).reshape(b, n_ports)
+        dests += n_ports * np.arange(b)[:, None]  # in place: one fewer chunk-sized temporary
+        counts = np.bincount(dests[held], minlength=b * n_ports).reshape(b, n_ports)
         hist += np.bincount(counts.ravel(), minlength=n_ports + 1)
         busy = (counts > 0).sum(axis=1).astype(np.float64)
         s1 += busy.sum()

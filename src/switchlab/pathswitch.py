@@ -2,15 +2,16 @@
 the capacity matrix into frames of connection patterns, and sum-preserving
 round-off to a fixed frame size.
 
-Capacity matrices are exact rationals over a common frame denominator F so
-that the reconstruction identity sum(phi_i * P_i) == C can serve as a test
-oracle; the allocation heuristic itself works in floating point (its
-iterates are irrational) and is quantized afterwards by
-:func:`bandlimit_and_round`.
+Capacity matrices are exact rationals over a common frame denominator F,
+held as integer matrices F * C, so that the reconstruction identity
+sum(phi_i * P_i) == C can serve as a test oracle; the allocation heuristic
+itself works in floating point (its iterates are irrational) and is
+quantized afterwards by :func:`bandlimit_and_round`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .closmodel import ClosSpec
-from .errors import ConvergenceError, DomainError, PreconditionError
+from .errors import ConvergenceError, DomainError, PreconditionError, ResourceLimitError
 from .matching import BipartiteGraph, complete_matching
 
 __all__ = [
@@ -58,54 +59,60 @@ class TrafficMatrix:
 
 
 class CapacityMatrix:
-    """k x k rate matrix with exact rational entries over denominator F.
+    """k x k rate matrix C with exact rational entries over denominator F.
 
-    F * C is an integer matrix whose every row and column sums to m * F,
-    i.e. C is doubly stochastic scaled by the central module count m.
+    Held as the read-only int64 matrix F * C, whose every row and column
+    sums to m * F, i.e. C is doubly stochastic scaled by the central module
+    count m.  ``entries`` is the Fraction view of the same matrix.
     """
 
     def __init__(self, entries: Sequence[Sequence[Fraction]], frame_size: int):
-        if frame_size < 1:
-            raise DomainError("frame size must be >= 1")
-        k = len(entries)
-        if any(len(row) != k for row in entries):
-            raise PreconditionError("capacity matrix must be square")
-        self.entries: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(Fraction(v) for v in row) for row in entries
-        )
-        self.frame_size = frame_size
-        scaled = [[v * frame_size for v in row] for row in self.entries]
+        scaled = [[Fraction(v) * frame_size for v in row] for row in entries]
         if any(x.denominator != 1 for row in scaled for x in row):
             raise PreconditionError("entries times frame size must be integers")
-        if any(x < 0 for row in scaled for x in row):
+        self._set_scaled([[x.numerator for x in row] for row in scaled], frame_size)
+
+    def _set_scaled(self, scaled: Sequence[Sequence[int]], frame_size: int) -> None:
+        if frame_size < 1:
+            raise DomainError("frame size must be >= 1")
+        k = len(scaled)
+        if k == 0 or any(len(row) != k for row in scaled):
+            raise PreconditionError("capacity matrix must be square")
+        if any(abs(int(v)) > np.iinfo(np.int64).max // k for row in scaled for v in row):
+            raise ResourceLimitError("line sums of F * C exceed the int64 range")
+        arr = np.array(scaled, dtype=np.int64)
+        if (arr < 0).any():
             raise PreconditionError("capacities must be nonnegative")
-        row_sums = {sum(row) for row in scaled}
-        col_sums = {sum(col) for col in zip(*scaled)}
-        if len(row_sums) != 1 or row_sums != col_sums:
+        total = int(arr[0].sum())
+        if (arr.sum(axis=0) != total).any() or (arr.sum(axis=1) != total).any():
             raise PreconditionError("row and column sums must all be equal")
-        total = row_sums.pop()
         if total % frame_size:
             raise PreconditionError("line sums must be an integer multiple of F")
-        self.modules = int(total // frame_size)
+        arr.flags.writeable = False
+        self._scaled = arr
+        self.frame_size = frame_size
+        self.modules = total // frame_size
 
     @classmethod
     def from_integer_matrix(cls, scaled: Sequence[Sequence[int]], frame_size: int) -> "CapacityMatrix":
-        return cls(
-            [[Fraction(int(v), frame_size) for v in row] for row in scaled], frame_size
-        )
+        cap = cls.__new__(cls)
+        cap._set_scaled(scaled, frame_size)
+        return cap
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        f = self.frame_size
+        return tuple(tuple(Fraction(v, f) for v in row) for row in self._scaled.tolist())
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self._scaled)
 
     def scaled_int(self) -> np.ndarray:
-        return np.array(
-            [[int(v * self.frame_size) for v in row] for row in self.entries],
-            dtype=np.int64,
-        )
+        return self._scaled.copy()
 
     def as_float(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.entries])
+        return self._scaled / self.frame_size
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CapacityMatrix) and self.entries == other.entries
@@ -230,18 +237,24 @@ def optimal_delay_2x2(traffic: TrafficMatrix, *, iters: int = 200) -> float:
     return min(fc, fd)
 
 
+# bvn_decompose refuses F * k * max(k, m) above this before allocating its
+# (F, k, k) slot patterns and (m * F, k) permutations
+MAX_PATTERN_CELLS = 1 << 22
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Frame expansion of a capacity matrix.
 
-    ``permutations`` lists the m*F extracted permutation matrices in order;
-    consecutive groups of m form the per-slot patterns, and ``states`` holds
-    the distinct patterns with their rational frequencies.  ``frame`` maps
-    each slot to its state index.
+    ``permutations`` is an (m*F, k) array whose row r is the r-th extracted
+    matching, giving the output column of each input; consecutive groups of
+    m rows form the per-slot patterns.  ``states`` holds the distinct
+    patterns in order of first occurrence with their rational frequencies,
+    and ``frame`` maps each slot to its state index.
     """
 
     capacity: CapacityMatrix
-    permutations: tuple[np.ndarray, ...]
+    permutations: np.ndarray
     states: tuple[tuple[np.ndarray, Fraction], ...]
     frame: tuple[int, ...]
 
@@ -254,31 +267,26 @@ class Decomposition:
 
     def reconstruct(self) -> list[list[Fraction]]:
         """Exact weighted sum of the states; equals the capacity matrix."""
-        k = self.capacity.size
-        total = [[Fraction(0)] * k for _ in range(k)]
-        for pattern, weight in self.states:
-            for i in range(k):
-                for j in range(k):
-                    total[i][j] += weight * int(pattern[i, j])
-        return total
+        counts = np.bincount(self.frame, minlength=self.state_count)
+        total = np.tensordot(counts, np.stack([p for p, _ in self.states]), axes=1)
+        f = self.capacity.frame_size
+        return [[Fraction(v, f) for v in row] for row in total.tolist()]
 
 
 def _extract_permutation(residual: np.ndarray) -> np.ndarray:
-    """Perfect matching on the support of ``residual`` as a 0/1 matrix."""
+    """Perfect matching on the support of ``residual``: the output column
+    matched to each input."""
     k = residual.shape[0]
-    edges = [(i, j) for i in range(k) for j in range(k) if residual[i, j] > 0]
-    res = complete_matching(BipartiteGraph.from_edges(k, k, edges))
+    rows, cols = np.nonzero(residual > 0)
+    res = complete_matching(BipartiteGraph.from_edges(k, k, list(zip(rows.tolist(), cols.tolist()))))
     if not res.complete:
         raise PreconditionError("residual lost its perfect matching; sums not uniform?")
-    perm = np.zeros((k, k), dtype=np.int64)
-    for i, j in res.matching.items():
-        perm[i, j] = 1
-    return perm
+    return np.array([res.matching[i] for i in range(k)], dtype=np.int64)
 
 
 def bvn_decompose(capacity: CapacityMatrix, modules: int | None = None) -> Decomposition:
-    """Expand F*C into m*F permutation matrices by repeated matchings and
-    group them m at a time into per-slot connection patterns.
+    """Expand F*C into m*F permutations by repeated matchings and group them
+    m at a time into per-slot connection patterns.
 
     The grouping is extraction order; equal patterns collapse into states
     with weight multiplicity/F, so the state count never exceeds F (a
@@ -289,37 +297,37 @@ def bvn_decompose(capacity: CapacityMatrix, modules: int | None = None) -> Decom
         raise PreconditionError(
             f"matrix line sums give m={capacity.modules}, caller said {m}"
         )
-    f = capacity.frame_size
-    residual = capacity.scaled_int().copy()
-    perms: list[np.ndarray] = []
-    while len(perms) < m * f:
-        p = _extract_permutation(residual)
+    f, k = capacity.frame_size, capacity.size
+    if f * k * max(k, m) > MAX_PATTERN_CELLS:
+        raise ResourceLimitError(f"F * k * max(k, m) = {f * k * max(k, m)} cells exceed {MAX_PATTERN_CELLS}")
+    residual = capacity.scaled_int()
+    inputs = np.arange(k)
+    perms = np.empty((m * f, k), dtype=np.int64)
+    done = 0
+    while done < m * f:
+        cols = _extract_permutation(residual)
         # peel the matching at full multiplicity: identical slots stay
         # adjacent, which keeps the grouped state count small
-        mult = min(int(residual[p > 0].min()), m * f - len(perms))
-        residual -= mult * p
-        perms.extend([p] * mult)
+        mult = min(int(residual[inputs, cols].min()), m * f - done)
+        residual[inputs, cols] -= mult
+        perms[done : done + mult] = cols
+        done += mult
     if residual.any():  # pragma: no cover - exact arithmetic guarantees zero
         raise PreconditionError("decomposition left a nonzero residual")
-    patterns = [sum(perms[m * t : m * (t + 1)]) for t in range(f)]
-    states: list[tuple[np.ndarray, Fraction]] = []
-    index: dict[bytes, int] = {}
-    frame = []
-    for g in patterns:
-        key = g.tobytes()
-        if key not in index:
-            index[key] = len(states)
-            states.append((g, Fraction(0)))
-        frame.append(index[key])
-    counts = [0] * len(states)
-    for idx in frame:
-        counts[idx] += 1
-    states = [(g, Fraction(c, f)) for (g, _), c in zip(states, counts)]
+    # cell (slot r // m, input i, output perms[r, i]) of the flat pattern array
+    cells = ((np.arange(m * f) // m)[:, None] * k + inputs) * k + perms
+    patterns = np.bincount(cells.ravel(), minlength=f * k * k).reshape(f, k * k)
+    index: dict[bytes, int] = {}  # state ids in order of first occurrence
+    frame = np.array([index.setdefault(p.tobytes(), len(index)) for p in patterns])
+    _, first = np.unique(frame, return_index=True)
+    states = tuple(
+        (patterns[t].reshape(k, k), Fraction(int(c), f)) for t, c in zip(first, np.bincount(frame))
+    )
     return Decomposition(
         capacity=capacity,
-        permutations=tuple(perms),
-        states=tuple(states),
-        frame=tuple(frame),
+        permutations=perms,
+        states=states,
+        frame=tuple(frame.tolist()),
     )
 
 
@@ -327,14 +335,11 @@ def _transportation_round(frac: np.ndarray, row_need: np.ndarray, col_need: np.n
     """0/1 matrix with prescribed line sums, preferring large fractional
     parts: unit-capacity bipartite flow, augmenting in fraction order."""
     k = frac.shape[0]
-    order = sorted(
-        ((i, j) for i in range(k) for j in range(k)),
-        key=lambda ij: -frac[ij[0], ij[1]],
-    )
+    order = np.argsort(-frac, axis=None, kind="stable")  # ties in row-major order
     x = np.zeros((k, k), dtype=np.int64)
     row_left = row_need.copy()
     col_left = col_need.copy()
-    for i, j in order:
+    for i, j in zip(*np.unravel_index(order, (k, k))):
         if row_left[i] > 0 and col_left[j] > 0 and x[i, j] == 0:
             x[i, j] = 1
             row_left[i] -= 1
@@ -393,14 +398,13 @@ def bandlimit_and_round(capacity, f_target: int, *, modules: int | None = None):
     if f_target < 1:
         raise DomainError("target frame size must be >= 1")
     if isinstance(capacity, CapacityMatrix):
+        # F_target * C is an integer matrix exactly when F / gcd divides F * C
+        g = math.gcd(f_target, capacity.frame_size)
+        quot, rem = divmod(capacity._scaled, capacity.frame_size // g)
+        if not rem.any():
+            return CapacityMatrix.from_integer_matrix(quot * (f_target // g), f_target), 0.0
         cap = capacity.as_float()
         m = capacity.modules
-        exact = [[v * f_target for v in row] for row in capacity.entries]
-        if all(x.denominator == 1 for row in exact for x in row):
-            rounded = CapacityMatrix.from_integer_matrix(
-                [[int(x) for x in row] for row in exact], f_target
-            )
-            return rounded, 0.0
     else:
         if modules is None:
             raise DomainError("modules count required for a raw matrix")
@@ -416,6 +420,6 @@ def bandlimit_and_round(capacity, f_target: int, *, modules: int | None = None):
         raise PreconditionError("input line sums are not m (cannot round)")
     extra = _transportation_round(frac, row_need, col_need)
     scaled = base + extra
-    rounded = CapacityMatrix.from_integer_matrix(scaled.tolist(), f_target)
+    rounded = CapacityMatrix.from_integer_matrix(scaled, f_target)
     err = float(np.abs(cap - scaled / f_target).max())
     return rounded, err

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, ResourceLimitError
 from .pathswitch import CapacityMatrix
 
 __all__ = [
@@ -44,6 +44,10 @@ __all__ = [
 ]
 
 
+# WeightSet.frame_size refuses K * F above this: schedulers work per slot and state
+MAX_FRAME_CELLS = 1 << 20
+
+
 @dataclass(frozen=True)
 class WeightSet:
     """State weights phi_1..phi_K: positive rationals summing to one, each an
@@ -66,7 +70,10 @@ class WeightSet:
 
     @property
     def frame_size(self) -> int:
-        return math.lcm(*(w.denominator for w in self.weights))
+        f = math.lcm(*(w.denominator for w in self.weights))
+        if len(self.weights) * f > MAX_FRAME_CELLS:
+            raise ResourceLimitError(f"K * F = {len(self) * f} slot-states exceed {MAX_FRAME_CELLS}")
+        return f
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -290,62 +297,58 @@ def expected_random_smoothness_gap(weights: WeightSet) -> float:
 
 # --- two-dimensional (token grid) smoothness --------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: an array has no single truth value
 class TokenGrid:
-    """Frame of granted connections: cell (output j, slot t) lists the input
-    modules holding a token there (repeats allowed when several central
-    modules serve the same virtual path in one slot)."""
+    """Frame of granted connections: ``tokens[i, j, t]`` counts the tokens
+    of path (input module i, output module j) in slot t (more than one when
+    several central modules serve the same virtual path in one slot)."""
 
-    cells: tuple[tuple[tuple[int, ...], ...], ...]  # [output][slot] -> inputs
-    n_inputs: int
+    tokens: np.ndarray  # (inputs, outputs, slots)
+
+    @property
+    def n_inputs(self) -> int:
+        return self.tokens.shape[0]
 
     @property
     def n_outputs(self) -> int:
-        return len(self.cells)
+        return self.tokens.shape[1]
 
     @property
     def frame_size(self) -> int:
-        return len(self.cells[0])
+        return self.tokens.shape[2]
+
+    @property
+    def cells(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """[output][slot] -> the inputs holding a token there, ascending and
+        repeated per token."""
+        inputs = np.arange(self.n_inputs)
+        return tuple(
+            tuple(tuple(np.repeat(inputs, slot).tolist()) for slot in out.T)
+            for out in self.tokens.transpose(1, 0, 2)
+        )
 
     def token_slots(self, inp: int, out: int) -> list[int]:
         """Slots holding a token of path (inp, out), with multiplicity."""
-        out_row = self.cells[out]
-        slots: list[int] = []
-        for t, cell in enumerate(out_row):
-            slots.extend(t for v in cell if v == inp)
-        return slots
+        return np.repeat(np.arange(self.frame_size), self.tokens[inp, out]).tolist()
 
     def token_counts(self) -> np.ndarray:
-        counts = np.zeros((self.n_inputs, self.n_outputs), dtype=np.int64)
-        for j, row in enumerate(self.cells):
-            for cell in row:
-                for i in cell:
-                    counts[i, j] += 1
-        return counts
+        return self.tokens.sum(axis=2)
 
     def to_text(self, symbols: str = "abcdefghijklmnopqrstuvwxyz") -> str:
-        lines = []
-        for row in self.cells:
-            lines.append(" ".join("".join(symbols[i] for i in cell) or "-" for cell in row))
-        return "\n".join(lines)
+        return "\n".join(" ".join("".join(symbols[i] for i in cell) or "-" for cell in row)
+                         for row in self.cells)
 
     @classmethod
     def from_text(cls, text: str, symbols: str = "abcdefghijklmnopqrstuvwxyz") -> "TokenGrid":
-        rows = []
-        n_inputs = 0
-        for line in text.strip().splitlines():
-            cells = []
-            for token in line.split():
-                if token == "-":
-                    cells.append(())
-                else:
-                    ids = tuple(symbols.index(ch) for ch in token)
-                    n_inputs = max(n_inputs, max(ids) + 1)
-                    cells.append(ids)
-            rows.append(tuple(cells))
+        """Read the :meth:`to_text` format; a cell's symbols are read as a
+        multiset of inputs, in any order."""
+        rows = [[[] if token == "-" else [symbols.index(ch) for ch in token] for token in line.split()]
+                for line in text.strip().splitlines()]
         if len({len(r) for r in rows}) != 1:
             raise PreconditionError("grid rows must share one frame size")
-        return cls(cells=tuple(rows), n_inputs=n_inputs)
+        n_inputs = max((i + 1 for row in rows for cell in row for i in cell), default=0)
+        counts = [[np.bincount(cell, minlength=n_inputs) for cell in row] for row in rows]
+        return cls(np.array(counts, dtype=np.int64).transpose(2, 0, 1))
 
 
 def grid_from_schedule(patterns: Iterable[np.ndarray]) -> TokenGrid:
@@ -359,20 +362,13 @@ def grid_from_schedule(patterns: Iterable[np.ndarray]) -> TokenGrid:
     if not mats:
         raise DomainError("schedule holds no slots")
     k = mats[0].shape[0]
-    m = int(mats[0].sum(axis=0)[0])
-    for p in mats:
-        if p.shape != (k, k) or (p < 0).any():
-            raise PreconditionError("patterns must be square and nonnegative")
-        if (p.sum(axis=0) != m).any() or (p.sum(axis=1) != m).any():
-            raise PreconditionError("pattern line sums must equal the module count")
-    cells = tuple(
-        tuple(
-            tuple(i for i in range(k) for _ in range(int(p[i, j])))
-            for p in mats
-        )
-        for j in range(k)
-    )
-    return TokenGrid(cells=cells, n_inputs=k)
+    if any(p.shape != (k, k) for p in mats):
+        raise PreconditionError("patterns must be square")
+    frame = np.stack(mats)  # (slots, inputs, outputs)
+    m = frame[0, :, 0].sum()
+    if (frame < 0).any() or (frame.sum(axis=1) != m).any() or (frame.sum(axis=2) != m).any():
+        raise PreconditionError("patterns must be nonnegative with every line sum equal to the module count")
+    return TokenGrid(np.ascontiguousarray(frame.transpose(1, 2, 0)))
 
 
 @dataclass(frozen=True)
@@ -398,16 +394,11 @@ def smoothness_2d(grid: TokenGrid, capacity: CapacityMatrix | None = None) -> Tw
     f = grid.frame_size
     counts = grid.token_counts()
     if capacity is not None:
-        expected = capacity.scaled_int() * (f // capacity.frame_size) if f % capacity.frame_size == 0 else None
-        if expected is None or (counts != expected).any():
+        if f % capacity.frame_size or (counts != capacity.scaled_int() * (f // capacity.frame_size)).any():
             raise DomainError("token counts disagree with the capacity matrix")
-    ni, no = counts.shape
-    d = np.zeros((ni, no))
-    for i in range(ni):
-        for j in range(no):
-            if counts[i, j] == 0:
-                continue
-            d[i, j] = _log_rms(_circular_gaps(grid.token_slots(i, j), f))
+    d = np.zeros(counts.shape)
+    for i, j in zip(*np.nonzero(counts)):
+        d[i, j] = _log_rms(_circular_gaps(grid.token_slots(i, j), f))
     kraft = np.where(counts > 0, np.exp2(-d), 0.0)
     rates = counts / f
     input_s = (rates * d).sum(axis=1)

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -200,3 +201,45 @@ def test_resource_and_convergence_errors_are_usage_errors(tmp_path, capsys, monk
     code, _, err = _run(capsys, "experiment", "fig21", "--outdir", str(tmp_path))
     assert code == cli.EXIT_USAGE
     assert "error: refused" in err
+
+
+@pytest.mark.parametrize("argv, matrix", [
+    (["schedule", "0.5,abc"], None),
+    (["decompose", "{matrix}"], "x\n"),
+    (["decompose", "{matrix}"], "1/0\n"),
+    (["schedule2d", "{matrix}"], "x\n"),
+    (["schedule2d", "{matrix}"], "1/0\n"),
+    (["decompose", "{matrix}", "--frame", "1"], "99999999999999999999 0\n0 99999999999999999999\n"),
+    (["assign", "1,x", "--n", "2"], None),
+    (["assign", "[1,0", "--n", "2"], None),
+], ids=["weight_abc", "decompose_x", "decompose_1_0", "schedule2d_x", "schedule2d_1_0",
+        "decompose_beyond_int64", "assign_x", "assign_bad_json"])
+def test_malformed_input_is_usage_error(tmp_path, capsys, argv, matrix):
+    path = tmp_path / "cap.txt"
+    if matrix is not None:
+        path.write_text(matrix)
+    code, _, err = _run(capsys, *[arg.format(matrix=path) for arg in argv])
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error:")
+
+
+def test_oversized_frame_fails_fast(capsys):
+    start = time.perf_counter()
+    code, _, err = _run(capsys, "schedule", "0.1234567,0.8765433")
+    assert code == cli.EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert "exceed" in err
+    # memoryless scheduling keeps no frame, so the same weights still run
+    code, _, _ = _run(capsys, "schedule", "0.1234567,0.8765433", "--algorithm", "random",
+                      "--slots", "2000")
+    assert code == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("stages, lengths", [(5, [5]), (12, [10, 12])])
+def test_montecarlo_short_cascade(tmp_path, capsys, stages, lengths):
+    code, _, _ = _run(capsys, "experiment", "montecarlo", "--outdir", str(tmp_path),
+                      "--param", f"stages={stages}", "--param", "slots=2000",
+                      "--param", "dslots=200")
+    assert code == cli.EXIT_OK
+    rows = cli._read_csv(tmp_path / "montecarlo_deflection.csv")
+    assert [int(row[0]) for row in rows] == lengths

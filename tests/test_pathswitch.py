@@ -7,7 +7,7 @@ import pytest
 from switchlab import fixtures
 from switchlab import pathswitch as ps
 from switchlab.closmodel import ClosSpec
-from switchlab.errors import DomainError, PreconditionError
+from switchlab.errors import DomainError, PreconditionError, ResourceLimitError
 
 
 def _random_traffic(rng, k, m, fill=0.8):
@@ -122,6 +122,31 @@ class TestWeightedDelay:
             assert heuristic <= 1.05 * optimum
 
 
+class TestCapacityStorage:
+    def test_stored_matrix_is_read_only_and_scaled_int_copies(self):
+        source = np.array([[6, 0, 1, 1], [1, 4, 3, 0], [1, 1, 4, 2], [0, 3, 0, 5]])
+        cap = ps.CapacityMatrix.from_integer_matrix(source, 8)
+        source[0, 0] = 99  # the caller's array is not shared
+        with pytest.raises(ValueError):
+            cap._scaled[0, 0] = 7
+        copy = cap.scaled_int()
+        copy[0, 0] = 7
+        assert cap.scaled_int()[0, 0] == 6
+        assert cap == fixtures.capacity_4x4()
+
+    def test_equality_ignores_the_frame_size(self):
+        cap = fixtures.capacity_4x4()
+        assert ps.CapacityMatrix.from_integer_matrix(cap.scaled_int() * 3, 24) == cap
+        assert ps.CapacityMatrix.from_integer_matrix(cap.scaled_int() * 2, 8) != cap
+
+    def test_line_sums_beyond_int64_rejected(self):
+        big = 2**62
+        with pytest.raises(ResourceLimitError):
+            ps.CapacityMatrix.from_integer_matrix([[big, big], [big, big]], 1)
+        with pytest.raises(ResourceLimitError):
+            ps.CapacityMatrix([[Fraction(10**30), 0], [0, Fraction(10**30)]], 1)
+
+
 class TestBvnDecompose:
     def test_permutation_matrix_is_single_state(self):
         perm = [[0, 1], [1, 0]]
@@ -144,7 +169,7 @@ class TestBvnDecompose:
         dec = ps.bvn_decompose(cap)
         assert len(dec.permutations) == 8
         for perm in dec.permutations:
-            assert (perm.sum(axis=0) == 1).all() and (perm.sum(axis=1) == 1).all()
+            assert sorted(perm.tolist()) == list(range(4))
         assert dec.state_count <= min(8, 4 * 4 - 2 * 4 + 2)
         assert dec.reconstruct() == [list(row) for row in cap.entries]
 
@@ -172,6 +197,16 @@ class TestBvnDecompose:
             # K <= F holds structurally; the tighter Caratheodory-style bound
             # applies to minimal regroupings, not greedy extraction order
             assert dec.state_count <= f
+
+    def test_oversized_frame_rejected_before_allocating(self):
+        f = ps.MAX_PATTERN_CELLS // 4 + 1  # F * k^2 just above the cap at k = 2
+        cap = ps.CapacityMatrix.from_integer_matrix([[f, 0], [0, f]], f)
+        with pytest.raises(ResourceLimitError):
+            ps.bvn_decompose(cap)
+        many_modules = ps.MAX_PATTERN_CELLS // 2 + 1  # m * F * k just above it at F = 1
+        cap = ps.CapacityMatrix.from_integer_matrix([[many_modules, 0], [0, many_modules]], 1)
+        with pytest.raises(ResourceLimitError):
+            ps.bvn_decompose(cap)
 
     def test_module_count_disagreement_rejected(self):
         cap = fixtures.capacity_4x4()

@@ -247,6 +247,39 @@ class TestTokenGrid:
         assert grid.cells[0][0] == (0, 0)
         assert grid.cells[0][1] == (0, 1)
 
+    def test_random_decomposition_grids_match_slot_scan(self):
+        rng = random.Random(404)
+        multi_token_grids = 0
+        for _ in range(40):
+            k, f, m = rng.randint(2, 6), rng.randint(1, 16), rng.randint(1, 2)
+            mat = np.zeros((k, k), dtype=np.int64)
+            for _ in range(m * f):
+                perm = list(range(k))
+                rng.shuffle(perm)
+                mat[range(k), perm] += 1
+            dec = ps.bvn_decompose(ps.CapacityMatrix.from_integer_matrix(mat, f))
+            patterns = dec.slot_patterns()
+            grid = sc.grid_from_schedule(patterns)
+            # cells by scanning each slot's pattern: [output][slot] -> inputs
+            scan = tuple(
+                tuple(tuple(i for i in range(k) for _ in range(int(p[i, j]))) for p in patterns)
+                for j in range(k)
+            )
+            assert grid.cells == scan
+            assert (grid.token_counts() == mat).all()
+            for i in range(k):
+                for j in range(k):
+                    assert grid.token_slots(i, j) == [t for t, p in enumerate(patterns)
+                                                      for _ in range(int(p[i, j]))]
+            assert sc.TokenGrid.from_text(grid.to_text()).cells == grid.cells
+            multi_token_grids += any(len(cell) > 1 for row in grid.cells for cell in row)
+        assert multi_token_grids > 0
+
+    def test_from_text_reads_cells_as_multisets(self):
+        grid = sc.TokenGrid.from_text("ba b\n- aab")
+        assert grid.cells == (((0, 1), (1,)), ((), (0, 0, 1)))
+        assert grid.n_inputs == 2 and grid.n_outputs == 2 and grid.frame_size == 2
+
 
 class TestSmoothness2d:
     def test_reference_grid_values(self):
