@@ -226,6 +226,8 @@ def _exp_fig21(p: dict, seed: int) -> list[Table]:
 
 
 def _exp_montecarlo(p: dict, seed: int) -> list[Table]:
+    # first, so that bad deflection params fail before the crossbar runs
+    cascade = deflection.simulate_deflection(p["n"], p["stages"], 1.0, p["dslots"], seed=seed)
     crossbar = []
     for n_ports in (8, 32):
         for rho in (0.5, 1.0):
@@ -233,13 +235,12 @@ def _exp_montecarlo(p: dict, seed: int) -> list[Table]:
             crossbar.append([n_ports, rho, sim.load.carried_load,
                              contention.carried_load(rho, n_ports),
                              sim.busy_mean, sim.busy_variance, sim.busy_skewness])
-    sim = deflection.simulate_deflection(p["n"], p["stages"], 1.0, p["dslots"], seed=seed)
     return [
         ("montecarlo_crossbar", "montecarlo",
          ["ports", "rho", "carried_empirical", "carried_analytic",
           "busy_mean", "busy_variance", "busy_skewness"], crossbar),
         ("montecarlo_deflection", "montecarlo", ["length", "empirical_loss", "loss_bound"],
-         [[length, sim.loss_after(length), deflection.loss_bound(1.0, length)]
+         [[length, cascade.loss_after(length), deflection.loss_bound(1.0, length)]
           for length in (*(x for x in (10, 15) if x < p["stages"]), p["stages"])]),
     ]
 

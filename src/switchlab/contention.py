@@ -131,7 +131,7 @@ class CrossbarSimResult:
 
 
 def simulate_crossbar(
-    n_ports: int, rho: float, slots: int, seed: int = 0, *, chunk: int = 1 << 14
+    n_ports: int, rho: float, slots: int, seed: int = 0
 ) -> CrossbarSimResult:
     """Monte Carlo slot simulation of an N x N bufferless crossbar.
 
@@ -144,6 +144,8 @@ def simulate_crossbar(
         raise DomainError(f"offered load {rho} outside [0, 1]")
     if n_ports < 1 or slots < 1:
         raise DomainError("need n_ports >= 1 and slots >= 1")
+    # slots per chunk: at most 2^19 port cells, which bounds memory by construction
+    chunk = max(1, min(1 << 14, (1 << 19) // n_ports))
     rng = np.random.default_rng(seed)
     hist = np.zeros(n_ports + 1, dtype=np.int64)
     s1 = s2 = s3 = 0.0

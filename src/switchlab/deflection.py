@@ -240,8 +240,6 @@ def simulate_deflection(
     rho: float,
     slots: int,
     seed: int = 0,
-    *,
-    chunk: int = 4096,
 ) -> DeflectionSimResult:
     """Slot-level simulation of a cascade of n x n modules with n^2 wires.
 
@@ -259,6 +257,8 @@ def simulate_deflection(
         raise DomainError("simulator offered load must lie in [0, 1]")
     n = module_size
     wires = n * n
+    # slots per chunk: at most 2^20 wire cells, which bounds memory by construction
+    chunk = max(1, min(4096, (1 << 20) // wires))
     rng = np.random.default_rng(seed)
     exits = np.zeros(stages + 1, dtype=np.int64)
     offered = 0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, PreconditionError, ResourceLimitError
-from .matching import BipartiteGraph
+from .matching import EXHAUSTIVE_LEFT_LIMIT, BipartiteGraph
 
 __all__ = [
     "TannerCode",
@@ -25,63 +25,69 @@ __all__ = [
     "expansion_check",
 ]
 
-_EXHAUSTIVE_LEFT_LIMIT = 20
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TannerCode:
-    """Binary linear code given by a 0/1 parity matrix (constraints x vars)."""
+    """Binary linear code given by a 0/1 parity matrix (constraints x vars),
+    held as one int bitmask per constraint: bit v of ``rows[c]`` is the
+    entry of variable v."""
 
-    parity: tuple[tuple[int, ...], ...]
+    n_variables: int
+    rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        widths = {len(row) for row in self.parity}
+    def __init__(self, parity: Sequence[Sequence[int]]) -> None:
+        bits = [[int(b) for b in row] for row in parity]
+        widths = {len(row) for row in bits}
         if len(widths) != 1:
             raise PreconditionError("parity rows must share one width")
-        if any(bit not in (0, 1) for row in self.parity for bit in row):
+        if any(bit not in (0, 1) for row in bits for bit in row):
             raise PreconditionError("parity entries must be 0/1")
+        object.__setattr__(self, "n_variables", widths.pop())
+        object.__setattr__(self, "rows", tuple(_word_mask(row) for row in bits))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "TannerCode":
-        return cls(tuple(tuple(int(b) for b in row) for row in rows))
+        return cls(rows)
 
     @property
-    def n_variables(self) -> int:
-        return len(self.parity[0])
+    def parity(self) -> tuple[tuple[int, ...], ...]:
+        """The 0/1 matrix, a view of the row bitmasks."""
+        return tuple(_mask_word(row, self.n_variables) for row in self.rows)
 
     @property
     def n_constraints(self) -> int:
-        return len(self.parity)
+        return len(self.rows)
 
     def graph(self) -> BipartiteGraph:
         """Incidence graph: variables on the left, constraints on the right."""
-        edges = [
-            (v, c)
-            for c, row in enumerate(self.parity)
-            for v, bit in enumerate(row)
-            if bit
-        ]
+        edges = [(v, c) for c, row in enumerate(self.rows) for v in range(self.n_variables) if row >> v & 1]
         return BipartiteGraph.from_edges(self.n_variables, self.n_constraints, edges)
 
     def constraints_of(self, v: int) -> list[int]:
-        return [c for c, row in enumerate(self.parity) if row[v]]
+        return [c for c, row in enumerate(self.rows) if row >> v & 1]
 
     def syndrome(self, word: Sequence[int]) -> list[int]:
         if len(word) != self.n_variables:
             raise DomainError("word length does not match the code")
-        return [sum(b * x for b, x in zip(row, word)) % 2 for row in self.parity]
+        w = _word_mask(word)
+        return [(row & w).bit_count() & 1 for row in self.rows]
 
     def enumerate_codewords(self) -> list[tuple[int, ...]]:
-        """All codewords by exhaustive scan; exponential, so capped."""
+        """All codewords in ascending order of their bitmask (bit v for
+        variable v) by exhaustive scan; exponential, so capped."""
         n = self.n_variables
         if n > 16:
             raise ResourceLimitError("codeword enumeration capped at 16 variables")
-        words = []
-        for bits in range(1 << n):
-            w = tuple(bits >> i & 1 for i in range(n))
-            if not any(self.syndrome(w)):
-                words.append(w)
-        return words
+        return [_mask_word(w, n) for w in range(1 << n)
+                if not any((row & w).bit_count() & 1 for row in self.rows)]
+
+
+def _word_mask(word: Sequence[int]) -> int:
+    """Bitmask of a binary word: bit v is word[v] mod 2."""
+    return sum((int(x) & 1) << v for v, x in enumerate(word))
+
+
+def _mask_word(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(mask >> v & 1 for v in range(n))
 
 
 def is_codeword(code: TannerCode, word: Sequence[int]) -> bool:
@@ -105,31 +111,26 @@ def flip_decode(code: TannerCode, received: Sequence[int], max_rounds: int = 100
     """
     if len(received) != code.n_variables:
         raise DomainError("received length does not match the code")
-    word = [int(b) & 1 for b in received]
-    unsat = set(c for c, s in enumerate(code.syndrome(word)) if s)
-    neighbours = [code.constraints_of(v) for v in range(code.n_variables)]
+    word = _word_mask(received)
+    unsat = _word_mask(code.syndrome(received))
+    neighbours = code.graph().neighbor_masks()  # variable -> bitmask of its constraints
     flips: list[int] = []
-    trace = [len(unsat)]
+    trace = [unsat.bit_count()]
     for _ in range(max_rounds):
         if not unsat:
             break
-        candidate = -1
-        for v in range(code.n_variables):
-            bad = sum(1 for c in neighbours[v] if c in unsat)
-            if 2 * bad > len(neighbours[v]):
-                candidate = v
-                break
+        candidate = next((v for v, nb in enumerate(neighbours)
+                          if 2 * (unsat & nb).bit_count() > nb.bit_count()), -1)
         if candidate < 0:
             break
-        word[candidate] ^= 1
-        for c in neighbours[candidate]:
-            unsat.symmetric_difference_update((c,))
+        word ^= 1 << candidate
+        unsat ^= neighbours[candidate]
         flips.append(candidate)
-        if len(unsat) >= trace[-1]:  # pragma: no cover - excluded by flip rule
+        if unsat.bit_count() >= trace[-1]:  # pragma: no cover - excluded by flip rule
             raise AssertionError("flip failed to reduce unsatisfied count")
-        trace.append(len(unsat))
+        trace.append(unsat.bit_count())
     return DecodeResult(
-        word=tuple(word),
+        word=_mask_word(word, code.n_variables),
         success=not unsat,
         flips=tuple(flips),
         unsatisfied_trace=tuple(trace),
@@ -148,12 +149,13 @@ def expansion_check(g: BipartiteGraph, k: int, alpha: float) -> ExpansionVerdict
     """Scan every left subset A with |A| <= alpha * |V_L| and test
     |N(A)| > (3k/4) |A|, for a graph k-regular on the left.
 
-    Exhaustive, hence limited to 20 left vertices.  Returns the subset with
-    the smallest neighborhood-to-size ratio along with the verdict.
+    Exhaustive, hence limited to EXHAUSTIVE_LEFT_LIMIT left vertices.
+    Returns the subset with the smallest neighborhood-to-size ratio along
+    with the verdict.
     """
-    if g.left_count > _EXHAUSTIVE_LEFT_LIMIT:
+    if g.left_count > EXHAUSTIVE_LEFT_LIMIT:
         raise ResourceLimitError(
-            f"exhaustive expansion scan capped at {_EXHAUSTIVE_LEFT_LIMIT} left vertices"
+            f"exhaustive expansion scan capped at {EXHAUSTIVE_LEFT_LIMIT} left vertices"
         )
     degrees = g.left_degrees()
     if any(d != k for d in degrees):
@@ -161,11 +163,8 @@ def expansion_check(g: BipartiteGraph, k: int, alpha: float) -> ExpansionVerdict
     max_size = int(alpha * g.left_count)
     if max_size < 1:
         raise DomainError("alpha admits no nonempty subsets")
-    masks = [0] * g.left_count
-    for l, r in g.edges:
-        masks[l] |= 1 << r
     need = 0.75 * k
-    ok = True
+    masks = g.neighbor_masks()
     worst: tuple[int, ...] = ()
     worst_ratio = float("inf")
     for size in range(1, max_size + 1):
@@ -173,12 +172,8 @@ def expansion_check(g: BipartiteGraph, k: int, alpha: float) -> ExpansionVerdict
             nb = 0
             for v in subset:
                 nb |= masks[v]
-            ratio = nb.bit_count() / size
-            if ratio < worst_ratio:
-                worst_ratio = ratio
-                worst = subset
-            if nb.bit_count() <= need * size:
-                ok = False
+            if nb.bit_count() / size < worst_ratio:
+                worst, worst_ratio = subset, nb.bit_count() / size
     return ExpansionVerdict(
-        satisfied=ok, threshold=need, worst_subset=worst, worst_ratio=worst_ratio
+        satisfied=worst_ratio > need, threshold=need, worst_subset=worst, worst_ratio=worst_ratio
     )

@@ -36,7 +36,8 @@ __all__ = [
     "count_solutions_bruteforce",
 ]
 
-_EXHAUSTIVE_HALL_LIMIT = 20
+# exhaustive scans over left subsets (Hall, expansion) stop at this many left vertices
+EXHAUSTIVE_LEFT_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -86,12 +87,19 @@ class BipartiteGraph:
             return d
         return None
 
+    def neighbor_masks(self) -> list[int]:
+        """Left vertex -> bitmask of its right neighbours (bit r for vertex r)."""
+        masks = [0] * self.left_count
+        for l, r in self.edges:
+            masks[l] |= 1 << r
+        return masks
+
     def neighborhood(self, subset: Iterable[int]) -> set[int]:
-        adj = self.adjacency()
-        out: set[int] = set()
+        masks = self.neighbor_masks()
+        nb = 0
         for v in subset:
-            out.update(adj[v])
-        return out
+            nb |= masks[v]
+        return {r for r in range(self.right_count) if nb >> r & 1}
 
 
 @dataclass(frozen=True)
@@ -104,29 +112,23 @@ class HallVerdict:
 def hall_check(g: BipartiteGraph) -> HallVerdict:
     """Check |N(A)| >= |A| for every left subset A.
 
-    Exhaustive bitmask scan up to 20 left vertices (returns the subset of
-    maximal deficiency); larger graphs fall back to the matching-based
-    deficiency witness.
+    Exhaustive bitmask scan up to EXHAUSTIVE_LEFT_LIMIT left vertices
+    (returns the subset of maximal deficiency); larger graphs fall back to
+    the matching-based deficiency witness.
     """
-    if g.left_count <= _EXHAUSTIVE_HALL_LIMIT:
-        masks = [0] * g.left_count
-        for l, r in g.edges:
-            masks[l] |= 1 << r
-        worst_def = 0
-        worst: tuple[int, ...] | None = None
-        worst_nb = None
-        nb = [0] * (1 << g.left_count)
+    if g.left_count <= EXHAUSTIVE_LEFT_LIMIT:
+        masks = g.neighbor_masks()
+        nb = [0] * (1 << g.left_count)  # subset bitmask -> neighbourhood bitmask
+        worst_def, worst = 0, 0
         for s in range(1, 1 << g.left_count):
-            low = (s & -s).bit_length() - 1
-            nb[s] = nb[s ^ (s & -s)] | masks[low]
-            deficiency = s.bit_count() - nb[s].bit_count()
-            if deficiency > worst_def:
-                worst_def = deficiency
-                worst = tuple(i for i in range(g.left_count) if s >> i & 1)
-                worst_nb = nb[s].bit_count()
-        if worst is None:
+            low = s & -s
+            nb[s] = nb[s ^ low] | masks[low.bit_length() - 1]
+            if s.bit_count() - nb[s].bit_count() > worst_def:
+                worst_def, worst = s.bit_count() - nb[s].bit_count(), s
+        if not worst:
             return HallVerdict(True, None)
-        return HallVerdict(False, worst, worst_nb)
+        witness = tuple(i for i in range(g.left_count) if worst >> i & 1)
+        return HallVerdict(False, witness, nb[worst].bit_count())
     result = complete_matching(g)
     if result.complete:
         return HallVerdict(True, None)

@@ -78,6 +78,8 @@ class CapacityMatrix:
         k = len(scaled)
         if k == 0 or any(len(row) != k for row in scaled):
             raise PreconditionError("capacity matrix must be square")
+        if any(v % 1 for row in scaled for v in row):  # before int() could truncate; NaN fails too
+            raise PreconditionError("entries of F * C must be integers")
         if any(abs(int(v)) > np.iinfo(np.int64).max // k for row in scaled for v in row):
             raise ResourceLimitError("line sums of F * C exceed the int64 range")
         arr = np.array(scaled, dtype=np.int64)

@@ -1,15 +1,16 @@
 """Frame schedulers over a weighted state set and their smoothness metrics.
 
-Weights are exact rationals over the frame size F, and the schedulers run on
-exact arithmetic so finish-time ties are decided deterministically (lowest
-state index wins every tie; this single rule reproduces all the worked
-traces this module is validated against).  Smoothness uses base-2 logs, and
-inter-state / inter-token times are measured circularly around the frame so
-they always sum to F.
+Weights are held as integer counts over the frame size F, and the schedulers
+compare finish times exactly in integers so ties are decided deterministically
+(lowest state index wins every tie; this single rule reproduces all the
+worked traces this module is validated against).  Smoothness uses base-2
+logs, and inter-state / inter-token times are measured circularly around the
+frame so they always sum to F.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,44 +45,53 @@ __all__ = [
 ]
 
 
-# WeightSet.frame_size refuses K * F above this: schedulers work per slot and state
+# the frame schedulers refuse K * F above this: they work per slot and state
 MAX_FRAME_CELLS = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeightSet:
-    """State weights phi_1..phi_K: positive rationals summing to one, each an
-    integer multiple of 1/F for the common frame size F."""
+    """State weights phi_1..phi_K: positive rationals summing to one, held
+    as the integer counts c_i = phi_i * F over their least common
+    denominator F, the frame size."""
 
-    weights: tuple[Fraction, ...]
+    counts: tuple[int, ...]
+    frame_size: int
 
-    def __post_init__(self) -> None:
-        if not self.weights:
+    def __init__(self, weights: Iterable) -> None:
+        fracs = [Fraction(w) for w in weights]
+        if not fracs:
             raise PreconditionError("need at least one weight")
-        if any(w <= 0 for w in self.weights):
+        if any(w <= 0 for w in fracs):
             raise PreconditionError("weights must be positive")
-        if sum(self.weights) != 1:
+        if sum(fracs) != 1:
             raise PreconditionError("weights must sum to one")
+        f = math.lcm(*(w.denominator for w in fracs))
+        object.__setattr__(self, "counts", tuple(w.numerator * (f // w.denominator) for w in fracs))
+        object.__setattr__(self, "frame_size", f)
 
     @classmethod
     def of(cls, *values) -> "WeightSet":
         """Build from ints/strings/Fractions; '0.1' parses exactly."""
-        return cls(tuple(Fraction(v) for v in values))
+        return cls(values)
 
     @property
-    def frame_size(self) -> int:
-        f = math.lcm(*(w.denominator for w in self.weights))
-        if len(self.weights) * f > MAX_FRAME_CELLS:
-            raise ResourceLimitError(f"K * F = {len(self) * f} slot-states exceed {MAX_FRAME_CELLS}")
-        return f
+    def weights(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.frame_size) for c in self.counts)
 
-    @property
-    def counts(self) -> tuple[int, ...]:
-        f = self.frame_size
-        return tuple(int(w * f) for w in self.weights)
+    def as_float(self) -> list[float]:
+        return [c / self.frame_size for c in self.counts]
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.counts)
+
+
+def _frame_size(weights: WeightSet) -> int:
+    """F, refused before a frame is built when K * F exceeds MAX_FRAME_CELLS."""
+    f = weights.frame_size
+    if len(weights) * f > MAX_FRAME_CELLS:
+        raise ResourceLimitError(f"K * F = {len(weights) * f} slot-states exceed {MAX_FRAME_CELLS}")
+    return f
 
 
 @dataclass(frozen=True)
@@ -110,45 +120,47 @@ def _log_rms(gaps: list[int]) -> float:
 
 
 def _check_frame(seq: FrameSequence, weights: WeightSet) -> None:
-    counts = weights.counts
     if len(seq.slots) != weights.frame_size:
         raise DomainError("sequence length differs from the frame size")
-    seen = [0] * len(weights)
-    for s in seq.slots:
-        if not 0 <= s < len(weights):
-            raise DomainError(f"slot holds unknown state {s}")
-        seen[s] += 1
-    if tuple(seen) != counts:
-        raise DomainError(f"state counts {seen} do not match weights {counts}")
+    if not set(seq.slots) <= set(range(len(weights))):
+        raise DomainError("slots hold unknown states")
+    seen = tuple(seq.slots.count(i) for i in range(len(weights)))
+    if seen != weights.counts:
+        raise DomainError(f"state counts {seen} do not match weights {weights.counts}")
 
 
-def _wfq_steps(weights: Sequence[Fraction], slots: int) -> Iterator[tuple[list[Fraction], int]]:
-    """Virtual-finish-time scheduling core shared by WFQ and the tree
-    scheduler: start each state at finish 1/phi, serve the smallest finish
-    time (lowest index on ties), then push it by 1/phi.  Yields, per slot,
-    the finish times entering it (a list updated in place after the yield)
-    and the state served."""
-    finish = [Fraction(1, 1) / w for w in weights]
-    for _ in range(slots):
-        pick = min(range(len(weights)), key=lambda i: (finish[i], i))
-        yield finish, pick
-        finish[pick] += 1 / weights[pick]
+def _finish_times(served: Sequence[int], counts: Sequence[int], f: int) -> tuple[Fraction, ...]:
+    """Virtual finish times (served_i + 1) / phi_i of the next services."""
+    return tuple(Fraction((s + 1) * f, c) for s, c in zip(served, counts))
 
 
-def _wfq_order(weights: Sequence[Fraction], slots: int) -> list[int]:
-    return [pick for _, pick in _wfq_steps(weights, slots)]
+def _wfq_order(counts: Sequence[int]) -> list[int]:
+    """The weighted-fair-queueing frame of integer counts c_i over
+    F = sum(c): state i's s-th service finishes at (s + 1) F / c_i, and
+    serving the smallest finish time first (lowest index on ties) fills the
+    frame with exactly the F services finishing by F, in that order.
+    floor((s + 1) F^2 / c_i) orders these finish times exactly, since two
+    distinct ones differ by at least F / (c_i c_j) >= 1 / F."""
+    f = sum(counts)
+    return [i for _, i in sorted(((s + 1) * f * f // c, i) for i, c in enumerate(counts) for s in range(c))]
 
 
 def schedule_wfq(weights: WeightSet) -> FrameSequence:
     """Weighted fair queueing over one frame."""
-    return FrameSequence(tuple(_wfq_order(weights.weights, weights.frame_size)))
+    _frame_size(weights)
+    return FrameSequence(tuple(_wfq_order(weights.counts)))
 
 
 def wfq_trace(weights: WeightSet) -> list[tuple[tuple[Fraction, ...], int]]:
     """Per slot of the WFQ frame: the finish times entering the slot and the
     chosen state."""
-    return [(tuple(finish), pick)
-            for finish, pick in _wfq_steps(weights.weights, weights.frame_size)]
+    f = _frame_size(weights)
+    served = [0] * len(weights)
+    trace = []
+    for pick in _wfq_order(weights.counts):
+        trace.append((_finish_times(served, weights.counts, f), pick))
+        served[pick] += 1
+    return trace
 
 
 @dataclass(frozen=True)
@@ -161,45 +173,34 @@ class Wf2qTrace:
     selection: int
 
 
-def _wf2q(weights: WeightSet) -> tuple[list[int], list[Wf2qTrace]]:
-    phis = weights.weights
-    f = weights.frame_size
-    finish = [Fraction(1, 1) / w for w in phis]
-    served = [0] * len(phis)
-    seq: list[int] = []
-    traces: list[Wf2qTrace] = []
+def _wf2q_steps(weights: WeightSet) -> Iterator[tuple[list[int], list[int], int]]:
+    """Per slot tau of the WF2Q frame: the services so far (a list updated
+    in place after the yield), the qualified states and the state served.
+    State i qualifies while served_i < tau * phi_i, i.e. served_i * F <
+    tau * c_i; among those the smallest finish time (served_i + 1) F / c_i
+    wins, compared by cross-multiplication, lowest index on ties."""
+    f = _frame_size(weights)
+    counts = weights.counts
+    served = [0] * len(counts)
     for tau in range(1, f + 1):
-        qualified = tuple(i for i, w in enumerate(phis) if served[i] < tau * w)
-        if not qualified:  # pragma: no cover - impossible for valid weights
-            raise AssertionError("no state qualified; weights malformed")
-        pick = min(qualified, key=lambda i: (finish[i], i))
-        traces.append(Wf2qTrace(tuple(finish), qualified, pick))
-        seq.append(pick)
+        qualified = [i for i, c in enumerate(counts) if served[i] * f < tau * c]
+        pick = qualified[0]
+        for i in qualified[1:]:
+            if (served[i] + 1) * counts[pick] < (served[pick] + 1) * counts[i]:
+                pick = i
+        yield served, qualified, pick
         served[pick] += 1
-        finish[pick] += 1 / phis[pick]
-    return seq, traces
 
 
 def schedule_wf2q(weights: WeightSet) -> FrameSequence:
     """WFQ restricted per slot tau to states whose service so far is below
     tau * phi (the states already started in the fluid reference system)."""
-    seq, _ = _wf2q(weights)
-    return FrameSequence(tuple(seq))
+    return FrameSequence(tuple(pick for _, _, pick in _wf2q_steps(weights)))
 
 
 def wf2q_trace(weights: WeightSet) -> list[Wf2qTrace]:
-    return _wf2q(weights)[1]
-
-
-class _HuffNode:
-    __slots__ = ("weight", "min_leaf", "state", "children")
-
-    def __init__(self, weight: Fraction, min_leaf: int, state: int | None = None,
-                 children: tuple["_HuffNode", "_HuffNode"] | None = None):
-        self.weight = weight
-        self.min_leaf = min_leaf
-        self.state = state
-        self.children = children
+    return [Wf2qTrace(_finish_times(served, weights.counts, weights.frame_size), tuple(qualified), pick)
+            for served, qualified, pick in _wf2q_steps(weights)]
 
 
 def schedule_hurr(weights: WeightSet) -> FrameSequence:
@@ -209,27 +210,25 @@ def schedule_hurr(weights: WeightSet) -> FrameSequence:
     substituting in place."""
     if len(weights) < 2:
         raise DomainError("tree scheduling needs at least two states")
-    nodes = [_HuffNode(w, i, state=i) for i, w in enumerate(weights.weights)]
-    while len(nodes) > 1:
-        nodes.sort(key=lambda nd: (nd.weight, nd.min_leaf))
-        a, b = nodes[0], nodes[1]
-        left, right = (a, b) if a.min_leaf < b.min_leaf else (b, a)
-        merged = _HuffNode(a.weight + b.weight, left.min_leaf, children=(left, right))
-        nodes = [merged] + nodes[2:]
-    root = nodes[0]
-    seq: list[_HuffNode] = [root] * weights.frame_size
-    while True:
-        targets = [nd for nd in seq if nd.children is not None]
-        if not targets:
-            break
-        node = targets[0]
-        count = sum(1 for nd in seq if nd is node)
-        left, right = node.children
-        total = left.weight + right.weight
-        order = _wfq_order([left.weight / total, right.weight / total], count)
-        replacement = iter(left if pick == 0 else right for pick in order)
-        seq = [next(replacement) if nd is node else nd for nd in seq]
-    return FrameSequence(tuple(nd.state for nd in seq))
+    f = _frame_size(weights)
+    # a node is (count, lowest contained state, the state of a leaf or the
+    # (left, right) children); the first two fields never tie
+    heap = [(c, i, i) for i, c in enumerate(weights.counts)]
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        a, b = heapq.heappop(heap), heapq.heappop(heap)
+        left, right = (a, b) if a[1] < b[1] else (b, a)
+        heapq.heappush(heap, (a[0] + b[0], left[1], (left, right)))
+    seq = [heap[0]] * f
+    pending = [heap[0]]
+    while pending:
+        node = pending.pop()
+        children = node[2]
+        if isinstance(children, tuple):
+            picks = iter(_wfq_order([child[0] for child in children]))
+            seq = [children[next(picks)] if nd is node else nd for nd in seq]
+            pending.extend(children)
+    return FrameSequence(tuple(nd[2] for nd in seq))
 
 
 SCHEDULERS = {"wfq": schedule_wfq, "wf2q": schedule_wf2q, "hurr": schedule_hurr}
@@ -241,8 +240,7 @@ def schedule_random(weights: WeightSet, slots: int, seed: int = 0) -> list[int]:
     if slots < 1:
         raise DomainError("need at least one slot")
     rng = np.random.default_rng(seed)
-    probs = [float(w) for w in weights.weights]
-    return rng.choice(len(probs), size=slots, p=probs).tolist()
+    return rng.choice(len(weights), size=slots, p=weights.as_float()).tolist()
 
 
 @dataclass(frozen=True)
@@ -258,7 +256,7 @@ class SmoothnessReport:
 
 def entropy(weights: WeightSet) -> float:
     """Base-2 entropy of the weight distribution."""
-    return -sum(float(w) * math.log2(float(w)) for w in weights.weights)
+    return -sum(w * math.log2(w) for w in weights.as_float())
 
 
 def smoothness(seq: FrameSequence, weights: WeightSet) -> SmoothnessReport:
@@ -268,7 +266,7 @@ def smoothness(seq: FrameSequence, weights: WeightSet) -> SmoothnessReport:
     1/phi."""
     _check_frame(seq, weights)
     per = [_log_rms(seq.interstate_times(i)) for i in range(len(weights))]
-    avg = sum(float(w) * l for w, l in zip(weights.weights, per))
+    avg = sum(w * l for w, l in zip(weights.as_float(), per))
     kraft = sum(2.0 ** (-l) for l in per)
     return SmoothnessReport(
         per_state=tuple(per), average=avg, entropy=entropy(weights), kraft_sum=kraft
@@ -280,19 +278,19 @@ def random_sequence_smoothness(seq: Sequence[int], weights: WeightSet) -> float:
     inter-occurrence gaps are the samples, weighted by the nominal phis."""
     total = 0.0
     arr = np.asarray(seq)
-    for i, w in enumerate(weights.weights):
+    for i, w in enumerate(weights.as_float()):
         pos = np.nonzero(arr == i)[0]
         if pos.size < 2:
             raise DomainError(f"state {i} occurs too rarely to estimate")
         gaps = np.diff(pos).astype(float)
-        total += float(w) * 0.5 * math.log2(float((gaps**2).mean()))
+        total += w * 0.5 * math.log2(float((gaps**2).mean()))
     return total
 
 
 def expected_random_smoothness_gap(weights: WeightSet) -> float:
     """Analytic excess of memoryless scheduling over the entropy floor:
     (1/2) sum phi_i log2(2 - phi_i), always below 1/2."""
-    return 0.5 * sum(float(w) * math.log2(2.0 - float(w)) for w in weights.weights)
+    return 0.5 * sum(w * math.log2(2.0 - w) for w in weights.as_float())
 
 
 # --- two-dimensional (token grid) smoothness --------------------------------

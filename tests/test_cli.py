@@ -235,6 +235,16 @@ def test_oversized_frame_fails_fast(capsys):
     assert code == cli.EXIT_OK
 
 
+def test_montecarlo_bad_cascade_fails_before_the_crossbar_runs(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.contention, "simulate_crossbar", lambda *args, **kwargs: calls.append(args))
+    code, _, err = _run(capsys, "experiment", "montecarlo", "--outdir", str(tmp_path),
+                        "--param", "stages=1")
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error:")
+    assert calls == []
+
+
 @pytest.mark.parametrize("stages, lengths", [(5, [5]), (12, [10, 12])])
 def test_montecarlo_short_cascade(tmp_path, capsys, stages, lengths):
     code, _, _ = _run(capsys, "experiment", "montecarlo", "--outdir", str(tmp_path),

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from switchlab import fixtures
@@ -8,21 +9,28 @@ from switchlab import graphcode as gc
 from switchlab.errors import DomainError, PreconditionError, ResourceLimitError
 
 
-def _grid16_code():
-    """16 variables on a 4x4 grid; constraints are the 4 rows, 4 columns and
+def _grid_rows(order):
+    """order^2 variables on a grid; constraints are the rows, the columns and
     the symbol classes of two orthogonal Latin squares: left degree 4 and any
     two variables share at most one constraint."""
-    l1 = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
-    l2 = [[0, 1, 2, 3], [2, 3, 0, 1], [3, 2, 1, 0], [1, 0, 3, 2]]
-    rows = [[0] * 16 for _ in range(16)]
-    for i in range(4):
-        for j in range(4):
-            v = 4 * i + j
+    l1, l2 = {
+        3: ([[0, 1, 2], [1, 2, 0], [2, 0, 1]], [[0, 1, 2], [2, 0, 1], [1, 2, 0]]),
+        4: ([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
+            [[0, 1, 2, 3], [2, 3, 0, 1], [3, 2, 1, 0], [1, 0, 3, 2]]),
+    }[order]
+    rows = [[0] * order**2 for _ in range(4 * order)]
+    for i in range(order):
+        for j in range(order):
+            v = order * i + j
             rows[i][v] = 1  # row constraint
-            rows[4 + j][v] = 1  # column constraint
-            rows[8 + l1[i][j]][v] = 1
-            rows[12 + l2[i][j]][v] = 1
-    return gc.TannerCode.from_rows(rows)
+            rows[order + j][v] = 1  # column constraint
+            rows[2 * order + l1[i][j]][v] = 1
+            rows[3 * order + l2[i][j]][v] = 1
+    return rows
+
+
+def _grid16_code():
+    return gc.TannerCode.from_rows(_grid_rows(4))
 
 
 class TestCodewords:
@@ -58,6 +66,39 @@ class TestCodewords:
             gc.TannerCode.from_rows([[0, 1], [1]])
         with pytest.raises(PreconditionError):
             gc.TannerCode.from_rows([[0, 2]])
+
+
+class TestAgainstMatrixProducts:
+    """Bitmask parity rows against H @ w % 2 over every word, in ascending
+    bitmask order (bit v for variable v)."""
+
+    @staticmethod
+    def _matrices():
+        fixture = [[int(tok) for tok in line.split()]
+                   for line in fixtures.load_text("parity_8x4.txt").strip().splitlines()]
+        rng = random.Random(23)
+        randoms = []
+        for _ in range(12):
+            n = rng.randint(1, 12)
+            randoms.append([[rng.randint(0, 1) for _ in range(n)] for _ in range(rng.randint(1, 8))])
+        return [fixture, _grid_rows(3), *randoms]
+
+    def test_codewords_and_syndromes(self):
+        for rows in self._matrices():
+            code = gc.TannerCode.from_rows(rows)
+            h = np.array(rows)
+            n = h.shape[1]
+            words = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+            syndromes = words @ h.T % 2
+            assert code.enumerate_codewords() == [tuple(w) for w in words[~syndromes.any(axis=1)].tolist()]
+            for w, syn in zip(words.tolist(), syndromes.tolist()):
+                assert code.syndrome(w) == syn
+            assert code.parity == tuple(map(tuple, rows))
+
+
+def _random_left_regular(rng, left, right, k):
+    edges = [(l, r) for l in range(left) for r in rng.sample(range(right), k)]
+    return gc.BipartiteGraph.from_edges(left, right, edges)
 
 
 class TestFlipDecode:
@@ -147,6 +188,23 @@ class TestExpansionCheck:
             gc.expansion_check(code.graph(), 2, alpha=0.01)
         with pytest.raises(PreconditionError):
             gc.expansion_check(code.graph(), 3, alpha=0.25)
+
+    def test_verdict_matches_a_neighborhood_scan(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            left, right = rng.randint(1, 8), rng.randint(4, 8)
+            k = rng.choice([1, 2, 4, 4, 4])  # degree 4 makes |N(A)| = 3|A| = (3k/4)|A| reachable
+            g = _random_left_regular(rng, left, right, k)
+            alpha = rng.choice([0.25, 0.5, 1.0])
+            if int(alpha * left) < 1:
+                continue
+            ratios = {subset: len(g.neighborhood(subset)) / len(subset)  # in scan order
+                      for size in range(1, int(alpha * left) + 1)
+                      for subset in itertools.combinations(range(left), size)}
+            worst = min(ratios, key=ratios.get)  # the first of equal ratios
+            verdict = gc.expansion_check(g, k, alpha)
+            assert verdict.satisfied == all(r > 0.75 * k for r in ratios.values())
+            assert (verdict.worst_subset, verdict.worst_ratio) == (worst, ratios[worst])
 
 
 def test_theorem_radius_exhaustive_on_grid_code():

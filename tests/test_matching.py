@@ -52,6 +52,23 @@ class TestHallCheck:
                 a = verdict.witness
                 assert len(g.neighborhood(a)) < len(a)
 
+    def test_deficiency_matches_a_neighborhood_scan(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            g = _random_bipartite(rng, rng.randint(1, 7), rng.randint(1, 7), rng.uniform(0.1, 0.6))
+            deficiency = {}  # in ascending bitmask order, bit i for left vertex i
+            for bits in range(1, 1 << g.left_count):
+                subset = tuple(i for i in range(g.left_count) if bits >> i & 1)
+                nb = {r for l, r in g.edges if l in subset}
+                assert g.neighborhood(subset) == nb
+                deficiency[subset] = len(subset) - len(nb)
+            worst = max(deficiency, key=deficiency.get)  # the first of equal deficiencies
+            verdict = mt.hall_check(g)
+            assert verdict.satisfied == (deficiency[worst] <= 0)
+            if not verdict.satisfied:
+                assert verdict.witness == worst
+                assert verdict.neighborhood_size == len(worst) - deficiency[worst]
+
 
 class TestCompleteMatching:
     def test_perfect_matching_returned(self):

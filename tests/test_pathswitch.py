@@ -146,6 +146,12 @@ class TestCapacityStorage:
         with pytest.raises(ResourceLimitError):
             ps.CapacityMatrix([[Fraction(10**30), 0], [0, Fraction(10**30)]], 1)
 
+    @pytest.mark.parametrize("scaled", [[[1.7, 0.2], [0.2, 1.7]], [[0.5, 0.5], [0.5, 0.5]]],
+                             ids=["near_identity", "half_ones"])
+    def test_non_integral_entries_rejected_not_truncated(self, scaled):
+        with pytest.raises(PreconditionError):
+            ps.CapacityMatrix.from_integer_matrix(scaled, 1)
+
 
 class TestBvnDecompose:
     def test_permutation_matrix_is_single_state(self):

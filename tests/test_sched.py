@@ -8,7 +8,7 @@ import pytest
 from switchlab import fixtures
 from switchlab import pathswitch as ps
 from switchlab import sched as sc
-from switchlab.errors import DomainError, PreconditionError
+from switchlab.errors import DomainError, PreconditionError, ResourceLimitError
 
 
 def _random_weightset(rng, max_states=6, max_count=6):
@@ -37,6 +37,20 @@ class TestWeightSet:
             sc.WeightSet.of("0.5", "0.25")
         with pytest.raises(PreconditionError):
             sc.WeightSet.of("1.5", "-0.5")
+
+    def test_weights_are_a_view_of_the_counts(self):
+        w = sc.WeightSet((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+        assert (w.counts, w.frame_size) == ((3, 2, 1), 6)
+        assert w.weights == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+        assert w == sc.WeightSet.of("1/2", "1/3", "1/6")
+
+    def test_oversized_frame_refused_by_the_frame_schedulers_only(self):
+        w = sc.WeightSet.of("0.1234567", "0.8765433")
+        assert w.counts == (1234567, 8765433) and w.frame_size == 10**7
+        for schedule in (*sc.SCHEDULERS.values(), sc.wfq_trace, sc.wf2q_trace):
+            with pytest.raises(ResourceLimitError):
+                schedule(w)
+        assert len(sc.schedule_random(w, 100)) == 100
 
 
 class TestWfq:
@@ -125,6 +139,85 @@ class TestHurr:
             seq = sc.schedule_hurr(w)
             for i, c in enumerate(w.counts):
                 assert len(seq.occurrences(i)) == c
+
+
+# --- per-slot Fraction reference schedulers: test-only oracles for the integer ones
+
+def _ref_wfq_steps(phis, slots):
+    finish = [1 / w for w in phis]
+    for _ in range(slots):
+        pick = min(range(len(phis)), key=lambda i: (finish[i], i))
+        yield tuple(finish), pick
+        finish[pick] += 1 / phis[pick]
+
+
+def _ref_wf2q(phis):
+    f = math.lcm(*(w.denominator for w in phis))
+    finish = [1 / w for w in phis]
+    served = [0] * len(phis)
+    trace = []
+    for tau in range(1, f + 1):
+        qualified = tuple(i for i, w in enumerate(phis) if served[i] < tau * w)
+        pick = min(qualified, key=lambda i: (finish[i], i))
+        trace.append((tuple(finish), qualified, pick))
+        served[pick] += 1
+        finish[pick] += 1 / phis[pick]
+    return trace
+
+
+def _ref_hurr(phis):
+    """Nodes are [weight, lowest leaf, state or (left, right)]."""
+    nodes = [[w, i, i] for i, w in enumerate(phis)]
+    while len(nodes) > 1:
+        nodes.sort(key=lambda nd: (nd[0], nd[1]))
+        a, b = nodes[0], nodes[1]
+        left, right = (a, b) if a[1] < b[1] else (b, a)
+        nodes = [[a[0] + b[0], left[1], (left, right)]] + nodes[2:]
+    seq = nodes * math.lcm(*(w.denominator for w in phis))
+    while True:
+        targets = [nd for nd in seq if isinstance(nd[2], tuple)]
+        if not targets:
+            return tuple(nd[2] for nd in seq)
+        node = targets[0]
+        left, right = node[2]
+        total = left[0] + right[0]
+        order = [pick for _, pick in _ref_wfq_steps([left[0] / total, right[0] / total],
+                                                     sum(1 for nd in seq if nd is node))]
+        replacement = iter(left if pick == 0 else right for pick in order)
+        seq = [next(replacement) if nd is node else nd for nd in seq]
+
+
+def _differential_weight_sets():
+    rng = random.Random(17)
+    sets = [entry["weights"] for entry in fixtures.scheduler_table()]
+    sets.append(fixtures.five_state_weights())
+    for _ in range(60):
+        counts = [rng.randint(1, 12) for _ in range(rng.randint(1, 10))]
+        sets.append(sc.WeightSet(tuple(Fraction(c, sum(counts)) for c in counts)))
+    return sets
+
+
+class TestAgainstFractionReference:
+    @pytest.fixture(scope="class")
+    def weight_sets(self):
+        return _differential_weight_sets()
+
+    def test_wfq_frame_and_trace(self, weight_sets):
+        for w in weight_sets:
+            ref = list(_ref_wfq_steps(w.weights, w.frame_size))
+            assert sc.wfq_trace(w) == ref
+            assert sc.schedule_wfq(w).slots == tuple(pick for _, pick in ref)
+
+    def test_wf2q_frame_and_trace(self, weight_sets):
+        for w in weight_sets:
+            ref = _ref_wf2q(w.weights)
+            assert [(t.finish, t.qualified, t.selection) for t in sc.wf2q_trace(w)] == ref
+            assert sc.schedule_wf2q(w).slots == tuple(pick for _, _, pick in ref)
+
+    def test_hurr_frame(self, weight_sets):
+        for w in weight_sets:
+            if len(w) >= 2:
+                assert sc.schedule_hurr(w).slots == _ref_hurr(w.weights)
 
 
 class TestSmoothness:
