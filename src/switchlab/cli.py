@@ -419,6 +419,8 @@ def _cmd_assign(args: argparse.Namespace) -> int:
     pi = _parse_permutation(args.permutation)
     n_ports = len(pi)
     n = args.n
+    if n < 1:
+        raise DomainError("module width --n must be >= 1")
     if n_ports % n:
         raise DomainError("permutation size must be a multiple of the module width")
     spec = ClosSpec(m=args.m if args.m else n, n=n, k=n_ports // n)

@@ -62,9 +62,6 @@ class TannerCode:
         edges = [(v, c) for c, row in enumerate(self.rows) for v in range(self.n_variables) if row >> v & 1]
         return BipartiteGraph.from_edges(self.n_variables, self.n_constraints, edges)
 
-    def constraints_of(self, v: int) -> list[int]:
-        return [c for c, row in enumerate(self.rows) if row >> v & 1]
-
     def syndrome(self, word: Sequence[int]) -> list[int]:
         if len(word) != self.n_variables:
             raise DomainError("word length does not match the code")

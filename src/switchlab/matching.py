@@ -1,6 +1,7 @@
-"""Bipartite matching machinery: Hall condition, maximum matching, edge
-coloring of regular multigraphs, Clos route assignment, and the cycle-flip
-solver for the outer stage of a Benes network.
+"""Bipartite matching machinery: Hall condition, maximum matching, the
+peeling of perfect matchings off regular count matrices (edge coloring and
+the frame decomposition), Clos route assignment, and the cycle-flip solver
+for the outer stage of a Benes network.
 
 Multigraphs keep one entry per edge *instance* (stable index into the edge
 list), so an edge coloring is well defined even with repeated endpoints.
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .closmodel import ClosSpec, RoutingTag, address_split
 from .errors import DomainError, PreconditionError
@@ -26,6 +27,7 @@ __all__ = [
     "BenesAssignment",
     "hall_check",
     "complete_matching",
+    "peel_matchings",
     "edge_color",
     "clos_route_assignment",
     "verify_route_assignment",
@@ -71,22 +73,6 @@ class BipartiteGraph:
             deg[l] += 1
         return deg
 
-    def right_degrees(self) -> list[int]:
-        deg = [0] * self.right_count
-        for _, r in self.edges:
-            deg[r] += 1
-        return deg
-
-    def regular_degree(self) -> int | None:
-        """Common degree d if the multigraph is d-regular on both sides."""
-        ld, rd = self.left_degrees(), self.right_degrees()
-        if not ld or not rd:
-            return None
-        d = ld[0]
-        if all(x == d for x in ld) and all(x == d for x in rd):
-            return d
-        return None
-
     def neighbor_masks(self) -> list[int]:
         """Left vertex -> bitmask of its right neighbours (bit r for vertex r)."""
         masks = [0] * self.left_count
@@ -112,28 +98,30 @@ class HallVerdict:
 def hall_check(g: BipartiteGraph) -> HallVerdict:
     """Check |N(A)| >= |A| for every left subset A.
 
-    Exhaustive bitmask scan up to EXHAUSTIVE_LEFT_LIMIT left vertices
-    (returns the subset of maximal deficiency); larger graphs fall back to
-    the matching-based deficiency witness.
+    Exhaustive bitmask scan up to EXHAUSTIVE_LEFT_LIMIT left vertices over
+    two half tables of neighbourhood unions (returns the first subset of
+    maximal deficiency); larger graphs fall back to the matching-based
+    deficiency witness.
     """
     if g.left_count <= EXHAUSTIVE_LEFT_LIMIT:
         masks = g.neighbor_masks()
-        nb = [0] * (1 << g.left_count)  # subset bitmask -> neighbourhood bitmask
+        h = g.left_count // 2
+        lo, hi = [0] * (1 << h), [0] * (1 << g.left_count - h)  # subset -> neighbourhood
+        for table, part in ((lo, masks[:h]), (hi, masks[h:])):
+            for s in range(1, len(table)):
+                low = s & -s
+                table[s] = table[s ^ low] | part[low.bit_length() - 1]
         worst_def, worst = 0, 0
-        for s in range(1, 1 << g.left_count):
-            low = s & -s
-            nb[s] = nb[s ^ low] | masks[low.bit_length() - 1]
-            if s.bit_count() - nb[s].bit_count() > worst_def:
-                worst_def, worst = s.bit_count() - nb[s].bit_count(), s
-        if not worst:
-            return HallVerdict(True, None)
-        witness = tuple(i for i in range(g.left_count) if worst >> i & 1)
-        return HallVerdict(False, witness, nb[worst].bit_count())
-    result = complete_matching(g)
-    if result.complete:
+        for t, hi_nb in enumerate(hi):  # s = t << h | u ascends with (t, u)
+            for u, lo_nb in enumerate(lo):
+                deficiency = t.bit_count() + u.bit_count() - (hi_nb | lo_nb).bit_count()
+                if deficiency > worst_def:
+                    worst_def, worst = deficiency, t << h | u
+        witness = tuple(i for i in range(g.left_count) if worst >> i & 1) or None
+    else:
+        witness = complete_matching(g).violating_set  # None when the matching is complete
+    if witness is None:
         return HallVerdict(True, None)
-    witness = result.violating_set
-    assert witness is not None
     return HallVerdict(False, witness, len(g.neighborhood(witness)))
 
 
@@ -249,34 +237,63 @@ class EdgeColoring:
         return len(self.color_of) == len(self.graph.edges)
 
 
+def peel_matchings(counts: list[list[int]]) -> Iterator[tuple[list[int], int]]:
+    """Peel perfect matchings off a square count matrix with equal line sums
+    (a regular bipartite multigraph) until it is empty, consuming ``counts``.
+
+    Yields ``(cols, mult)``: row i is matched to column ``cols[i]``, and the
+    matching is peeled at its full multiplicity ``mult``, the smallest count
+    on it.  One Hopcroft-Karp state serves every extraction: a peel drops
+    the emptied cells and unmatches their rows, and the next solve
+    re-augments from those rows alone.  The matrix is checked on the call.
+    """
+    k = len(counts)
+    if (k == 0 or any(len(row) != k for row in counts) or min(map(min, counts)) < 0
+            or len({*map(sum, counts), *map(sum, zip(*counts))}) != 1):
+        raise PreconditionError("counts must be a nonempty square nonnegative matrix with equal line sums")
+    return _peel(counts)
+
+
+def _peel(counts: list[list[int]]) -> Iterator[tuple[list[int], int]]:
+    adj = [list(itertools.compress(range(len(row)), row)) for row in counts]  # sorted support
+    hk = _HopcroftKarp(adj, len(counts))
+    while any(adj):
+        hk.solve()
+        cols = hk.pair_l.copy()
+        if -1 in cols:  # pragma: no cover - equal line sums keep a perfect matching
+            raise PreconditionError("residual lost its perfect matching")
+        mult = min(row[j] for row, j in zip(counts, cols))
+        for i, j in enumerate(cols):
+            counts[i][j] -= mult
+            if not counts[i][j]:
+                adj[i].remove(j)
+                hk.pair_l[i] = hk.pair_r[j] = -1
+        yield cols, mult
+
+
 def edge_color(g: BipartiteGraph, colors: int | None = None) -> EdgeColoring:
-    """Color a d-regular bipartite multigraph with d colors by repeatedly
-    extracting perfect matchings (each color class is one of them).
+    """Color a d-regular bipartite multigraph with d colors by peeling
+    perfect matchings off its vertex-pair count matrix (each color class is
+    one of them; a matching of multiplicity c gives c colors).
 
     ``colors`` may offer more than d colors; the extras stay unused.  A
     non-regular graph is rejected: regularity is what guarantees that every
     residual graph still has a perfect matching.
     """
-    degree = g.regular_degree()
-    if degree is None:
-        raise PreconditionError("edge coloring requires a regular bipartite multigraph")
-    if g.left_count != g.right_count:
-        raise PreconditionError("regular coloring needs equal side sizes")
+    pool = [[[] for _ in range(g.right_count)] for _ in range(g.left_count)]  # instance ids
+    for idx, (l, r) in enumerate(g.edges):
+        pool[l][r].append(idx)
+    peel = peel_matchings([[len(ids) for ids in row] for row in pool])
+    degree = len(g.edges) // g.left_count
     if colors is not None and colors < degree:
         raise DomainError(f"need at least {degree} colors, got {colors}")
-    # remaining multiplicity per vertex pair, with a pool of instance ids
-    pool: dict[tuple[int, int], list[int]] = {}
-    for idx, e in enumerate(g.edges):
-        pool.setdefault(e, []).append(idx)
     color_of: dict[int, int] = {}
-    for color in range(degree):
-        support = [pair for pair, ids in pool.items() if ids]
-        sub = BipartiteGraph.from_edges(g.left_count, g.right_count, support)
-        res = complete_matching(sub)
-        if not res.complete:  # pragma: no cover - impossible for regular input
-            raise PreconditionError("residual graph lost regularity")
-        for l, r in res.matching.items():
-            color_of[pool[(l, r)].pop()] = color
+    color = 0
+    for cols, mult in peel:
+        for c in range(color, color + mult):  # instances of a vertex pair go last first
+            for l, r in enumerate(cols):
+                color_of[pool[l][r].pop()] = c
+        color += mult
     return EdgeColoring(graph=g, color_of=color_of, colors=degree)
 
 

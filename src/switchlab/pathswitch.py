@@ -20,7 +20,7 @@ import numpy as np
 
 from .closmodel import ClosSpec
 from .errors import ConvergenceError, DomainError, PreconditionError, ResourceLimitError
-from .matching import BipartiteGraph, complete_matching
+from .matching import peel_matchings
 
 __all__ = [
     "TrafficMatrix",
@@ -78,11 +78,13 @@ class CapacityMatrix:
         k = len(scaled)
         if k == 0 or any(len(row) != k for row in scaled):
             raise PreconditionError("capacity matrix must be square")
-        if any(v % 1 for row in scaled for v in row):  # before int() could truncate; NaN fails too
-            raise PreconditionError("entries of F * C must be integers")
-        if any(abs(int(v)) > np.iinfo(np.int64).max // k for row in scaled for v in row):
+        raw = np.asarray(scaled)  # object dtype for Python ints beyond int64
+        with np.errstate(invalid="ignore"):  # before the int64 cast could truncate; NaN and inf fail
+            if raw.dtype.kind not in "biufO" or not (raw % 1 == 0).all():
+                raise PreconditionError("entries of F * C must be integers")
+        if (abs(raw) > np.iinfo(np.int64).max // k).any():
             raise ResourceLimitError("line sums of F * C exceed the int64 range")
-        arr = np.array(scaled, dtype=np.int64)
+        arr = raw.astype(np.int64)
         if (arr < 0).any():
             raise PreconditionError("capacities must be nonnegative")
         total = int(arr[0].sum())
@@ -275,19 +277,8 @@ class Decomposition:
         return [[Fraction(v, f) for v in row] for row in total.tolist()]
 
 
-def _extract_permutation(residual: np.ndarray) -> np.ndarray:
-    """Perfect matching on the support of ``residual``: the output column
-    matched to each input."""
-    k = residual.shape[0]
-    rows, cols = np.nonzero(residual > 0)
-    res = complete_matching(BipartiteGraph.from_edges(k, k, list(zip(rows.tolist(), cols.tolist()))))
-    if not res.complete:
-        raise PreconditionError("residual lost its perfect matching; sums not uniform?")
-    return np.array([res.matching[i] for i in range(k)], dtype=np.int64)
-
-
 def bvn_decompose(capacity: CapacityMatrix, modules: int | None = None) -> Decomposition:
-    """Expand F*C into m*F permutations by repeated matchings and group them
+    """Expand F*C into m*F permutations by peeled matchings and group them
     m at a time into per-slot connection patterns.
 
     The grouping is extraction order; equal patterns collapse into states
@@ -302,22 +293,13 @@ def bvn_decompose(capacity: CapacityMatrix, modules: int | None = None) -> Decom
     f, k = capacity.frame_size, capacity.size
     if f * k * max(k, m) > MAX_PATTERN_CELLS:
         raise ResourceLimitError(f"F * k * max(k, m) = {f * k * max(k, m)} cells exceed {MAX_PATTERN_CELLS}")
-    residual = capacity.scaled_int()
-    inputs = np.arange(k)
-    perms = np.empty((m * f, k), dtype=np.int64)
-    done = 0
-    while done < m * f:
-        cols = _extract_permutation(residual)
-        # peel the matching at full multiplicity: identical slots stay
-        # adjacent, which keeps the grouped state count small
-        mult = min(int(residual[inputs, cols].min()), m * f - done)
-        residual[inputs, cols] -= mult
-        perms[done : done + mult] = cols
-        done += mult
-    if residual.any():  # pragma: no cover - exact arithmetic guarantees zero
-        raise PreconditionError("decomposition left a nonzero residual")
+    # each matching is peeled at full multiplicity: identical slots stay
+    # adjacent, which keeps the grouped state count small
+    peeled = list(peel_matchings(capacity._scaled.tolist()))
+    perms = np.repeat(np.array([cols for cols, _ in peeled], dtype=np.int64).reshape(-1, k),
+                      [mult for _, mult in peeled], axis=0)
     # cell (slot r // m, input i, output perms[r, i]) of the flat pattern array
-    cells = ((np.arange(m * f) // m)[:, None] * k + inputs) * k + perms
+    cells = ((np.arange(m * f) // m)[:, None] * k + np.arange(k)) * k + perms
     patterns = np.bincount(cells.ravel(), minlength=f * k * k).reshape(f, k * k)
     index: dict[bytes, int] = {}  # state ids in order of first occurrence
     frame = np.array([index.setdefault(p.tobytes(), len(index)) for p in patterns])

@@ -39,6 +39,13 @@ def test_assign_reference_permutation(capsys):
     assert lines[-1] == "valid=True"
 
 
+@pytest.mark.parametrize("width", ["0", "-2"])
+def test_assign_nonpositive_module_width_is_usage_error(capsys, width):
+    code, out, err = _run(capsys, "assign", "1,0", "--n", width)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error:") and out == ""
+
+
 def test_schedule_wfq(capsys):
     code, out, _ = _run(capsys, "schedule", "0.5,0.125,0.125,0.125,0.125")
     assert code == cli.EXIT_OK

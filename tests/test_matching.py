@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -69,6 +70,21 @@ class TestHallCheck:
                 assert verdict.witness == worst
                 assert verdict.neighborhood_size == len(worst) - deficiency[worst]
 
+    def test_scan_at_the_exhaustive_limit_holds_no_table_of_all_subsets(self):
+        rng = random.Random(44)
+        left = mt.EXHAUSTIVE_LEFT_LIMIT
+        # eight right vertices keep every mask a cached small int, so the
+        # traced scan stays fast and the peak counts the tables alone
+        g = mt.BipartiteGraph.from_edges(
+            left, 8, [(l, r) for l in range(left) for r in rng.sample(range(8), 3)])
+        tracemalloc.start()
+        try:
+            mt.hall_check(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a list of 2^20 subset masks alone takes 8 MiB
+
 
 class TestCompleteMatching:
     def test_perfect_matching_returned(self):
@@ -103,6 +119,69 @@ class TestCompleteMatching:
         assert not res.complete
         witness = res.violating_set
         assert len(g.neighborhood(witness)) < len(witness)
+
+
+def _random_regular_counts(rng, k, degree):
+    """k x k counts summing ``degree`` random permutations; repeats give
+    parallel edges."""
+    counts = [[0] * k for _ in range(k)]
+    perms = []
+    for _ in range(degree):
+        perm = rng.choice(perms) if perms and rng.random() < 0.3 else rng.sample(range(k), k)
+        perms.append(perm)
+        for i in range(k):
+            counts[i][perm[i]] += 1
+    return counts
+
+
+def _fresh_hopcroft_karp_peel(counts):
+    """The extraction the kernel replaced: a cold Hopcroft-Karp on a new
+    graph of the residual support for every matching."""
+    k = len(counts)
+    residual = [row[:] for row in counts]
+    while any(map(any, residual)):
+        support = [(i, j) for i in range(k) for j in range(k) if residual[i][j]]
+        res = mt.complete_matching(mt.BipartiteGraph.from_edges(k, k, support))
+        assert res.complete
+        cols = [res.matching[i] for i in range(k)]
+        mult = min(residual[i][cols[i]] for i in range(k))
+        for i in range(k):
+            residual[i][cols[i]] -= mult
+        yield cols, mult
+
+
+class TestPeelMatchings:
+    def test_against_fresh_hopcroft_karp_extraction(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            k, degree = rng.randint(1, 8), rng.randint(0, 12)
+            counts = _random_regular_counts(rng, k, degree)
+            original = [row[:] for row in counts]
+            residual = [row[:] for row in counts]
+            rebuilt = [[0] * k for _ in range(k)]
+            peeled = list(mt.peel_matchings(counts))
+            for cols, mult in peeled:
+                assert sorted(cols) == list(range(k))
+                assert all(residual[i][cols[i]] > 0 for i in range(k))  # inside the support
+                assert mult == min(residual[i][cols[i]] for i in range(k))  # full multiplicity
+                for i in range(k):
+                    residual[i][cols[i]] -= mult
+                    rebuilt[i][cols[i]] += mult
+            assert rebuilt == original
+            assert counts == [[0] * k for _ in range(k)]  # consumed in place
+            reference = list(_fresh_hopcroft_karp_peel(original))
+            assert sum(mult for _, mult in peeled) == sum(mult for _, mult in reference) == degree
+            if peeled:  # the first solve is the cold one
+                assert peeled[0] == reference[0]
+            if degree <= 2:  # after the first peel the residual is a forced permutation
+                assert peeled == reference
+
+    @pytest.mark.parametrize("counts", [[[1, 0], [1, 1]], [[2, 0], [0, 1]], [[1, 1], [1]],
+                                        [], [[2, -1], [-1, 2]]],
+                             ids=["unequal_columns", "unequal_rows", "ragged", "empty", "negative"])
+    def test_malformed_counts_rejected(self, counts):
+        with pytest.raises(PreconditionError):
+            list(mt.peel_matchings(counts))
 
 
 class TestEdgeColoring:
@@ -149,6 +228,16 @@ class TestEdgeColoring:
         assert coloring.colors == 2
         assert coloring.is_proper()
 
+    def test_multigraphs_with_parallel_edges(self):
+        rng = random.Random(67)
+        for _ in range(100):
+            k, degree = rng.randint(1, 8), rng.randint(1, 12)
+            counts = _random_regular_counts(rng, k, degree)
+            edges = [(i, j) for i in range(k) for j in range(k) for _ in range(counts[i][j])]
+            rng.shuffle(edges)
+            coloring = mt.edge_color(mt.BipartiteGraph.from_edges(k, k, edges))
+            assert coloring.colors == degree and coloring.is_proper()
+
     def test_rejects_irregular(self):
         g = mt.BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0)])
         with pytest.raises(PreconditionError):
@@ -177,6 +266,12 @@ class TestClosRouteAssignment:
         tags = mt.clos_route_assignment(reqs)
         assert mt.verify_route_assignment(reqs, tags)
         assert _independent_validity_check(reqs, tags)
+
+    def test_reference_permutation_centrals(self):
+        # pins the table2 tags: the first colour comes from Hopcroft-Karp on
+        # the 2-regular module-pair graph and the second is forced
+        tags = mt.clos_route_assignment(fixtures.eight_port_request_set())
+        assert [t.central for t in tags] == [0, 1, 0, 1, 1, 0, 0, 1]
 
     def test_reference_tag_set_passes_checker(self):
         reqs = fixtures.eight_port_request_set()

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -146,8 +147,10 @@ class TestCapacityStorage:
         with pytest.raises(ResourceLimitError):
             ps.CapacityMatrix([[Fraction(10**30), 0], [0, Fraction(10**30)]], 1)
 
-    @pytest.mark.parametrize("scaled", [[[1.7, 0.2], [0.2, 1.7]], [[0.5, 0.5], [0.5, 0.5]]],
-                             ids=["near_identity", "half_ones"])
+    @pytest.mark.parametrize("scaled", [[[1.7, 0.2], [0.2, 1.7]], [[0.5, 0.5], [0.5, 0.5]],
+                                        [[math.nan, 1], [1, math.nan]],
+                                        [[math.inf, 1], [1, math.inf]]],
+                             ids=["near_identity", "half_ones", "nan", "inf"])
     def test_non_integral_entries_rejected_not_truncated(self, scaled):
         with pytest.raises(PreconditionError):
             ps.CapacityMatrix.from_integer_matrix(scaled, 1)
