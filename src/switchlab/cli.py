@@ -596,7 +596,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (DomainError, PreconditionError, ResourceLimitError, ConvergenceError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

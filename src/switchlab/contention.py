@@ -36,6 +36,9 @@ __all__ = [
 OccupancyModel = Literal["distinguishable", "indistinguishable"]
 StateModel = Literal["one-per-input", "distinguishable", "indistinguishable"]
 
+# cells (slots x ports or wires) a simulator draws per chunk: bounds its
+# memory whatever the run length, and one slot may not exceed it
+CHUNK_CELLS = 1 << 16
 _PMF_TAIL = 1e-12
 _BRUTE_FORCE_LIMIT = 12
 
@@ -144,8 +147,11 @@ def simulate_crossbar(
         raise DomainError(f"offered load {rho} outside [0, 1]")
     if n_ports < 1 or slots < 1:
         raise DomainError("need n_ports >= 1 and slots >= 1")
-    # slots per chunk: at most 2^19 port cells, which bounds memory by construction
-    chunk = max(1, min(1 << 14, (1 << 19) // n_ports))
+    if n_ports > CHUNK_CELLS:
+        raise ResourceLimitError(
+            f"one slot of {n_ports} ports exceeds the {CHUNK_CELLS}-cell chunk budget"
+        )
+    chunk = CHUNK_CELLS // n_ports
     rng = np.random.default_rng(seed)
     hist = np.zeros(n_ports + 1, dtype=np.int64)
     s1 = s2 = s3 = 0.0

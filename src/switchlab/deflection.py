@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .contention import CHUNK_CELLS
+from .errors import DomainError, ResourceLimitError
 
 __all__ = [
     "DeflectionParams",
@@ -211,6 +212,7 @@ class DeflectionSimResult:
     offered: int
     exited: int
     exits_by_stage: np.ndarray  # index k: packets that left at stage k
+    live_by_stage: np.ndarray  # index k: packets in flight entering stage k
 
     @property
     def lost(self) -> int:
@@ -250,81 +252,89 @@ def simulate_deflection(
     loser is deflected onto a uniformly random free link of its module and
     starts over.  Packets still in flight after ``stages`` traversals are
     counted as lost.
+
+    A chunk of b slots is held as b*n rows, one per (slot, module), of n
+    ports each, and every stage works only on the rows that hold a packet.
     """
     if module_size < 2 or stages < 2:
         raise DomainError("need module_size >= 2 and stages >= 2")
     if not 0.0 <= rho <= 1.0:
         raise DomainError("simulator offered load must lie in [0, 1]")
+    if slots < 1:
+        raise DomainError("need slots >= 1")
     n = module_size
     wires = n * n
-    # slots per chunk: at most 2^20 wire cells, which bounds memory by construction
-    chunk = max(1, min(4096, (1 << 20) // wires))
+    if wires > CHUNK_CELLS:
+        raise ResourceLimitError(
+            f"one slot of {wires} wires exceeds the {CHUNK_CELLS}-cell chunk budget"
+        )
+    chunk = CHUNK_CELLS // wires
     rng = np.random.default_rng(seed)
     exits = np.zeros(stages + 1, dtype=np.int64)
-    offered = 0
+    in_flight = np.zeros(stages + 1, dtype=np.int64)
     done = 0
 
     while done < slots:
         b = min(chunk, slots - done)
-        dest = rng.integers(0, wires, size=(b, wires))
-        dest[rng.random((b, wires)) >= rho] = -1
-        need_r = np.zeros((b, wires), dtype=bool)
-        offered += int((dest >= 0).sum())
+        dest = rng.integers(0, wires, size=(b * n, n), dtype=np.int32)
+        dest[rng.random((b * n, n)) >= rho] = -1
+        need_r = np.zeros((b * n, n), dtype=bool)
+        live = np.flatnonzero((dest >= 0).any(axis=1))
 
         for stage in range(1, stages + 1):
-            new_dest = np.full((b, wires), -1, dtype=np.int64)
-            new_need = np.zeros((b, wires), dtype=bool)
-            for mod in range(n):
-                cols = slice(mod * n, (mod + 1) * n)
-                d = dest[:, cols]
-                occupied = d >= 0
-                if not occupied.any():
-                    continue
-                nr = need_r[:, cols]
-                digit = np.where(nr, d % n, d // n)
-                digit = np.where(occupied, digit, -1)
-
-                scores = rng.random((b, n))
-                won = np.zeros((b, n), dtype=bool)
-                taken = np.zeros((b, n), dtype=bool)
-                for port in range(n):
-                    contend = digit == port
-                    rows = np.nonzero(contend.any(axis=1))[0]
-                    if rows.size == 0:
-                        continue
-                    pick = np.where(contend, scores, -1.0).argmax(axis=1)
-                    won[rows, pick[rows]] = True
-                    taken[rows, port] = True
-
-                port_of = np.where(won, digit, -1)
-                losers = occupied & ~won
-                if losers.any():
-                    free_rank = np.where(~taken, rng.random((b, n)), np.inf)
-                    free_order = np.argsort(free_rank, axis=1)
-                    loser_rank = np.cumsum(losers, axis=1) - 1
-                    assigned = np.take_along_axis(
-                        free_order, np.clip(loser_rank, 0, n - 1), axis=1
-                    )
-                    port_of = np.where(losers, assigned, port_of)
-
-                # exit tap: a second-digit win on the link matching the
-                # destination leaves the cascade here
-                exiting = won & nr
-                if exiting.any():
-                    links = mod * n + port_of
-                    if not (links[exiting] == d[exiting]).all():  # pragma: no cover
-                        raise AssertionError("exit link must equal destination")
-                    exits[stage] += int(exiting.sum())
-
-                moving = occupied & ~exiting
-                rows, offs = np.nonzero(moving)
-                if rows.size:
-                    tgt = port_of[rows, offs] * n + mod  # transpose wiring
-                    new_dest[rows, tgt] = d[rows, offs]
-                    new_need[rows, tgt] = won[rows, offs] & ~nr[rows, offs]
-            dest, need_r = new_dest, new_need
-            if not (dest >= 0).any():
+            if live.size == 0:
                 break
+            d = dest[live]
+            nr = need_r[live]
+            occupied = d >= 0
+            in_flight[stage] += np.count_nonzero(occupied)
+            digit = np.where(nr, d % n, d // n)
+            digit[~occupied] = n  # empty cells sort last
+
+            # contention: the first cell of each digit run in a sort by
+            # digit + U[0,1) wins, so ties break uniformly at random
+            order = np.argsort(digit + rng.random(d.shape), axis=1)
+            ranked = np.take_along_axis(digit, order, axis=1)
+            first = np.empty(d.shape, dtype=bool)
+            first[:, 0] = True
+            np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
+            first &= ranked < n
+            won = np.empty_like(first)
+            np.put_along_axis(won, order, first, axis=1)
+
+            # deflection: losers, in port order, take the free ports in
+            # random order; column n absorbs the empty cells' digit, and the
+            # rank -1 of a cell before the first loser is read but unused
+            free_key = rng.random((live.size, n + 1))
+            np.put_along_axis(free_key, digit, np.inf, axis=1)
+            free_order = np.argsort(free_key[:, :n], axis=1)
+            loser_rank = np.cumsum(occupied & ~won, axis=1) - 1
+            assigned = np.take_along_axis(free_order, loser_rank, axis=1)
+            port_of = np.where(won, digit, assigned).ravel()
+
+            # exit tap: a second-digit win on the link matching the
+            # destination leaves the cascade here
+            mod = live % n
+            exiting = (won & nr).ravel()
+            out = np.flatnonzero(exiting)
+            if out.size:
+                links = mod[out // n] * n + port_of[out]
+                if not (links == d.ravel()[out]).all():  # pragma: no cover
+                    raise AssertionError("exit link must equal destination")
+                exits[stage] += out.size
+
+            # transpose wiring: the packet on (slot, module, port) moves to
+            # row (slot, port), column module
+            cells = np.flatnonzero(occupied.ravel() & ~exiting)
+            rows = cells // n
+            col = mod[rows]
+            tgt = live[rows] - col + port_of[cells]
+            dest[live] = -1
+            dest[tgt, col] = d.ravel()[cells]
+            need_r[tgt, col] = (won & ~nr).ravel()[cells]
+            next_live = np.zeros(b * n, dtype=bool)
+            next_live[tgt] = True
+            live = np.flatnonzero(next_live)
         done += b
 
     return DeflectionSimResult(
@@ -332,7 +342,8 @@ def simulate_deflection(
         stages=stages,
         rho=rho,
         slots=slots,
-        offered=offered,
+        offered=int(in_flight[1]),
         exited=int(exits.sum()),
         exits_by_stage=exits,
+        live_by_stage=in_flight,
     )

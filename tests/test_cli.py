@@ -260,3 +260,34 @@ def test_montecarlo_short_cascade(tmp_path, capsys, stages, lengths):
     assert code == cli.EXIT_OK
     rows = cli._read_csv(tmp_path / "montecarlo_deflection.csv")
     assert [int(row[0]) for row in rows] == lengths
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "fig10", "--param", "slots=0"],
+    ["experiment", "fig10", "--param", "slots=-3"],
+    ["experiment", "montecarlo", "--param", "dslots=0"],
+    ["deflect", "--slots", "-5", "--n", "4"],
+], ids=["fig10_slots_0", "fig10_slots_-3", "montecarlo_dslots_0", "deflect_slots_-5"])
+def test_nonpositive_slot_count_is_usage_error(tmp_path, capsys, argv):
+    if argv[0] == "experiment":
+        argv = argv + ["--outdir", str(tmp_path)]
+    code, _, err = _run(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error:")
+
+
+def test_oversized_module_fails_before_allocating(tmp_path, capsys):
+    start = time.perf_counter()
+    code, _, err = _run(capsys, "experiment", "fig10", "--outdir", str(tmp_path),
+                        "--param", "n=100000")
+    assert code == cli.EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert "budget" in err
+
+
+def test_outdir_that_is_a_file_is_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = _run(capsys, "experiment", "fig6", "--outdir", str(taken))
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error:") and out == ""

@@ -105,6 +105,13 @@ class TestSimulateCrossbar:
         assert a.load.carried_load == b.load.carried_load
         assert (a.histogram == b.histogram).all()
 
+    def test_one_slot_beyond_the_chunk_budget_is_refused(self):
+        for n_ports in (ct.CHUNK_CELLS + 1, 10**9):
+            with pytest.raises(ResourceLimitError):
+                ct.simulate_crossbar(n_ports, 0.5, 10)
+        res = ct.simulate_crossbar(ct.CHUNK_CELLS, 1.0, 1, seed=3)
+        assert res.histogram.sum() == ct.CHUNK_CELLS
+
 
 class TestBoltzmannPmf:
     def test_poisson_head(self):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from switchlab import deflection as dfl
-from switchlab.errors import DomainError
+from switchlab.contention import CHUNK_CELLS
+from switchlab.errors import DomainError, ResourceLimitError
 
 
 def test_success_probability_values():
@@ -132,10 +133,19 @@ class TestSimulator:
         assert 0.0 <= tv <= 1.0
         assert dist.sum() == pytest.approx(1.0)
 
+    def test_live_packets_drop_by_each_stage_exits(self):
+        sim = dfl.simulate_deflection(5, 8, 0.9, 1500, seed=6)
+        live, exits = sim.live_by_stage, sim.exits_by_stage
+        assert live.dtype == np.int64 and live.shape == exits.shape
+        assert live[0] == 0 and sim.offered == live[1]
+        assert (live[1:-1] - live[2:] == exits[1:-1]).all()
+        assert live[-1] - exits[-1] == sim.lost > 0
+
     def test_deterministic_per_seed(self):
         a = dfl.simulate_deflection(3, 8, 0.8, 1000, seed=4)
         b = dfl.simulate_deflection(3, 8, 0.8, 1000, seed=4)
         assert (a.exits_by_stage == b.exits_by_stage).all()
+        assert (a.live_by_stage == b.live_by_stage).all()
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
@@ -144,3 +154,121 @@ class TestSimulator:
             dfl.simulate_deflection(4, 1, 0.5, 100)
         with pytest.raises(DomainError):
             dfl.simulate_deflection(4, 10, 1.5, 100)
+        for slots in (0, -3):
+            with pytest.raises(DomainError):
+                dfl.simulate_deflection(4, 10, 0.5, slots)
+
+    def test_one_slot_beyond_the_chunk_budget_is_refused(self):
+        side = math.isqrt(CHUNK_CELLS)
+        for n in (side + 1, 100_000):
+            with pytest.raises(ResourceLimitError):
+                dfl.simulate_deflection(n, 10, 0.5, 10)
+        sim = dfl.simulate_deflection(side, 3, 0.01, 1, seed=5)
+        assert sim.live_by_stage[1] == sim.offered
+
+
+# --- the per-module, per-port stage loop that simulate_deflection replaced by
+# row sorting: a test-only reference for the simulator's exit-stage law
+
+def _reference_exits(module_size, stages, rho, slots, seed):
+    """(offered, exits_by_stage) of the per-port reference simulator."""
+    n = module_size
+    wires = n * n
+    chunk = max(1, min(4096, (1 << 20) // wires))
+    rng = np.random.default_rng(seed)
+    exits = np.zeros(stages + 1, dtype=np.int64)
+    offered = 0
+    done = 0
+    while done < slots:
+        b = min(chunk, slots - done)
+        dest = rng.integers(0, wires, size=(b, wires))
+        dest[rng.random((b, wires)) >= rho] = -1
+        need_r = np.zeros((b, wires), dtype=bool)
+        offered += int((dest >= 0).sum())
+        for stage in range(1, stages + 1):
+            new_dest = np.full((b, wires), -1, dtype=np.int64)
+            new_need = np.zeros((b, wires), dtype=bool)
+            for mod in range(n):
+                cols = slice(mod * n, (mod + 1) * n)
+                d = dest[:, cols]
+                occupied = d >= 0
+                if not occupied.any():
+                    continue
+                nr = need_r[:, cols]
+                digit = np.where(nr, d % n, d // n)
+                digit = np.where(occupied, digit, -1)
+                scores = rng.random((b, n))
+                won = np.zeros((b, n), dtype=bool)
+                taken = np.zeros((b, n), dtype=bool)
+                for port in range(n):
+                    contend = digit == port
+                    rows = np.nonzero(contend.any(axis=1))[0]
+                    if rows.size == 0:
+                        continue
+                    pick = np.where(contend, scores, -1.0).argmax(axis=1)
+                    won[rows, pick[rows]] = True
+                    taken[rows, port] = True
+                port_of = np.where(won, digit, -1)
+                losers = occupied & ~won
+                if losers.any():
+                    free_rank = np.where(~taken, rng.random((b, n)), np.inf)
+                    free_order = np.argsort(free_rank, axis=1)
+                    loser_rank = np.cumsum(losers, axis=1) - 1
+                    assigned = np.take_along_axis(
+                        free_order, np.clip(loser_rank, 0, n - 1), axis=1
+                    )
+                    port_of = np.where(losers, assigned, port_of)
+                exiting = won & nr
+                if exiting.any():
+                    links = mod * n + port_of
+                    assert (links[exiting] == d[exiting]).all()
+                    exits[stage] += int(exiting.sum())
+                moving = occupied & ~exiting
+                rows, offs = np.nonzero(moving)
+                if rows.size:
+                    tgt = port_of[rows, offs] * n + mod
+                    new_dest[rows, tgt] = d[rows, offs]
+                    new_need[rows, tgt] = won[rows, offs] & ~nr[rows, offs]
+            dest, need_r = new_dest, new_need
+            if not (dest >= 0).any():
+                break
+        done += b
+    return offered, exits
+
+
+LAW_STAGES = 16
+# (module size, offered load, slots): about 1.9e5 offered packets per case
+LAW_CASES = [(4, 0.3, 40_000), (4, 1.0, 12_000), (8, 0.3, 10_000),
+             (8, 1.0, 3000), (16, 0.3, 2500), (16, 1.0, 750)]
+
+
+def _exit_law(offered, exits):
+    """Law of a packet's fate over LAW_STAGES cells: exit at stage 2..L, or lost."""
+    return np.append(exits[2:], offered - exits.sum()) / offered
+
+
+def _two_sample_tv_bound(samples, cells, delta=1e-6):
+    """Bound on the TV distance of two empirical laws of ``samples`` draws each
+    from one law over ``cells`` cells, exceeded with probability <= delta for
+    independent draws.  E|p_k - q_k| <= sqrt(2 p_k / N) and Cauchy-Schwarz give
+    E[TV] <= sqrt(K / 2N); one draw moves TV by at most 1/N, so McDiarmid adds
+    sqrt(ln(1/delta) / N).  Packets of one slot interact, so this is checked
+    against seed-to-seed spreads of the reference, which stay below a third
+    of it at these sizes."""
+    return math.sqrt(cells / (2 * samples)) + math.sqrt(math.log(1 / delta) / samples)
+
+
+@pytest.mark.parametrize("n, rho, slots", LAW_CASES)
+def test_exit_law_matches_reference_and_chain(n, rho, slots):
+    sim = dfl.simulate_deflection(n, LAW_STAGES, rho, slots, seed=11)
+    ref_offered, ref_exits = _reference_exits(n, LAW_STAGES, rho, slots, seed=12)
+    law = _exit_law(sim.offered, sim.exits_by_stage)
+    ref = _exit_law(ref_offered, ref_exits)
+    bound = _two_sample_tv_bound(min(sim.offered, ref_offered), law.size)
+    assert 0.5 * np.abs(law - ref).sum() <= bound
+    # no farther from the worst-case chain than the reference is, up to sampling
+    par = dfl.DeflectionParams.from_rho(rho)
+    g_q = dfl.absorption_series(par.p, par.q, LAW_STAGES).g_q
+    chain = np.append(g_q[2:], 1.0 - g_q.sum())
+    tv_chain = 0.5 * np.abs(law - chain).sum()
+    assert tv_chain <= 0.5 * np.abs(ref - chain).sum() + bound
