@@ -118,7 +118,15 @@ class ExperimentManifest:
 # --- experiment writers -------------------------------------------------------
 # Each takes the resolved integer params and the seed and returns its tables.
 
+# the most rows one bandwidth-versus-PSNR table may hold (about 0.25 s)
+MAX_TABLE_ROWS = 1 << 16
+
+
 def _fig6_rows(n: int, max_m: int) -> list[list]:
+    if n < 1:
+        raise DomainError(f"ports per outer module n={n} must be >= 1")
+    if max_m - n > MAX_TABLE_ROWS:
+        raise ResourceLimitError(f"{max_m - n} central-module rows exceed {MAX_TABLE_ROWS}")
     rows = []
     for m in range(n + 1, max_m + 1):  # empty grid allowed: header-only CSV
         spec = ClosSpec(m=m, n=n, k=max(2, n))
@@ -216,6 +224,8 @@ def _exp_sec6c(p: dict, seed: int) -> list[Table]:
 def _exp_fig21(p: dict, seed: int) -> list[Table]:
     k, m = p["k"], p["m"]
     spec = ClosSpec(m=m, n=m, k=k)  # rejects a bad shape before any draw
+    if k * k > pathswitch.MAX_TRAFFIC_CELLS:
+        raise ResourceLimitError(f"a {k}x{k} traffic matrix exceeds {pathswitch.MAX_TRAFFIC_CELLS} cells")
     rng = np.random.default_rng(seed)
     lam = rng.uniform(0.2, 1.0, size=(k, k))
     lam *= 0.8 * m / max(lam.sum(axis=0).max(), lam.sum(axis=1).max())
@@ -366,6 +376,8 @@ def validate_outputs(outdir: Path, tolerance: float = 5e-4) -> tuple[list[dict],
     Returns (report rows, all_ok).  A missing file is reported under its own
     name; a file that cannot be read or parsed fails its check.
     """
+    if not 0.0 <= tolerance < math.inf:  # also false for NaN
+        raise DomainError(f"tolerance {tolerance} must be finite and >= 0")
     report: list[dict] = []
     for exp in EXPERIMENTS.values():
         for name, stem, fn in exp.checks:

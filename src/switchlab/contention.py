@@ -142,6 +142,10 @@ def simulate_crossbar(
     independent uniform output; an output is busy when at least one packet
     targets it.  Deterministic for a given seed; slots are independent, so
     parallel runs with distinct seeds can be merged by summing counts.
+
+    One uniform u per input decides both: u < rho holds a packet bound for
+    output floor(u * N / rho), uniform since u / rho is uniform on [0, 1)
+    given u < rho; any other u lands in an idle bin N of its slot.
     """
     if not 0.0 <= rho <= 1.0:
         raise DomainError(f"offered load {rho} outside [0, 1]")
@@ -151,23 +155,35 @@ def simulate_crossbar(
         raise ResourceLimitError(
             f"one slot of {n_ports} ports exceeds the {CHUNK_CELLS}-cell chunk budget"
         )
-    chunk = CHUNK_CELLS // n_ports
+    rows = min(CHUNK_CELLS // n_ports, slots)
+    width = n_ports + 1  # the outputs, then the idle bin
+    scale = n_ports / rho if rho > 0 else math.inf  # rho = 0: 0 * inf is NaN, which fmin bins idle
     rng = np.random.default_rng(seed)
-    hist = np.zeros(n_ports + 1, dtype=np.int64)
+    # chunk buffers, filled in place; the last chunk uses their leading rows
+    u = np.empty((rows, n_ports))
+    cells = np.empty((rows, n_ports), dtype=np.intp)
+    offsets = width * np.arange(rows)[:, None]
+    hist = np.zeros(width, dtype=np.int64)
     s1 = s2 = s3 = 0.0
     done = 0
-    while done < slots:
-        b = min(chunk, slots - done)
-        held = rng.random((b, n_ports)) < rho
-        dests = rng.integers(0, n_ports, size=(b, n_ports))
-        dests += n_ports * np.arange(b)[:, None]  # in place: one fewer chunk-sized temporary
-        counts = np.bincount(dests[held], minlength=b * n_ports).reshape(b, n_ports)
-        hist += np.bincount(counts.ravel(), minlength=n_ports + 1)
-        busy = (counts > 0).sum(axis=1).astype(np.float64)
-        s1 += busy.sum()
-        s2 += (busy**2).sum()
-        s3 += (busy**3).sum()
-        done += b
+    with np.errstate(invalid="ignore"):
+        while done < slots:
+            b = min(rows, slots - done)
+            ub, cb = u[:b], cells[:b]
+            rng.random(out=ub)
+            ub *= scale
+            np.fmin(ub, n_ports, out=ub)
+            np.copyto(cb, ub, casting="unsafe")
+            cb += offsets[:b]
+            counts = np.bincount(cb.ravel(), minlength=b * width).reshape(b, width)
+            idle = counts[:, n_ports]
+            hist += np.bincount(counts.ravel(), minlength=width)
+            hist -= np.bincount(idle, minlength=width)
+            busy = (np.count_nonzero(counts, axis=1) - (idle > 0)).astype(np.float64)
+            s1 += busy.sum()
+            s2 += (busy**2).sum()
+            s3 += (busy**3).sum()
+            done += b
     mean = s1 / slots
     var = s2 / slots - mean**2
     mu3 = s3 / slots - 3 * mean * var - mean**3

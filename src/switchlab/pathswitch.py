@@ -244,6 +244,9 @@ def optimal_delay_2x2(traffic: TrafficMatrix, *, iters: int = 200) -> float:
 # bvn_decompose refuses F * k * max(k, m) above this before allocating its
 # (F, k, k) slot patterns and (m * F, k) permutations
 MAX_PATTERN_CELLS = 1 << 22
+# a drawn k x k traffic matrix may hold at most this many rates (k <= 256):
+# allocate_capacity and rounding grow about as k^3, about 1 s at the cap
+MAX_TRAFFIC_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)

@@ -291,3 +291,41 @@ def test_outdir_that_is_a_file_is_usage_error(tmp_path, capsys):
     code, out, err = _run(capsys, "experiment", "fig6", "--outdir", str(taken))
     assert code == cli.EXIT_USAGE
     assert err.startswith("error:") and out == ""
+
+
+@pytest.mark.parametrize("k", [257, 100_000], ids=["k_257", "k_100000"])
+def test_fig21_oversized_traffic_matrix_fails_before_drawing(tmp_path, capsys, monkeypatch, k):
+    draws = []
+    monkeypatch.setattr(cli.np.random, "default_rng", lambda *args: draws.append(args))
+    code, _, err = _run(capsys, "experiment", "fig21", "--outdir", str(tmp_path),
+                        "--param", f"k={k}")
+    assert code == cli.EXIT_USAGE
+    assert "exceeds" in err
+    assert draws == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "fig6", "--param", "n=0"],
+    ["tradeoff", "--n", "0"],
+    ["experiment", "fig6", "--param", "n=16", "--param", f"max_m={16 + cli.MAX_TABLE_ROWS + 1}"],
+    ["experiment", "fig6", "--param", "max_m=100000000"],
+    ["tradeoff", "--max-m", "100000000"],
+], ids=["fig6_n_0", "tradeoff_n_0", "fig6_rows_over_cap", "fig6_max_m_1e8",
+        "tradeoff_max_m_1e8"])
+def test_bad_tradeoff_table_size_is_usage_error(tmp_path, capsys, argv):
+    if argv[0] == "experiment":
+        argv = argv + ["--outdir", str(tmp_path)]
+    start = time.perf_counter()
+    code, out, err = _run(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert err.startswith("error:") and out == ""
+    assert not (tmp_path / "fig6.csv").exists()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-3"])
+def test_bad_validate_tolerance_is_usage_error(tmp_path, capsys, tolerance):
+    _run(capsys, "experiment", "fig10", "--outdir", str(tmp_path), "--param", "slots=400")
+    code, out, err = _run(capsys, "validate", "--outdir", str(tmp_path), f"--tolerance={tolerance}")
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: tolerance") and out == ""

@@ -113,6 +113,124 @@ class TestSimulateCrossbar:
         assert res.histogram.sum() == ct.CHUNK_CELLS
 
 
+def _binomial_pmf(n, p):
+    return np.array([math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)])
+
+
+def _busy_pmf(n, rho):
+    """Exact law of the busy-output count: inputs join one at a time, and a
+    packet lands on an idle output with probability (N - busy)/N."""
+    pmf = np.zeros(n + 1)
+    pmf[0] = 1.0
+    stay = 1 - rho + rho * np.arange(n + 1) / n
+    for _ in range(n):
+        pmf = pmf * stay + np.concatenate(([0.0], pmf[:-1] * (1 - stay[:-1])))
+    return pmf
+
+
+def _busy_moments(n, rho):
+    """Closed-form mean and variance of the busy count, with a = P(output
+    idle) and c = P(two given outputs idle)."""
+    a = (1 - rho / n) ** n
+    c = (1 - 2 * rho / n) ** n
+    return n * (1 - a), n * a * (1 - a) + n * (n - 1) * (c - a * a)
+
+
+def _level_sd(n, rho, k):
+    """Standard deviation, over slots, of the share of outputs holding
+    exactly k packets: the per-output variance plus the exact covariance of
+    two outputs, from the trinomial law of (count at one, count at another)."""
+    r = rho / n
+    p = math.comb(n, k) * r**k * (1 - r) ** (n - k)
+    both = 0.0
+    if 2 * k <= n:
+        both = (math.factorial(n) / (math.factorial(k) ** 2 * math.factorial(n - 2 * k))
+                * r ** (2 * k) * (1 - 2 * r) ** (n - 2 * k))
+    return math.sqrt(max(p * (1 - p) + (n - 1) * (both - p * p), 0.0) / n)
+
+
+# (ports, offered load, slots): about 2^21 input cells per case
+EXACT_LAW_CASES = [(n, rho, (1 << 21) // n) for n in (8, 32, 128) for rho in (0.3, 1.0)]
+
+
+class TestCrossbarExactLaw:
+    """Each output's packet count is exactly Binomial(N, rho/N), and the busy
+    count's mean and variance have closed forms; the bounds below follow
+    from the sample size only."""
+
+    def test_closed_form_moments_match_the_exact_busy_law(self):
+        for n in (1, 2, 8, 32, 128):
+            for rho in (0.0, 0.3, 1.0):
+                pmf = _busy_pmf(n, rho)
+                levels = np.arange(n + 1)
+                mean = (pmf * levels).sum()
+                mean_cf, var_cf = _busy_moments(n, rho)
+                assert mean == pytest.approx(mean_cf, abs=1e-9)
+                assert (pmf * (levels - mean) ** 2).sum() == pytest.approx(var_cf, abs=1e-9)
+        # the figure the variance test is held to at N=128, rho=1
+        assert _busy_moments(128, 1.0)[1] == pytest.approx(12.462, abs=5e-4)
+
+    @pytest.mark.parametrize("n, rho, slots", EXACT_LAW_CASES)
+    def test_occupancy_is_binomial(self, n, rho, slots):
+        res = ct.simulate_crossbar(n, rho, slots, seed=21)
+        tv = 0.5 * np.abs(res.occupancy_pmf() - _binomial_pmf(n, rho / n)).sum()
+        # E|p_k - p| <= sd_k / sqrt(slots) level by level, so the expected
+        # distance is at most half their sum; allow four times that
+        bound = 4 * 0.5 * sum(_level_sd(n, rho, k) for k in range(n + 1)) / math.sqrt(slots)
+        assert tv < bound, (tv, bound)
+
+    @pytest.mark.parametrize("n, rho, slots", EXACT_LAW_CASES)
+    def test_busy_mean_and_variance_match_closed_forms(self, n, rho, slots):
+        res = ct.simulate_crossbar(n, rho, slots, seed=22)
+        mean, var = _busy_moments(n, rho)
+        assert abs(res.busy_mean - mean) < 5 * math.sqrt(var / slots)
+        # standard error of a sample variance, sqrt((mu4 - var^2) / slots),
+        # with mu4 from the exact busy law
+        pmf = _busy_pmf(n, rho)
+        mu4 = (pmf * (np.arange(n + 1) - mean) ** 4).sum()
+        assert abs(res.busy_variance - var) < 5 * math.sqrt((mu4 - var * var) / slots)
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_packet_count_identities(self, n):
+        for rho, packets in ((1.0, n), (0.0, 0)):
+            res = ct.simulate_crossbar(n, rho, 300, seed=4)
+            assert res.histogram.sum() == n * 300
+            assert (np.arange(n + 1) * res.histogram).sum() == packets * 300
+        idle = ct.simulate_crossbar(n, 0.0, 300, seed=4)
+        assert idle.busy_mean == 0.0 and idle.busy_variance == 0.0
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_partial_last_chunk(self, rho):
+        n = 64
+        slots = ct.CHUNK_CELLS // n + 1  # one full chunk and one slot more
+        res = ct.simulate_crossbar(n, rho, slots, seed=6)
+        assert res.slots == slots
+        assert res.histogram.sum() == n * slots
+        if rho == 1.0:
+            assert (np.arange(n + 1) * res.histogram).sum() == n * slots
+        mean, var = _busy_moments(n, rho)
+        assert abs(res.busy_mean - mean) < 5 * math.sqrt(var / slots)
+
+    @pytest.mark.parametrize("n, rho", [(8, 0.7), (32, 0.3), (1, 1.0)])
+    def test_deterministic_per_seed(self, n, rho):
+        slots = ct.CHUNK_CELLS // n + 5
+        a = ct.simulate_crossbar(n, rho, slots, seed=9)
+        b = ct.simulate_crossbar(n, rho, slots, seed=9)
+        c = ct.simulate_crossbar(n, rho, slots, seed=10)
+        assert (a.histogram == b.histogram).all()
+        assert (a.busy_mean, a.busy_variance, a.busy_skewness) == (
+            b.busy_mean, b.busy_variance, b.busy_skewness)
+        assert rho == 1.0 or (a.histogram != c.histogram).any()
+
+    def test_draws_do_not_depend_on_the_chunk_budget(self, monkeypatch):
+        a = ct.simulate_crossbar(32, 0.6, 5000, seed=3)
+        monkeypatch.setattr(ct, "CHUNK_CELLS", 1000)  # 31 slots a chunk, not a divisor
+        b = ct.simulate_crossbar(32, 0.6, 5000, seed=3)
+        assert (a.histogram == b.histogram).all()
+        assert (a.busy_mean, a.busy_variance, a.busy_skewness) == (
+            b.busy_mean, b.busy_variance, b.busy_skewness)
+
+
 class TestBoltzmannPmf:
     def test_poisson_head(self):
         dist = ct.boltzmann_pmf(1.0, "distinguishable")
