@@ -100,10 +100,24 @@ class TestSimulateCrossbar:
         assert res.busy_variance < stats.variance
 
     def test_deterministic_per_seed(self):
-        a = ct.simulate_crossbar(8, 0.7, 5000, seed=9)
-        b = ct.simulate_crossbar(8, 0.7, 5000, seed=9)
-        assert a.load.carried_load == b.load.carried_load
+        for n, rho in ((8, 0.7), (32, 0.3)):
+            slots = ct.CHUNK_CELLS // n + 5  # past one chunk
+            a = ct.simulate_crossbar(n, rho, slots, seed=9)
+            b = ct.simulate_crossbar(n, rho, slots, seed=9)
+            assert a.load.carried_load == b.load.carried_load
+            assert (a.histogram == b.histogram).all()
+            assert (a.busy_mean, a.busy_variance, a.busy_skewness) == (
+                b.busy_mean, b.busy_variance, b.busy_skewness)
+            other = ct.simulate_crossbar(n, rho, slots, seed=10)
+            assert (a.histogram != other.histogram).any()
+
+    def test_draws_do_not_depend_on_the_chunk_budget(self, monkeypatch):
+        a = ct.simulate_crossbar(32, 0.6, 5000, seed=3)
+        monkeypatch.setattr(ct, "CHUNK_CELLS", 1000)  # 31 slots a chunk, not a divisor
+        b = ct.simulate_crossbar(32, 0.6, 5000, seed=3)
         assert (a.histogram == b.histogram).all()
+        assert (a.busy_mean, a.busy_variance, a.busy_skewness) == (
+            b.busy_mean, b.busy_variance, b.busy_skewness)
 
     def test_one_slot_beyond_the_chunk_budget_is_refused(self):
         for n_ports in (ct.CHUNK_CELLS + 1, 10**9):
@@ -210,25 +224,6 @@ class TestCrossbarExactLaw:
             assert (np.arange(n + 1) * res.histogram).sum() == n * slots
         mean, var = _busy_moments(n, rho)
         assert abs(res.busy_mean - mean) < 5 * math.sqrt(var / slots)
-
-    @pytest.mark.parametrize("n, rho", [(8, 0.7), (32, 0.3), (1, 1.0)])
-    def test_deterministic_per_seed(self, n, rho):
-        slots = ct.CHUNK_CELLS // n + 5
-        a = ct.simulate_crossbar(n, rho, slots, seed=9)
-        b = ct.simulate_crossbar(n, rho, slots, seed=9)
-        c = ct.simulate_crossbar(n, rho, slots, seed=10)
-        assert (a.histogram == b.histogram).all()
-        assert (a.busy_mean, a.busy_variance, a.busy_skewness) == (
-            b.busy_mean, b.busy_variance, b.busy_skewness)
-        assert rho == 1.0 or (a.histogram != c.histogram).any()
-
-    def test_draws_do_not_depend_on_the_chunk_budget(self, monkeypatch):
-        a = ct.simulate_crossbar(32, 0.6, 5000, seed=3)
-        monkeypatch.setattr(ct, "CHUNK_CELLS", 1000)  # 31 slots a chunk, not a divisor
-        b = ct.simulate_crossbar(32, 0.6, 5000, seed=3)
-        assert (a.histogram == b.histogram).all()
-        assert (a.busy_mean, a.busy_variance, a.busy_skewness) == (
-            b.busy_mean, b.busy_variance, b.busy_skewness)
 
 
 class TestBoltzmannPmf:
