@@ -224,8 +224,7 @@ def _exp_sec6c(p: dict, seed: int) -> list[Table]:
 def _exp_fig21(p: dict, seed: int) -> list[Table]:
     k, m = p["k"], p["m"]
     spec = ClosSpec(m=m, n=m, k=k)  # rejects a bad shape before any draw
-    if k * k > pathswitch.MAX_TRAFFIC_CELLS:
-        raise ResourceLimitError(f"a {k}x{k} traffic matrix exceeds {pathswitch.MAX_TRAFFIC_CELLS} cells")
+    pathswitch.TrafficMatrix.check_size(k)
     rng = np.random.default_rng(seed)
     lam = rng.uniform(0.2, 1.0, size=(k, k))
     lam *= 0.8 * m / max(lam.sum(axis=0).max(), lam.sum(axis=1).max())

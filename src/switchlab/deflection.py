@@ -213,6 +213,7 @@ class DeflectionSimResult:
     exited: int
     exits_by_stage: np.ndarray  # index k: packets that left at stage k
     live_by_stage: np.ndarray  # index k: packets in flight entering stage k
+    deflected_by_stage: np.ndarray  # index k: contention losers at stage k
 
     @property
     def lost(self) -> int:
@@ -236,6 +237,109 @@ class DeflectionSimResult:
         return self.exits_by_stage / total if total else self.exits_by_stage
 
 
+# simulate_deflection refuses more stages than this before allocating its
+# per-stage counters
+MAX_STAGES = 1 << 16
+# a contention key is a random draw above the packet's index in its chunk,
+# which is below CHUNK_CELLS, and fits a nonnegative int64
+_INDEX_BITS = (CHUNK_CELLS - 1).bit_length()
+_DRAW_BITS = 63 - _INDEX_BITS
+
+
+def _offered_packets(
+    rng: np.random.Generator, cells: int, rho: float, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cell index, module digit hi and port digit lo of the packets offered
+    to a chunk: one uniform per cell, and u < rho holds a packet for wire
+    n hi + lo = floor(u n^2 / rho)."""
+    u = rng.random(cells)
+    cell = np.flatnonzero(u < rho)
+    dest = np.minimum(u[cell] / rho * (n * n), n * n - 1).astype(np.int32)
+    hi = dest // n
+    return cell.astype(np.int32), hi, dest - hi * n
+
+
+def _deflection_ports(
+    lose: np.ndarray, cell: np.ndarray, n: int, table: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Ports of the contention losers ``lose``: in each (slot, module) row
+    that holds one, the losers, in port order, take the row's free ports in
+    a random order.  ``table`` marks the links won this stage (>= 0)."""
+    lrow = cell[lose] // n
+    has_loser = np.zeros(table.size // n, dtype=bool)
+    has_loser[lrow] = True
+    rows = np.flatnonzero(has_loser)
+    lbase = (np.cumsum(has_loser) - 1)[lrow] * n
+    lpos = lbase + cell[lose] % n
+    free_key = rng.random((rows.size, n))
+    free_key += table.reshape(-1, n)[rows] >= 0  # taken ports sort last
+    free_order = np.argsort(free_key, axis=1).ravel()
+    rank = np.zeros((rows.size, n), dtype=np.int32)
+    rank.ravel()[lpos] = 1
+    np.cumsum(rank, axis=1, out=rank)
+    return free_order[lbase + rank.ravel()[lpos] - 1]
+
+
+def _stage(
+    cell: np.ndarray,
+    hi: np.ndarray,
+    lo: np.ndarray,
+    need_r: np.ndarray,
+    n: int,
+    table: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """One traversal of a chunk's packets: contention, deflection, exit tap
+    and transpose wiring.  Returns the packets still in flight, as the
+    (cell, hi, lo, need_r) arrays, and the stage's loser and exit counts."""
+    m = cell.size
+    row = cell // n  # (slot, module)
+    base = row * n  # the row's first link
+    port = hi + need_r * (lo - hi)  # the digit contended for
+    link = np.add(base, port, dtype=np.intp)
+
+    # contention: of the packets sent to one link, the one with the largest
+    # key wins it; a key is the top _DRAW_BITS of a raw 64-bit draw above
+    # the packet's index, so keys are unique
+    key = rng.bit_generator.random_raw(m)
+    key >>= 64 - _DRAW_BITS
+    key <<= _INDEX_BITS
+    key |= np.arange(m, dtype=np.uint64)
+    key = key.view(np.int64)
+    np.maximum.at(table, link, key)
+    won = table[link] == key
+    lose = np.flatnonzero(~won)
+    if lose.size:
+        port[lose] = _deflection_ports(lose, cell, n, table, rng)
+
+    # one packet per link; every contended link is some winner's out link,
+    # so this pass also resets the table
+    np.add(base, port, out=link)
+    table[link] = key
+    if not (table[link] == key).all():  # pragma: no cover
+        raise AssertionError("two packets leave on one link")
+    table[link] = -1
+
+    # exit tap: a second-digit win on the link matching the destination
+    # leaves the cascade here
+    mod = row % n
+    exiting = won & need_r
+    out = np.flatnonzero(exiting)
+    if out.size and not ((mod[out] == hi[out]) & (port[out] == lo[out])).all():  # pragma: no cover
+        raise AssertionError("exit link must equal destination")
+
+    # transpose wiring: the packet on (slot, module, port) moves to
+    # (slot, port, module); a winner that stays needs its second digit next
+    row -= mod
+    row += port
+    row *= n
+    row += mod
+    if out.size:
+        stay = np.flatnonzero(~exiting)
+        return row[stay], hi[stay], lo[stay], won[stay], lose.size, out.size
+    return row, hi, lo, won, lose.size, 0
+
+
 def simulate_deflection(
     module_size: int,
     stages: int,
@@ -253,8 +357,9 @@ def simulate_deflection(
     starts over.  Packets still in flight after ``stages`` traversals are
     counted as lost.
 
-    A chunk of b slots is held as b*n rows, one per (slot, module), of n
-    ports each, and every stage works only on the rows that hold a packet.
+    A chunk of b slots holds its packets as flat arrays of cell index
+    (slot, module, port), destination digits and need-second-digit flag, so
+    a stage costs time in proportion to the packets in flight.
     """
     if module_size < 2 or stages < 2:
         raise DomainError("need module_size >= 2 and stages >= 2")
@@ -262,6 +367,8 @@ def simulate_deflection(
         raise DomainError("simulator offered load must lie in [0, 1]")
     if slots < 1:
         raise DomainError("need slots >= 1")
+    if stages > MAX_STAGES:
+        raise ResourceLimitError(f"{stages} stages exceed {MAX_STAGES}")
     n = module_size
     wires = n * n
     if wires > CHUNK_CELLS:
@@ -272,69 +379,23 @@ def simulate_deflection(
     rng = np.random.default_rng(seed)
     exits = np.zeros(stages + 1, dtype=np.int64)
     in_flight = np.zeros(stages + 1, dtype=np.int64)
+    deflected = np.zeros(stages + 1, dtype=np.int64)
+    # per link (slot, module, port) of a chunk: the largest contention key
+    # sent to it, -1 when unused
+    table = np.full(chunk * wires, -1, dtype=np.int64)
     done = 0
 
     while done < slots:
         b = min(chunk, slots - done)
-        dest = rng.integers(0, wires, size=(b * n, n), dtype=np.int32)
-        dest[rng.random((b * n, n)) >= rho] = -1
-        need_r = np.zeros((b * n, n), dtype=bool)
-        live = np.flatnonzero((dest >= 0).any(axis=1))
-
+        cell, hi, lo = _offered_packets(rng, b * wires, rho, n)
+        need_r = np.zeros(cell.size, dtype=bool)
         for stage in range(1, stages + 1):
-            if live.size == 0:
+            if cell.size == 0:
                 break
-            d = dest[live]
-            nr = need_r[live]
-            occupied = d >= 0
-            in_flight[stage] += np.count_nonzero(occupied)
-            digit = np.where(nr, d % n, d // n)
-            digit[~occupied] = n  # empty cells sort last
-
-            # contention: the first cell of each digit run in a sort by
-            # digit + U[0,1) wins, so ties break uniformly at random
-            order = np.argsort(digit + rng.random(d.shape), axis=1)
-            ranked = np.take_along_axis(digit, order, axis=1)
-            first = np.empty(d.shape, dtype=bool)
-            first[:, 0] = True
-            np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
-            first &= ranked < n
-            won = np.empty_like(first)
-            np.put_along_axis(won, order, first, axis=1)
-
-            # deflection: losers, in port order, take the free ports in
-            # random order; column n absorbs the empty cells' digit, and the
-            # rank -1 of a cell before the first loser is read but unused
-            free_key = rng.random((live.size, n + 1))
-            np.put_along_axis(free_key, digit, np.inf, axis=1)
-            free_order = np.argsort(free_key[:, :n], axis=1)
-            loser_rank = np.cumsum(occupied & ~won, axis=1) - 1
-            assigned = np.take_along_axis(free_order, loser_rank, axis=1)
-            port_of = np.where(won, digit, assigned).ravel()
-
-            # exit tap: a second-digit win on the link matching the
-            # destination leaves the cascade here
-            mod = live % n
-            exiting = (won & nr).ravel()
-            out = np.flatnonzero(exiting)
-            if out.size:
-                links = mod[out // n] * n + port_of[out]
-                if not (links == d.ravel()[out]).all():  # pragma: no cover
-                    raise AssertionError("exit link must equal destination")
-                exits[stage] += out.size
-
-            # transpose wiring: the packet on (slot, module, port) moves to
-            # row (slot, port), column module
-            cells = np.flatnonzero(occupied.ravel() & ~exiting)
-            rows = cells // n
-            col = mod[rows]
-            tgt = live[rows] - col + port_of[cells]
-            dest[live] = -1
-            dest[tgt, col] = d.ravel()[cells]
-            need_r[tgt, col] = (won & ~nr).ravel()[cells]
-            next_live = np.zeros(b * n, dtype=bool)
-            next_live[tgt] = True
-            live = np.flatnonzero(next_live)
+            in_flight[stage] += cell.size
+            cell, hi, lo, need_r, losers, exited = _stage(cell, hi, lo, need_r, n, table, rng)
+            deflected[stage] += losers
+            exits[stage] += exited
         done += b
 
     return DeflectionSimResult(
@@ -346,4 +407,5 @@ def simulate_deflection(
         exited=int(exits.sum()),
         exits_by_stage=exits,
         live_by_stage=in_flight,
+        deflected_by_stage=deflected,
     )

@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 
+# a k x k traffic matrix may hold at most this many rates (k <= 256):
+# allocate_capacity and rounding grow about as k^3, about 1 s at the cap
+MAX_TRAFFIC_CELLS = 1 << 16
+
+
 @dataclass(frozen=True)
 class TrafficMatrix:
     """Arrival rates (packets/slot) between input and output modules."""
@@ -41,8 +46,15 @@ class TrafficMatrix:
     rates: tuple[tuple[float, ...], ...]
     spec: ClosSpec
 
+    @staticmethod
+    def check_size(k: int) -> None:
+        """Refuse k x k rates above MAX_TRAFFIC_CELLS, before any is drawn."""
+        if k * k > MAX_TRAFFIC_CELLS:
+            raise ResourceLimitError(f"a {k}x{k} traffic matrix exceeds {MAX_TRAFFIC_CELLS} cells")
+
     def __post_init__(self) -> None:
         k = self.spec.k
+        self.check_size(k)
         if len(self.rates) != k or any(len(row) != k for row in self.rates):
             raise PreconditionError(f"traffic matrix must be {k}x{k}")
         if any(v < 0 for row in self.rates for v in row):
@@ -244,9 +256,6 @@ def optimal_delay_2x2(traffic: TrafficMatrix, *, iters: int = 200) -> float:
 # bvn_decompose refuses F * k * max(k, m) above this before allocating its
 # (F, k, k) slot patterns and (m * F, k) permutations
 MAX_PATTERN_CELLS = 1 << 22
-# a drawn k x k traffic matrix may hold at most this many rates (k <= 256):
-# allocate_capacity and rounding grow about as k^3, about 1 s at the cap
-MAX_TRAFFIC_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)

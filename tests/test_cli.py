@@ -285,6 +285,22 @@ def test_oversized_module_fails_before_allocating(tmp_path, capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["deflect", "--slots", "10", "--stages", "1000000000"],
+    ["experiment", "fig10", "--param", "stages=1000000000"],
+    ["experiment", "montecarlo", "--param", "stages=1000000000"],
+], ids=["deflect", "fig10", "montecarlo"])
+def test_oversized_stage_count_fails_before_allocating(tmp_path, capsys, argv):
+    if argv[0] == "experiment":
+        argv = argv + ["--outdir", str(tmp_path)]
+    start = time.perf_counter()
+    code, _, err = _run(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert err.startswith("error:") and "stages exceed" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_outdir_that_is_a_file_is_usage_error(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from switchlab import deflection as dfl
-from switchlab.contention import CHUNK_CELLS
+from switchlab.contention import CHUNK_CELLS, carried_load
 from switchlab.errors import DomainError, ResourceLimitError
 
 
@@ -157,6 +157,43 @@ class TestSimulator:
         for slots in (0, -3):
             with pytest.raises(DomainError):
                 dfl.simulate_deflection(4, 10, 0.5, slots)
+
+    def test_stage_count_is_capped_before_allocating(self):
+        with pytest.raises(ResourceLimitError):
+            dfl.simulate_deflection(4, dfl.MAX_STAGES + 1, 0.5, 10)
+        with pytest.raises(ResourceLimitError):
+            dfl.simulate_deflection(4, 10**9, 0.5, 10)
+        sim = dfl.simulate_deflection(4, dfl.MAX_STAGES, 0.5, 10, seed=7)
+        assert sim.exits_by_stage.size == dfl.MAX_STAGES + 1 and sim.lost == 0
+
+    def test_two_packets_on_one_link_are_refused(self, monkeypatch):
+        # every loser of a row sent to the same free port breaks the invariant
+        argsort = np.argsort
+        monkeypatch.setattr(dfl.np, "argsort", lambda a, axis: np.zeros_like(argsort(a, axis=axis)))
+        with pytest.raises(AssertionError, match="two packets leave on one link"):
+            dfl.simulate_deflection(4, 8, 1.0, 50, seed=0)
+
+    def test_deflected_packets_are_counted_per_stage(self):
+        sim = dfl.simulate_deflection(5, 8, 0.9, 1500, seed=6)
+        live, exits, deflected = sim.live_by_stage, sim.exits_by_stage, sim.deflected_by_stage
+        assert deflected.dtype == np.int64 and deflected.shape == live.shape
+        assert deflected[0] == 0 and (deflected[1:] > 0).all()
+        # winners either exit or advance to their second digit
+        assert (live[1:] - deflected[1:] >= exits[1:]).all()
+        assert dfl.simulate_deflection(4, 8, 0.0, 100).deflected_by_stage.sum() == 0
+
+    @pytest.mark.parametrize("n, rho, slots", [(4, 1.0, 20_000), (8, 0.3, 8000), (16, 1.0, 500)])
+    def test_first_stage_deflections_follow_the_crossbar_law(self, n, rho, slots):
+        # at stage 1 every module is an n x n crossbar at load rho: its
+        # losers are its packets less its busy outputs, so
+        # E[deflected[1]] = slots * n * (n rho - n carried_load(rho, n)).
+        # Rows are independent with losers in [0, n - 1]; Hoeffding gives
+        # the bound, exceeded with probability below 1e-6
+        sim = dfl.simulate_deflection(n, 4, rho, slots, seed=13)
+        rows = slots * n
+        expected = rows * n * (rho - carried_load(rho, n))
+        bound = (n - 1) * math.sqrt(rows * math.log(2 / 1e-6) / 2)
+        assert abs(sim.deflected_by_stage[1] - expected) <= bound
 
     def test_one_slot_beyond_the_chunk_budget_is_refused(self):
         side = math.isqrt(CHUNK_CELLS)

@@ -39,6 +39,14 @@ class TestTrafficMatrix:
         with pytest.raises(PreconditionError):
             ps.TrafficMatrix(((0.1, 0.1, 0.1), (0.1, 0.1, 0.1)), spec)
 
+    def test_oversized_matrix_is_refused_before_its_rates_are_read(self):
+        side = math.isqrt(ps.MAX_TRAFFIC_CELLS)
+        for k in (side + 1, 100_000):
+            with pytest.raises(ResourceLimitError, match="exceeds"):
+                ps.TrafficMatrix((), ClosSpec(m=2, n=2, k=k))
+        zeros = ((0.0,) * side,) * side
+        assert ps.TrafficMatrix(zeros, ClosSpec(m=2, n=2, k=side)).as_array().shape == (side, side)
+
 
 class TestCapacityMatrix:
     def test_integer_scaling_and_modules(self):
