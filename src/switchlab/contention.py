@@ -277,8 +277,10 @@ def count_states(
 
 
 def _occupancy_vectors(n_ports: int, n_packets: int) -> Iterable[tuple[int, ...]]:
-    """All (n_0, ..., n_r) with sum n_i = N and sum i*n_i = M, emitted in
-    lexicographic order."""
+    """All (n_0, ..., n_r) with sum n_i = N and sum i*n_i = M, one for each
+    partition of M into at most N parts (largest part r).  They come in the
+    order of the partitions, largest first part first, which is not
+    lexicographic: callers that need an order sort them."""
 
     def parts(remaining: int, max_part: int) -> Iterable[tuple[int, ...]]:
         if remaining == 0:
@@ -288,7 +290,6 @@ def _occupancy_vectors(n_ports: int, n_packets: int) -> Iterable[tuple[int, ...]
             for rest in parts(remaining - first, first):
                 yield (first,) + rest
 
-    seen = set()
     for partition in parts(n_packets, n_packets if n_packets else 1):
         if len(partition) > n_ports:
             continue
@@ -297,10 +298,7 @@ def _occupancy_vectors(n_ports: int, n_packets: int) -> Iterable[tuple[int, ...]
         vec[0] = n_ports - len(partition)
         for part in partition:
             vec[part] += 1
-        t = tuple(vec)
-        if t not in seen:
-            seen.add(t)
-            yield t
+        yield tuple(vec)
 
 
 @dataclass(frozen=True)

@@ -397,12 +397,10 @@ class BenesConstraintSystem:
     size: int
     constraints: tuple[tuple[int, int], ...]
 
-    def variable_adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.size)]
-        for c, (i, j) in enumerate(self.constraints):
-            adj[i].append(c)
-            adj[j].append(c)
-        return adj
+
+def _check_permutation(pi: Sequence[int]) -> None:
+    if sorted(pi) != list(range(len(pi))):
+        raise PreconditionError("pi must be a permutation of 0..N-1")
 
 
 def benes_constraints(pi: Sequence[int]) -> BenesConstraintSystem:
@@ -411,8 +409,7 @@ def benes_constraints(pi: Sequence[int]) -> BenesConstraintSystem:
     n = len(pi)
     if n % 2 != 0:
         raise DomainError("outer stage pairs ports; size must be even")
-    if sorted(pi) != list(range(n)):
-        raise PreconditionError("pi must be a permutation of 0..N-1")
+    _check_permutation(pi)
     cons: list[tuple[int, int]] = [(2 * t, 2 * t + 1) for t in range(n // 2)]
     by_out_module: dict[int, list[int]] = {}
     for i, d in enumerate(pi):
@@ -423,75 +420,69 @@ def benes_constraints(pi: Sequence[int]) -> BenesConstraintSystem:
     return BenesConstraintSystem(size=n, constraints=tuple(cons))
 
 
-def _constraint_cycles(sys: BenesConstraintSystem) -> list[list[tuple[str, int]]]:
-    """Cycles of the variable/constraint incidence graph, each an alternating
-    list [("c", c0), ("v", v0), ("c", c1), ...] in traversal order."""
-    var_adj = sys.variable_adjacency()
-    con_vars = {c: pair for c, pair in enumerate(sys.constraints)}
-    seen_c: set[int] = set()
-    cycles = []
-    for start in range(len(sys.constraints)):
-        if start in seen_c:
+def _outer_stage(pi: Sequence[int]) -> list[int]:
+    """:func:`benes_flip_assign` of a checked permutation."""
+    n = len(pi)
+    pinv = [0] * n
+    for i, d in enumerate(pi):
+        pinv[d] = i
+    x = [-1] * n
+    for t in range(0, n, 2):
+        if x[t] >= 0:
             continue
-        cycle: list[tuple[str, int]] = []
-        c = start
-        prev_var = -1
+        walk = []
+        v = t
         while True:
-            seen_c.add(c)
-            cycle.append(("c", c))
-            i, j = con_vars[c]
-            v = j if i == prev_var else i
-            cycle.append(("v", v))
-            a, b2 = var_adj[v]
-            c = b2 if a == c else a
-            prev_var = v
-            if c == start:
+            w = pinv[pi[v] ^ 1]
+            walk += v, w
+            v = w ^ 1
+            if v == t:
                 break
-        cycles.append(cycle)
-    return cycles
+        # b: the parity of the anchor, the output pair of equal parities with the lowest module
+        _, b = min(((pi[v] // 2, v & 1) for v, w in zip(walk[::2], walk[1::2]) if not (v ^ w) & 1),
+                   default=(0, 0))
+        for s, v in enumerate(walk):
+            x[v] = b ^ (s & 1)
+    return x
 
 
 def benes_flip_assign(pi: Sequence[int]) -> list[int]:
     """Solve the outer-stage constraints by the segment-flip rule.
 
-    Start from the alternating assignment 0,1,0,1,... (every input-side
-    constraint holds).  In each constraint cycle the unsatisfied vertices cut
-    the cycle into segments; label them alternately starting at the
-    lowest-indexed unsatisfied vertex and flip all variables in the first
-    label class.  One pass satisfies everything.
+    Start from the alternating assignment x_i = i % 2 (every input-side
+    constraint holds).  In each constraint cycle the unsatisfied output
+    pairs cut the cycle into segments; label them alternately starting
+    right after the anchor, the unsatisfied pair with the lowest output
+    module, and flip all variables in the first label class.  One pass
+    satisfies everything, so x alternates along the cycle: walked from its
+    lowest even port t through the two pairings (t, its output partner
+    w = pinv[pi[t] ^ 1], w's input partner w ^ 1, ... back to t),
+    x[walk[s]] = b ^ (s & 1), where b is the parity of the port right after
+    the anchor, or 0 when the cycle has no unsatisfied pair.
     """
-    sys = benes_constraints(pi)
-    x = [i % 2 for i in range(sys.size)]
-
-    def unsat(c: int) -> bool:
-        i, j = sys.constraints[c]
-        return x[i] + x[j] != 1
-
-    for cycle in _constraint_cycles(sys):
-        con_positions = [t for t, (kind, _) in enumerate(cycle) if kind == "c"]
-        bad = [t for t in con_positions if unsat(cycle[t][1])]
-        if not bad:
-            continue
-        # rotate so the walk starts at the lowest-indexed unsatisfied vertex
-        anchor = min(bad, key=lambda t: cycle[t][1])
-        size = len(cycle)
-        label = 0  # 0 == alpha: segment right after the anchor flips
-        flip: set[int] = set()
-        for step in range(1, size):
-            kind, idx = cycle[(anchor + step) % size]
-            if kind == "c":
-                if unsat(idx):
-                    label ^= 1
-            elif label == 0:
-                flip.add(idx)
-        for v in flip:
-            x[v] ^= 1
-    return x
+    if len(pi) % 2 != 0:
+        raise DomainError("outer stage pairs ports; size must be even")
+    _check_permutation(pi)
+    return _outer_stage(pi)
 
 
 def count_components(sys: BenesConstraintSystem) -> int:
     """Connected components of the constraint graph (== number of cycles)."""
-    return len(_constraint_cycles(sys))
+    root = list(range(sys.size))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    components = sys.size
+    for i, j in sys.constraints:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            root[ri] = rj
+            components -= 1
+    return components
 
 
 def count_solutions_bruteforce(sys: BenesConstraintSystem) -> int:
@@ -548,43 +539,39 @@ class BenesAssignment:
 def benes_full_assign(pi: Sequence[int]) -> BenesAssignment:
     """Recursively configure a Benes network for permutation ``pi``.
 
-    The outer stage is solved by :func:`benes_flip_assign` (x_i = 0 routes
-    request i through the upper subnetwork), then the two half-size
-    subpermutations are assigned the same way.  Each recursion level checks
-    that both subnetworks receive exactly one signal per link.
+    The outer stage is solved by the segment-flip rule of
+    :func:`benes_flip_assign` (x_i = 0 routes request i through the upper
+    subnetwork), then the two half-size subpermutations are assigned the
+    same way.  Each recursion level checks that both subnetworks receive
+    exactly one signal per link.
     """
     n = len(pi)
     if n < 2 or n & (n - 1):
         raise DomainError("size must be a power of two, at least 2")
-    if sorted(pi) != list(range(n)):
-        raise PreconditionError("pi must be a permutation of 0..N-1")
+    _check_permutation(pi)
+    return _benes_assign(pi)
+
+
+def _benes_assign(pi: Sequence[int]) -> BenesAssignment:
+    n = len(pi)
     if n == 2:
         return BenesAssignment(size=2, cross=pi[0] == 1)
-    x = benes_flip_assign(pi)
+    x = _outer_stage(pi)
     half = n // 2
-    upper_pi = [-1] * half
-    lower_pi = [-1] * half
-    input_cross = []
-    out_cross = [False] * half
-    for t in range(half):
-        i0, i1 = 2 * t, 2 * t + 1
-        if x[i0] + x[i1] != 1:  # pragma: no cover - flip algorithm guarantee
-            raise PreconditionError("input constraint unsatisfied")
-        up_in = i0 if x[i0] == 0 else i1
-        low_in = i1 if up_in == i0 else i0
-        input_cross.append(up_in != i0)
-        upper_pi[t] = pi[up_in] // 2
-        lower_pi[t] = pi[low_in] // 2
-        # the output element crosses when the upper-arriving signal targets
-        # the bottom port of its output pair
-        out_cross_needed = pi[up_in] % 2 == 1
-        out_cross[pi[up_in] // 2] = out_cross_needed
+    up_in = [i + x[i] for i in range(0, n, 2)]  # the input of pair t sent up
+    upper_pi = [pi[i] // 2 for i in up_in]
+    lower_pi = [pi[i ^ 1] // 2 for i in up_in]
     if sorted(upper_pi) != list(range(half)) or sorted(lower_pi) != list(range(half)):
         raise PreconditionError("subnetwork link used twice")  # pragma: no cover
+    # the output element crosses when the upper-arriving signal targets the
+    # bottom port of its output pair
+    out_cross = [False] * half
+    for i in up_in:
+        out_cross[pi[i] // 2] = pi[i] % 2 == 1
     return BenesAssignment(
         size=n,
-        input_cross=tuple(input_cross),
+        input_cross=tuple(map(bool, x[::2])),
         output_cross=tuple(out_cross),
-        upper=benes_full_assign(upper_pi),
-        lower=benes_full_assign(lower_pi),
+        upper=_benes_assign(upper_pi),
+        lower=_benes_assign(lower_pi),
     )

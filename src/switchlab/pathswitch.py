@@ -12,6 +12,7 @@ quantized afterwards by :func:`bandlimit_and_round`.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -345,40 +346,37 @@ def _transportation_round(frac: np.ndarray, row_need: np.ndarray, col_need: np.n
     # back j's unit from a row that can route elsewhere)
     while row_left.sum() > 0:
         start = int(np.argmax(row_left))
-        # BFS over alternating add/remove moves
-        parent: dict[tuple[str, int], tuple[str, int, int]] = {}
-        frontier = [("r", start)]
-        seen = {("r", start)}
-        goal = None
-        while frontier and goal is None:
-            kind, node = frontier.pop(0)
-            if kind == "r":
-                for j in range(k):
-                    if x[node, j] == 0 and ("c", j) not in seen:
-                        parent[("c", j)] = ("r", node, 1)
-                        if col_left[j] > 0:
-                            goal = ("c", j)
-                            break
-                        seen.add(("c", j))
-                        frontier.append(("c", j))
-            else:
-                for i in range(k):
-                    if x[i, node] == 1 and ("r", i) not in seen:
-                        parent[("r", i)] = ("c", node, 0)
-                        seen.add(("r", i))
-                        frontier.append(("r", i))
-        if goal is None:
+        # BFS over alternating add/remove moves; a column is searched as soon
+        # as it is reached, which keeps the rows in breadth-first order
+        col_from = np.full(k, -1)  # the row that reached each column
+        row_from = np.full(k, -1)  # the column that reached each row
+        row_from[start] = k  # reached, by no column
+        rows = deque([start])
+        goal = -1
+        while rows:
+            i = rows.popleft()
+            cols = np.flatnonzero((x[i] == 0) & (col_from < 0))
+            col_from[cols] = i
+            spare = cols[col_left[cols] > 0]
+            if spare.size:
+                goal = int(spare[0])
+                break
+            for j in cols:
+                reached = np.flatnonzero((x[:, j] == 1) & (row_from < 0))
+                row_from[reached] = j
+                rows.extend(reached.tolist())
+        if goal < 0:
             raise PreconditionError("infeasible rounding: cannot preserve line sums")
-        node = goal
-        while node != ("r", start):
-            pkind, pnode, put = parent[node]
-            if put:
-                x[pnode, node[1]] = 1
-            else:
-                x[node[1], pnode] = 0
-            node = (pkind, pnode)
+        j = goal
+        while True:
+            i = col_from[j]
+            x[i, j] = 1
+            if i == start:
+                break
+            j = row_from[i]
+            x[i, j] = 0
         row_left[start] -= 1
-        col_left[goal[1]] -= 1
+        col_left[goal] -= 1
     return x
 
 

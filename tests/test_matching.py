@@ -339,14 +339,21 @@ class TestBenesFlip:
             rng.shuffle(pi)
             sys = mt.benes_constraints(pi)
             x0 = [i % 2 for i in range(n)]
-            for cycle in mt._constraint_cycles(sys):
-                unsat = sum(
-                    1
-                    for kind, idx in cycle
-                    if kind == "c"
-                    and x0[sys.constraints[idx][0]] + x0[sys.constraints[idx][1]] != 1
-                )
-                assert unsat % 2 == 0
+            # a constraint's cycle is named by the lowest variable it reaches
+            cycle_of = list(range(n))
+            changed = True
+            while changed:
+                changed = False
+                for i, j in sys.constraints:
+                    low = min(cycle_of[i], cycle_of[j])
+                    if cycle_of[i] != low or cycle_of[j] != low:
+                        cycle_of[i] = cycle_of[j] = low
+                        changed = True
+            unsat: dict[int, int] = {}
+            for i, j in sys.constraints:
+                unsat[cycle_of[i]] = unsat.get(cycle_of[i], 0) + (x0[i] + x0[j] != 1)
+            assert len(unsat) == mt.count_components(sys)
+            assert all(count % 2 == 0 for count in unsat.values())
 
     def test_random_permutations_all_satisfied(self):
         rng = random.Random(31)
@@ -361,6 +368,12 @@ class TestBenesFlip:
     def test_odd_size_rejected(self):
         with pytest.raises(DomainError):
             mt.benes_flip_assign([0, 2, 1])
+
+    @pytest.mark.parametrize("pi", [[0, 0, 1, 2], [0, 1, 3, 3]])
+    @pytest.mark.parametrize("fn", [mt.benes_constraints, mt.benes_flip_assign, mt.benes_full_assign])
+    def test_non_permutation_rejected(self, fn, pi):
+        with pytest.raises(PreconditionError):
+            fn(pi)
 
 
 class TestConstraintCounting:
@@ -412,3 +425,116 @@ class TestBenesFullAssignment:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(DomainError):
             mt.benes_full_assign([2, 0, 1, 3, 4, 5])
+
+
+# --- reference: the tagged-cycle Benes solver the index walk replaced -------
+
+def _ref_constraint_cycles(sys):
+    var_adj = [[] for _ in range(sys.size)]
+    for c, (i, j) in enumerate(sys.constraints):
+        var_adj[i].append(c)
+        var_adj[j].append(c)
+    con_vars = {c: pair for c, pair in enumerate(sys.constraints)}
+    seen_c = set()
+    cycles = []
+    for start in range(len(sys.constraints)):
+        if start in seen_c:
+            continue
+        cycle = []
+        c = start
+        prev_var = -1
+        while True:
+            seen_c.add(c)
+            cycle.append(("c", c))
+            i, j = con_vars[c]
+            v = j if i == prev_var else i
+            cycle.append(("v", v))
+            a, b2 = var_adj[v]
+            c = b2 if a == c else a
+            prev_var = v
+            if c == start:
+                break
+        cycles.append(cycle)
+    return cycles
+
+
+def _ref_flip_assign(pi):
+    sys = mt.benes_constraints(pi)
+    x = [i % 2 for i in range(sys.size)]
+
+    def unsat(c):
+        i, j = sys.constraints[c]
+        return x[i] + x[j] != 1
+
+    for cycle in _ref_constraint_cycles(sys):
+        con_positions = [t for t, (kind, _) in enumerate(cycle) if kind == "c"]
+        bad = [t for t in con_positions if unsat(cycle[t][1])]
+        if not bad:
+            continue
+        anchor = min(bad, key=lambda t: cycle[t][1])
+        size = len(cycle)
+        label = 0
+        flip = set()
+        for step in range(1, size):
+            kind, idx = cycle[(anchor + step) % size]
+            if kind == "c":
+                if unsat(idx):
+                    label ^= 1
+            elif label == 0:
+                flip.add(idx)
+        for v in flip:
+            x[v] ^= 1
+    return x
+
+
+def _ref_full_assign(pi):
+    n = len(pi)
+    if n == 2:
+        return mt.BenesAssignment(size=2, cross=pi[0] == 1)
+    x = _ref_flip_assign(pi)
+    half = n // 2
+    upper_pi = [-1] * half
+    lower_pi = [-1] * half
+    input_cross = []
+    out_cross = [False] * half
+    for t in range(half):
+        i0, i1 = 2 * t, 2 * t + 1
+        up_in = i0 if x[i0] == 0 else i1
+        low_in = i1 if up_in == i0 else i0
+        input_cross.append(up_in != i0)
+        upper_pi[t] = pi[up_in] // 2
+        lower_pi[t] = pi[low_in] // 2
+        out_cross[pi[up_in] // 2] = pi[up_in] % 2 == 1
+    return mt.BenesAssignment(
+        size=n,
+        input_cross=tuple(input_cross),
+        output_cross=tuple(out_cross),
+        upper=_ref_full_assign(upper_pi),
+        lower=_ref_full_assign(lower_pi),
+    )
+
+
+def _crosses(node):
+    if node is None:
+        return []
+    return [node.cross, *node.input_cross, *node.output_cross, *_crosses(node.upper), *_crosses(node.lower)]
+
+
+class TestBenesAgainstTaggedCycles:
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 16, 32, 64, 256])
+    def test_flip_assignment_is_identical(self, n):
+        rng = random.Random(1000 + n)
+        for _ in range(200 if n <= 32 else 20):
+            pi = list(range(n))
+            rng.shuffle(pi)
+            assert mt.benes_flip_assign(pi) == _ref_flip_assign(pi)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024])
+    def test_full_assignment_tree_is_identical(self, n):
+        rng = random.Random(2000 + n)
+        for _ in range(40 if n <= 64 else 3):
+            pi = list(range(n))
+            rng.shuffle(pi)
+            got = mt.benes_full_assign(pi)
+            assert got == _ref_full_assign(pi)
+            assert all(type(c) is bool for c in _crosses(got))

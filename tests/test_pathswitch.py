@@ -271,3 +271,78 @@ class TestBandlimitAndRound:
         assert f <= b * k / m
         dec = ps.bvn_decompose(cap)
         assert dec.state_count <= f
+
+
+def _ref_transportation_round(frac, row_need, col_need):
+    """The tagged-node augmenting search that the index-array one replaced;
+    also returns the number of augmenting paths it took."""
+    k = frac.shape[0]
+    order = np.argsort(-frac, axis=None, kind="stable")
+    x = np.zeros((k, k), dtype=np.int64)
+    row_left = row_need.copy()
+    col_left = col_need.copy()
+    for i, j in zip(*np.unravel_index(order, (k, k))):
+        if row_left[i] > 0 and col_left[j] > 0 and x[i, j] == 0:
+            x[i, j] = 1
+            row_left[i] -= 1
+            col_left[j] -= 1
+    paths = 0
+    while row_left.sum() > 0:
+        paths += 1
+        start = int(np.argmax(row_left))
+        parent = {}
+        frontier = [("r", start)]
+        seen = {("r", start)}
+        goal = None
+        while frontier and goal is None:
+            kind, node = frontier.pop(0)
+            if kind == "r":
+                for j in range(k):
+                    if x[node, j] == 0 and ("c", j) not in seen:
+                        parent[("c", j)] = ("r", node, 1)
+                        if col_left[j] > 0:
+                            goal = ("c", j)
+                            break
+                        seen.add(("c", j))
+                        frontier.append(("c", j))
+            else:
+                for i in range(k):
+                    if x[i, node] == 1 and ("r", i) not in seen:
+                        parent[("r", i)] = ("c", node, 0)
+                        seen.add(("r", i))
+                        frontier.append(("r", i))
+        assert goal is not None
+        node = goal
+        while node != ("r", start):
+            pkind, pnode, put = parent[node]
+            if put:
+                x[pnode, node[1]] = 1
+            else:
+                x[node[1], pnode] = 0
+            node = (pkind, pnode)
+        row_left[start] -= 1
+        col_left[goal[1]] -= 1
+    return x, paths
+
+
+class TestTransportationRound:
+    def test_matches_the_tagged_node_search(self):
+        augmented = 0
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            k, m, f = int(rng.integers(4, 13)), int(rng.choice([1, 2])), int(rng.choice([16, 128]))
+            lam = rng.uniform(0.2, 1.0, size=(k, k))
+            lam *= 0.8 * m / max(lam.sum(axis=0).max(), lam.sum(axis=1).max())
+            spec = ClosSpec(m=m, n=m, k=k)
+            target = ps.allocate_capacity(ps.TrafficMatrix(tuple(map(tuple, lam)), spec)) * f
+            base = np.floor(target + 1e-9).astype(np.int64)
+            frac = target - base
+            row_need, col_need = m * f - base.sum(axis=1), m * f - base.sum(axis=0)
+            want, paths = _ref_transportation_round(frac, row_need, col_need)
+            assert (ps._transportation_round(frac, row_need, col_need) == want).all()
+            augmented += paths > 0
+        assert augmented > 60  # the greedy pass strands demand in about a third of these draws
+
+    def test_infeasible_line_sums_are_refused(self):
+        with pytest.raises(PreconditionError):
+            ps._transportation_round(np.zeros((2, 2)), np.array([3, 0]), np.array([2, 1]))
