@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, PreconditionError, ResourceLimitError
-from .matching import EXHAUSTIVE_LEFT_LIMIT, BipartiteGraph
+from .matching import BipartiteGraph
 
 __all__ = [
     "TannerCode",
@@ -25,14 +25,20 @@ __all__ = [
     "expansion_check",
 ]
 
+# the exhaustive expansion scan over left subsets stops at this many left vertices
+EXHAUSTIVE_LEFT_LIMIT = 20
+
+
 @dataclass(frozen=True, init=False)
 class TannerCode:
     """Binary linear code given by a 0/1 parity matrix (constraints x vars),
     held as one int bitmask per constraint: bit v of ``rows[c]`` is the
-    entry of variable v."""
+    entry of variable v.  ``columns`` holds the same matrix by variable:
+    bit c of ``columns[v]`` is the entry of constraint c."""
 
     n_variables: int
     rows: tuple[int, ...]
+    columns: tuple[int, ...]
 
     def __init__(self, parity: Sequence[Sequence[int]]) -> None:
         bits = [[int(b) for b in row] for row in parity]
@@ -43,6 +49,7 @@ class TannerCode:
             raise PreconditionError("parity entries must be 0/1")
         object.__setattr__(self, "n_variables", widths.pop())
         object.__setattr__(self, "rows", tuple(_word_mask(row) for row in bits))
+        object.__setattr__(self, "columns", tuple(_word_mask(col) for col in zip(*bits)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "TannerCode":
@@ -100,22 +107,21 @@ class DecodeResult:
     unsatisfied_trace: tuple[int, ...]  # count before each flip, then final
 
 
-def flip_decode(code: TannerCode, received: Sequence[int], max_rounds: int = 1000) -> DecodeResult:
+def flip_decode(code: TannerCode, received: Sequence[int]) -> DecodeResult:
     """Sequential flip decoding: while some variable sees strictly more
     unsatisfied than satisfied neighbouring constraints, flip the
-    lowest-indexed such variable.  Success means the result is a codeword;
-    a stuck state or the round budget is reported as failure, never raised.
+    lowest-indexed such variable.  Each flip lowers the unsatisfied count,
+    so the loop ends within ``n_constraints`` rounds.  Success means the
+    result is a codeword; a stuck state is reported as failure, never raised.
     """
     if len(received) != code.n_variables:
         raise DomainError("received length does not match the code")
     word = _word_mask(received)
     unsat = _word_mask(code.syndrome(received))
-    neighbours = code.graph().neighbor_masks()  # variable -> bitmask of its constraints
+    neighbours = code.columns  # variable -> bitmask of its constraints
     flips: list[int] = []
     trace = [unsat.bit_count()]
-    for _ in range(max_rounds):
-        if not unsat:
-            break
+    while unsat:
         candidate = next((v for v, nb in enumerate(neighbours)
                           if 2 * (unsat & nb).bit_count() > nb.bit_count()), -1)
         if candidate < 0:

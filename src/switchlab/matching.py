@@ -38,10 +38,6 @@ __all__ = [
     "count_solutions_bruteforce",
 ]
 
-# exhaustive scans over left subsets (Hall, expansion) stop at this many left vertices
-EXHAUSTIVE_LEFT_LIMIT = 20
-
-
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Left/right vertex sets plus a multiset of edges (index = instance id)."""
@@ -98,28 +94,11 @@ class HallVerdict:
 def hall_check(g: BipartiteGraph) -> HallVerdict:
     """Check |N(A)| >= |A| for every left subset A.
 
-    Exhaustive bitmask scan up to EXHAUSTIVE_LEFT_LIMIT left vertices over
-    two half tables of neighbourhood unions (returns the first subset of
-    maximal deficiency); larger graphs fall back to the matching-based
-    deficiency witness.
+    The witness is the Koenig set of :func:`complete_matching`: the smallest
+    left subset of maximal deficiency |A| - |N(A)|, which is also the first
+    one in ascending bitmask order (bit i for left vertex i).
     """
-    if g.left_count <= EXHAUSTIVE_LEFT_LIMIT:
-        masks = g.neighbor_masks()
-        h = g.left_count // 2
-        lo, hi = [0] * (1 << h), [0] * (1 << g.left_count - h)  # subset -> neighbourhood
-        for table, part in ((lo, masks[:h]), (hi, masks[h:])):
-            for s in range(1, len(table)):
-                low = s & -s
-                table[s] = table[s ^ low] | part[low.bit_length() - 1]
-        worst_def, worst = 0, 0
-        for t, hi_nb in enumerate(hi):  # s = t << h | u ascends with (t, u)
-            for u, lo_nb in enumerate(lo):
-                deficiency = t.bit_count() + u.bit_count() - (hi_nb | lo_nb).bit_count()
-                if deficiency > worst_def:
-                    worst_def, worst = deficiency, t << h | u
-        witness = tuple(i for i in range(g.left_count) if worst >> i & 1) or None
-    else:
-        witness = complete_matching(g).violating_set  # None when the matching is complete
+    witness = complete_matching(g).violating_set
     if witness is None:
         return HallVerdict(True, None)
     return HallVerdict(False, witness, len(g.neighborhood(witness)))
@@ -133,7 +112,12 @@ class MatchingResult:
 
 
 class _HopcroftKarp:
-    """Standard Hopcroft-Karp on adjacency lists; deterministic order."""
+    """Standard Hopcroft-Karp on adjacency lists; deterministic order.
+
+    :meth:`solve` ends on a search that finds no augmenting path; after it,
+    ``dist[l] != INF`` holds exactly for the left vertices that search
+    reached by alternating paths from the exposed ones.
+    """
 
     INF = -1
 
@@ -187,28 +171,18 @@ class _HopcroftKarp:
 def complete_matching(g: BipartiteGraph) -> MatchingResult:
     """Maximum matching; when it fails to saturate the left side, return the
     Hall-violating set of left vertices reachable by alternating paths from
-    the exposed ones (Koenig duality)."""
-    adj = g.adjacency()
-    hk = _HopcroftKarp(adj, g.right_count)
-    size = hk.solve()
+    the exposed ones (Koenig duality).
+
+    Hopcroft-Karp ends on a search from the exposed vertices that finds no
+    augmenting path, so the vertices it reached are that set.  Every left
+    subset of maximal deficiency holds the exposed vertices and, matched
+    into it, its neighbourhood, so the set is contained in each of them.
+    """
+    hk = _HopcroftKarp(g.adjacency(), g.right_count)
+    hk.solve()
     matching = {l: r for l, r in enumerate(hk.pair_l) if r != -1}
-    if size == g.left_count:
-        return MatchingResult(matching, True, None)
-    # alternating BFS from exposed left vertices: unmatched edge ->, matched <-
-    reach_l = {l for l in range(g.left_count) if hk.pair_l[l] == -1}
-    frontier = deque(reach_l)
-    seen_r: set[int] = set()
-    while frontier:
-        l = frontier.popleft()
-        for r in adj[l]:
-            if r in seen_r:
-                continue
-            seen_r.add(r)
-            back = hk.pair_r[r]
-            if back != -1 and back not in reach_l:
-                reach_l.add(back)
-                frontier.append(back)
-    return MatchingResult(matching, False, tuple(sorted(reach_l)))
+    reached = tuple(l for l, d in enumerate(hk.dist) if d != hk.INF)  # empty when complete
+    return MatchingResult(matching, not reached, reached or None)
 
 
 @dataclass(frozen=True)
@@ -226,14 +200,14 @@ class EdgeColoring:
         return out
 
     def is_proper(self) -> bool:
-        seen: set[tuple[str, int, int]] = set()
+        left: set[tuple[int, int]] = set()  # (vertex, color) pairs seen on each side
+        right: set[tuple[int, int]] = set()
         for e, c in self.color_of.items():
             l, r = self.graph.edges[e]
-            kl, kr = ("L", l, c), ("R", r, c)
-            if kl in seen or kr in seen:
+            if (l, c) in left or (r, c) in right:
                 return False
-            seen.add(kl)
-            seen.add(kr)
+            left.add((l, c))
+            right.add((r, c))
         return len(self.color_of) == len(self.graph.edges)
 
 
@@ -271,22 +245,19 @@ def _peel(counts: list[list[int]]) -> Iterator[tuple[list[int], int]]:
         yield cols, mult
 
 
-def edge_color(g: BipartiteGraph, colors: int | None = None) -> EdgeColoring:
+def edge_color(g: BipartiteGraph) -> EdgeColoring:
     """Color a d-regular bipartite multigraph with d colors by peeling
     perfect matchings off its vertex-pair count matrix (each color class is
     one of them; a matching of multiplicity c gives c colors).
 
-    ``colors`` may offer more than d colors; the extras stay unused.  A
-    non-regular graph is rejected: regularity is what guarantees that every
-    residual graph still has a perfect matching.
+    A non-regular graph is rejected: regularity is what guarantees that
+    every residual graph still has a perfect matching.
     """
     pool = [[[] for _ in range(g.right_count)] for _ in range(g.left_count)]  # instance ids
     for idx, (l, r) in enumerate(g.edges):
         pool[l][r].append(idx)
     peel = peel_matchings([[len(ids) for ids in row] for row in pool])
     degree = len(g.edges) // g.left_count
-    if colors is not None and colors < degree:
-        raise DomainError(f"need at least {degree} colors, got {colors}")
     color_of: dict[int, int] = {}
     color = 0
     for cols, mult in peel:
@@ -353,7 +324,7 @@ def clos_route_assignment(reqs: CallRequestSet) -> list[RoutingTag]:
             ldef[l] -= 1
             rdef[r] -= 1
     graph = BipartiteGraph.from_edges(k, k, edges)
-    coloring = edge_color(graph, spec.m)
+    coloring = edge_color(graph)
     tags = []
     for idx in range(real_count):
         _, dest = reqs.pairs[idx]

@@ -290,7 +290,7 @@ class Decomposition:
         return [[Fraction(v, f) for v in row] for row in total.tolist()]
 
 
-def bvn_decompose(capacity: CapacityMatrix, modules: int | None = None) -> Decomposition:
+def bvn_decompose(capacity: CapacityMatrix) -> Decomposition:
     """Expand F*C into m*F permutations by peeled matchings and group them
     m at a time into per-slot connection patterns.
 
@@ -298,12 +298,7 @@ def bvn_decompose(capacity: CapacityMatrix, modules: int | None = None) -> Decom
     with weight multiplicity/F, so the state count never exceeds F (a
     minimal-state regrouping could do no worse than k^2 - 2k + 2).
     """
-    m = capacity.modules if modules is None else modules
-    if m != capacity.modules:
-        raise PreconditionError(
-            f"matrix line sums give m={capacity.modules}, caller said {m}"
-        )
-    f, k = capacity.frame_size, capacity.size
+    f, k, m = capacity.frame_size, capacity.size, capacity.modules
     if f * k * max(k, m) > MAX_PATTERN_CELLS:
         raise ResourceLimitError(f"F * k * max(k, m) = {f * k * max(k, m)} cells exceed {MAX_PATTERN_CELLS}")
     # each matching is peeled at full multiplicity: identical slots stay

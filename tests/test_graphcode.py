@@ -81,11 +81,16 @@ class TestAgainstMatrixProducts:
         for _ in range(12):
             n = rng.randint(1, 12)
             randoms.append([[rng.randint(0, 1) for _ in range(n)] for _ in range(rng.randint(1, 8))])
+        sparse = random.Random(24)  # sparse rows: empty constraints and variables in none
+        for _ in range(12):
+            n, p = sparse.randint(0, 12), sparse.uniform(0.05, 0.4)
+            randoms.append([[int(sparse.random() < p) for _ in range(n)] for _ in range(sparse.randint(1, 14))])
         return [fixture, _grid_rows(3), *randoms]
 
     def test_codewords_and_syndromes(self):
         for rows in self._matrices():
             code = gc.TannerCode.from_rows(rows)
+            assert code.columns == tuple(code.graph().neighbor_masks())
             h = np.array(rows)
             n = h.shape[1]
             words = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
@@ -143,12 +148,26 @@ class TestFlipDecode:
         assert res.flips == ()
         assert res.unsatisfied_trace == (1,)
 
-    def test_round_budget_reported(self):
-        code = _grid16_code()
+    def test_flips_bounded_by_the_unsatisfied_count(self):
         rng = random.Random(9)
-        received = [rng.randint(0, 1) for _ in range(16)]
-        res = gc.flip_decode(code, received, max_rounds=0)
-        assert res.flips == ()
+        codes = [_grid16_code(), fixtures.parity_check_8x4()]
+        for _ in range(20):
+            n = rng.randint(1, 12)
+            codes.append(gc.TannerCode.from_rows(
+                [[int(rng.random() < 0.3) for _ in range(n)] for _ in range(rng.randint(1, 16))]))
+        for code in codes:
+            for _ in range(20):
+                res = gc.flip_decode(code, [rng.randint(0, 1) for _ in range(code.n_variables)])
+                assert len(res.flips) <= res.unsatisfied_trace[0] <= code.n_constraints
+
+    def test_decodes_past_a_thousand_flips(self):
+        # 1001 one-variable constraints: the all-ones word needs one flip per variable
+        n = 1001
+        code = gc.TannerCode.from_rows([[int(c == v) for v in range(n)] for c in range(n)])
+        res = gc.flip_decode(code, [1] * n)
+        assert res.success and res.word == (0,) * n
+        assert res.flips == tuple(range(n))
+        assert res.unsatisfied_trace == tuple(range(n, -1, -1))
 
 
 class TestExpansionCheck:

@@ -1,10 +1,12 @@
 import itertools
 import random
 import tracemalloc
+from collections import deque
 
 import pytest
 
 from switchlab import fixtures
+from switchlab import graphcode as gc
 from switchlab import matching as mt
 from switchlab.closmodel import ClosSpec
 from switchlab.errors import DomainError, PreconditionError
@@ -72,9 +74,7 @@ class TestHallCheck:
 
     def test_scan_at_the_exhaustive_limit_holds_no_table_of_all_subsets(self):
         rng = random.Random(44)
-        left = mt.EXHAUSTIVE_LEFT_LIMIT
-        # eight right vertices keep every mask a cached small int, so the
-        # traced scan stays fast and the peak counts the tables alone
+        left = gc.EXHAUSTIVE_LEFT_LIMIT
         g = mt.BipartiteGraph.from_edges(
             left, 8, [(l, r) for l in range(left) for r in rng.sample(range(8), 3)])
         tracemalloc.start()
@@ -119,6 +119,98 @@ class TestCompleteMatching:
         assert not res.complete
         witness = res.violating_set
         assert len(g.neighborhood(witness)) < len(witness)
+
+
+def _ref_hall_check(g):
+    """The exhaustive scan ``hall_check`` ran up to 20 left vertices: two
+    half tables of neighbourhood unions, and the first subset of maximal
+    deficiency in ascending bitmask order."""
+    masks = g.neighbor_masks()
+    h = g.left_count // 2
+    lo, hi = [0] * (1 << h), [0] * (1 << g.left_count - h)  # subset -> neighbourhood
+    for table, part in ((lo, masks[:h]), (hi, masks[h:])):
+        for s in range(1, len(table)):
+            low = s & -s
+            table[s] = table[s ^ low] | part[low.bit_length() - 1]
+    worst_def, worst = 0, 0
+    for t, hi_nb in enumerate(hi):  # s = t << h | u ascends with (t, u)
+        for u, lo_nb in enumerate(lo):
+            deficiency = t.bit_count() + u.bit_count() - (hi_nb | lo_nb).bit_count()
+            if deficiency > worst_def:
+                worst_def, worst = deficiency, t << h | u
+    witness = tuple(i for i in range(g.left_count) if worst >> i & 1) or None
+    if witness is None:
+        return mt.HallVerdict(True, None)
+    return mt.HallVerdict(False, witness, len(g.neighborhood(witness)))
+
+
+def _ref_complete_matching(g):
+    """Hopcroft-Karp, then the separate alternating search from the exposed
+    left vertices that ``complete_matching`` used to run."""
+    adj = g.adjacency()
+    hk = mt._HopcroftKarp(adj, g.right_count)
+    size = hk.solve()
+    matching = {l: r for l, r in enumerate(hk.pair_l) if r != -1}
+    if size == g.left_count:
+        return mt.MatchingResult(matching, True, None)
+    reach_l = {l for l in range(g.left_count) if hk.pair_l[l] == -1}
+    frontier = deque(reach_l)
+    seen_r = set()
+    while frontier:
+        l = frontier.popleft()
+        for r in adj[l]:
+            if r in seen_r:
+                continue
+            seen_r.add(r)
+            back = hk.pair_r[r]
+            if back != -1 and back not in reach_l:
+                reach_l.add(back)
+                frontier.append(back)
+    return mt.MatchingResult(matching, False, tuple(sorted(reach_l)))
+
+
+def _grid16_graph():
+    """The 16-variable grid code's incidence graph: variable 4i + j lies in
+    row i, column j and the symbol classes i ^ j and a(i) ^ j of two
+    orthogonal Latin squares of order 4."""
+    a = (0, 2, 3, 1)  # multiplication by a generator of GF(4)
+    edges = [(4 * i + j, c) for i in range(4) for j in range(4)
+             for c in (i, 4 + j, 8 + (i ^ j), 12 + (a[i] ^ j))]
+    return mt.BipartiteGraph.from_edges(16, 16, edges)
+
+
+def _seeded_graphs():
+    """Graphs with 0-20 left and 0-14 right vertices, edges drawn with
+    repetition and some left vertices left isolated; fewer graphs at the
+    sizes where the reference scan is dear."""
+    rng = random.Random(71)
+    for left in range(21):
+        for _ in range(min(60, max(3, 1 << max(0, 17 - left)))):
+            right = rng.randint(0, 14)
+            isolated = set(rng.sample(range(left), rng.randint(0, left // 4)))
+            ends = [l for l in range(left) if l not in isolated]
+            edges = [(rng.choice(ends), rng.randrange(right))
+                     for _ in range(rng.randint(0, 3 * left) if ends and right else 0)]
+            yield mt.BipartiteGraph.from_edges(left, right, edges)
+
+
+class TestAgainstExhaustiveScan:
+    """``hall_check`` and ``complete_matching`` against the exhaustive
+    half-table scan and the second alternating search they replaced."""
+
+    def test_verdicts_and_matchings_are_identical(self):
+        edge_cases = [mt.BipartiteGraph.from_edges(0, 0, []), mt.BipartiteGraph.from_edges(0, 3, []),
+                      mt.BipartiteGraph.from_edges(3, 0, []),
+                      mt.BipartiteGraph.from_edges(2, 2, [(0, 0)] * 3 + [(1, 0)] * 2)]
+        graphs = [*edge_cases, *_seeded_graphs(), _grid16_graph()]
+        violated = 0
+        for g in graphs:
+            verdict = mt.hall_check(g)
+            assert verdict == _ref_hall_check(g)
+            assert mt.complete_matching(g) == _ref_complete_matching(g)
+            violated += not verdict.satisfied
+        assert graphs[-1].left_degrees() == [4] * 16 and mt.hall_check(graphs[-1]).satisfied
+        assert 0.3 * len(graphs) < violated < 0.9 * len(graphs)  # both verdicts well covered
 
 
 def _random_regular_counts(rng, k, degree):
@@ -202,7 +294,7 @@ class TestEdgeColoring:
                 rng.shuffle(perm)
                 edges.extend((i, perm[i]) for i in range(k))
             g = mt.BipartiteGraph.from_edges(k, k, edges)
-            coloring = mt.edge_color(g, colors=d + 2)
+            coloring = mt.edge_color(g)
             assert coloring.is_proper()
             for cls in coloring.classes():
                 lefts = sorted(g.edges[e][0] for e in cls)
@@ -237,6 +329,14 @@ class TestEdgeColoring:
             rng.shuffle(edges)
             coloring = mt.edge_color(mt.BipartiteGraph.from_edges(k, k, edges))
             assert coloring.colors == degree and coloring.is_proper()
+
+    def test_is_proper_per_side(self):
+        g = mt.BipartiteGraph.from_edges(2, 2, [(0, 1), (1, 0), (0, 0), (1, 1)])
+        # left 0 and right 0 may share a color: they are different vertices
+        assert mt.EdgeColoring(g, {0: 0, 1: 0, 2: 1, 3: 1}, 2).is_proper()
+        assert not mt.EdgeColoring(g, {0: 0, 1: 1, 2: 0, 3: 1}, 2).is_proper()  # left 0 twice
+        assert not mt.EdgeColoring(g, {0: 0, 1: 1, 2: 1, 3: 0}, 2).is_proper()  # right 0 twice
+        assert not mt.EdgeColoring(g, {0: 0, 1: 0, 2: 1}, 2).is_proper()  # an edge uncolored
 
     def test_rejects_irregular(self):
         g = mt.BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0)])

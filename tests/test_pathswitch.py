@@ -225,11 +225,6 @@ class TestBvnDecompose:
         with pytest.raises(ResourceLimitError):
             ps.bvn_decompose(cap)
 
-    def test_module_count_disagreement_rejected(self):
-        cap = fixtures.capacity_4x4()
-        with pytest.raises(PreconditionError):
-            ps.bvn_decompose(cap, modules=2)
-
 
 class TestBandlimitAndRound:
     def test_already_quantized_is_exact(self):
