@@ -235,10 +235,12 @@ def _exp_fig21(p: dict, seed: int) -> list[Table]:
 
 
 def _exp_montecarlo(p: dict, seed: int) -> list[Table]:
+    ports = (8, 32)
+    contention.check_run_size(p["slots"], max(ports), "ports")  # before any draw
     # first, so that bad deflection params fail before the crossbar runs
     cascade = deflection.simulate_deflection(p["n"], p["stages"], 1.0, p["dslots"], seed=seed)
     crossbar = []
-    for n_ports in (8, 32):
+    for n_ports in ports:
         for rho in (0.5, 1.0):
             sim = contention.simulate_crossbar(n_ports, rho, p["slots"], seed=seed)
             crossbar.append([n_ports, rho, sim.load.carried_load,

@@ -26,6 +26,7 @@ __all__ = [
     "carried_load",
     "psnr",
     "power_stats",
+    "check_run_size",
     "simulate_crossbar",
     "boltzmann_pmf",
     "poisson_profile",
@@ -39,6 +40,8 @@ StateModel = Literal["one-per-input", "distinguishable", "indistinguishable"]
 # cells (slots x ports or wires) a simulator draws per chunk: bounds its
 # memory whatever the run length, and one slot may not exceed it
 CHUNK_CELLS = 1 << 16
+# cells a simulator run may draw in all, about 11 minutes at 10^8 cells/s
+MAX_RUN_CELLS = 1 << 36
 _PMF_TAIL = 1e-12
 _BRUTE_FORCE_LIMIT = 12
 
@@ -133,6 +136,19 @@ class CrossbarSimResult:
         return self.histogram / self.histogram.sum()
 
 
+def check_run_size(slots: int, cells_per_slot: int, unit: str) -> None:
+    """Refuse a simulator run before any draw: one slot must fit a chunk,
+    and the run may draw at most MAX_RUN_CELLS cells."""
+    if cells_per_slot > CHUNK_CELLS:
+        raise ResourceLimitError(
+            f"one slot of {cells_per_slot} {unit} exceeds the {CHUNK_CELLS}-cell chunk budget"
+        )
+    if slots * cells_per_slot > MAX_RUN_CELLS:
+        raise ResourceLimitError(
+            f"{slots} slots of {cells_per_slot} {unit} exceed the {MAX_RUN_CELLS}-cell run budget"
+        )
+
+
 def simulate_crossbar(
     n_ports: int, rho: float, slots: int, seed: int = 0
 ) -> CrossbarSimResult:
@@ -151,10 +167,7 @@ def simulate_crossbar(
         raise DomainError(f"offered load {rho} outside [0, 1]")
     if n_ports < 1 or slots < 1:
         raise DomainError("need n_ports >= 1 and slots >= 1")
-    if n_ports > CHUNK_CELLS:
-        raise ResourceLimitError(
-            f"one slot of {n_ports} ports exceeds the {CHUNK_CELLS}-cell chunk budget"
-        )
+    check_run_size(slots, n_ports, "ports")
     rows = min(CHUNK_CELLS // n_ports, slots)
     width = n_ports + 1  # the outputs, then the idle bin
     scale = n_ports / rho if rho > 0 else math.inf  # rho = 0: 0 * inf is NaN, which fmin bins idle
@@ -189,7 +202,6 @@ def simulate_crossbar(
     mu3 = s3 / slots - 3 * mean * var - mean**3
     skew = mu3 / var**1.5 if var > 0 else 0.0
     carried = s1 / (slots * n_ports)
-    noise = n_ports - mean
     return CrossbarSimResult(
         load=CrossbarLoad(n_ports, rho, carried),
         busy_mean=mean,

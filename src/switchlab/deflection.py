@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contention import CHUNK_CELLS
+from .contention import CHUNK_CELLS, check_run_size
 from .errors import DomainError, ResourceLimitError
 
 __all__ = [
@@ -371,10 +371,7 @@ def simulate_deflection(
         raise ResourceLimitError(f"{stages} stages exceed {MAX_STAGES}")
     n = module_size
     wires = n * n
-    if wires > CHUNK_CELLS:
-        raise ResourceLimitError(
-            f"one slot of {wires} wires exceeds the {CHUNK_CELLS}-cell chunk budget"
-        )
+    check_run_size(slots, wires, "wires")
     chunk = CHUNK_CELLS // wires
     rng = np.random.default_rng(seed)
     exits = np.zeros(stages + 1, dtype=np.int64)

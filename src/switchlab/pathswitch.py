@@ -11,7 +11,6 @@ quantized afterwards by :func:`bandlimit_and_round`.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +20,7 @@ import numpy as np
 
 from .closmodel import ClosSpec
 from .errors import ConvergenceError, DomainError, PreconditionError, ResourceLimitError
-from .matching import peel_matchings
+from .matching import _peel
 
 __all__ = [
     "TrafficMatrix",
@@ -38,6 +37,12 @@ __all__ = [
 # a k x k traffic matrix may hold at most this many rates (k <= 256):
 # allocate_capacity and rounding grow about as k^3, about 1 s at the cap
 MAX_TRAFFIC_CELLS = 1 << 16
+# allocate_capacity stops once the residual slack is below SLACK_TOL * m * k,
+# and raises ConvergenceError if that takes more than MAX_ALLOCATION_ITERATIONS
+SLACK_TOL = 1e-12
+MAX_ALLOCATION_ITERATIONS = 1_000_000
+# golden-section steps of optimal_delay_2x2: each shrinks the bracket by 0.618
+GOLDEN_SECTION_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -138,40 +143,27 @@ class CapacityMatrix:
         return f"CapacityMatrix(F={self.frame_size}, m={self.modules}, k={self.size})"
 
 
-def allocate_capacity(
-    traffic: TrafficMatrix,
-    *,
-    zero_floor: float | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 1_000_000,
-    with_history: bool = False,
-):
+def allocate_capacity(traffic: TrafficMatrix) -> np.ndarray:
     """Square-root-rule capacity allocation.
 
     Starting from C = rates, each iteration spreads every row's and column's
     slack (m minus its current sum) over the unsaturated entries in
     proportion to sqrt(rate), taking the smaller of the row and column
-    offers.  Terminates when the residual slack is below ``tol * m * k``;
+    offers.  Terminates when the residual slack is below SLACK_TOL * m * k;
     every line sum then equals m to that tolerance and C > rates entrywise.
 
-    Zero rates stall the iteration, so they are rejected unless
-    ``zero_floor`` supplies the small epsilon rate to use instead.  Returns
-    the float matrix (and the iterate history when ``with_history``).
+    Zero rates stall the iteration, so they are rejected: a caller floors
+    them in the :class:`TrafficMatrix`.  Returns the float matrix.
     """
     lam = traffic.as_array()
     if (lam <= 0).any():
-        if zero_floor is None:
-            raise DomainError(
-                "zero rates need an explicit zero_floor (or use strict positive input)"
-            )
-        lam = np.maximum(lam, zero_floor)
+        raise DomainError("zero rates stall the allocation: floor them to a small positive rate")
     m = traffic.spec.m
     k = traffic.spec.k
     cap = lam.copy()
     sq = np.sqrt(lam)
-    history = [cap.copy()] if with_history else None
-    slack_budget = tol * m * k
-    for _ in range(max_iter):
+    slack_budget = SLACK_TOL * m * k
+    for _ in range(MAX_ALLOCATION_ITERATIONS):
         row_slack = m - cap.sum(axis=1)
         col_slack = m - cap.sum(axis=0)
         if row_slack.sum() <= slack_budget:
@@ -190,8 +182,6 @@ def allocate_capacity(
         if inc.max() <= 0:
             break
         cap += inc
-        if history is not None:
-            history.append(cap.copy())
     else:
         raise ConvergenceError(
             f"allocation stalled with residual slack {float((m - cap.sum(axis=1)).sum()):.3e}"
@@ -199,18 +189,17 @@ def allocate_capacity(
     residual = float((m - cap.sum(axis=1)).sum())
     if residual > slack_budget * 10:
         raise ConvergenceError(f"allocation stopped with slack {residual:.3e}")
-    if with_history:
-        return cap, history
     return cap
 
 
-def weighted_delay(capacity, traffic: TrafficMatrix) -> float:
+def weighted_delay(capacity: np.ndarray, traffic: TrafficMatrix) -> float:
     """Total weighted M/M/1 delay  sum rate / (capacity - rate).
 
-    ``capacity`` may be a float matrix or a :class:`CapacityMatrix`; every
-    entry must strictly exceed the corresponding rate (stability).
+    ``capacity`` is a float matrix such as :func:`allocate_capacity`
+    returns; every entry must strictly exceed the corresponding rate
+    (stability).
     """
-    cap = capacity.as_float() if isinstance(capacity, CapacityMatrix) else np.asarray(capacity, dtype=float)
+    cap = np.asarray(capacity, dtype=float)
     lam = traffic.as_array()
     gap = cap - lam
     loaded = lam > 0
@@ -219,7 +208,7 @@ def weighted_delay(capacity, traffic: TrafficMatrix) -> float:
     return float((lam[loaded] / gap[loaded]).sum())
 
 
-def optimal_delay_2x2(traffic: TrafficMatrix, *, iters: int = 200) -> float:
+def optimal_delay_2x2(traffic: TrafficMatrix) -> float:
     """Numeric oracle: optimal weighted delay over all 2x2 allocations with
     line sums m, by golden-section search on the single free parameter."""
     lam = traffic.as_array()
@@ -242,7 +231,7 @@ def optimal_delay_2x2(traffic: TrafficMatrix, *, iters: int = 200) -> float:
     a, b = lo, hi
     c, d = b - phi * (b - a), a + phi * (b - a)
     fc, fd = delay(c), delay(d)
-    for _ in range(iters):
+    for _ in range(GOLDEN_SECTION_STEPS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
@@ -302,8 +291,9 @@ def bvn_decompose(capacity: CapacityMatrix) -> Decomposition:
     if f * k * max(k, m) > MAX_PATTERN_CELLS:
         raise ResourceLimitError(f"F * k * max(k, m) = {f * k * max(k, m)} cells exceed {MAX_PATTERN_CELLS}")
     # each matching is peeled at full multiplicity: identical slots stay
-    # adjacent, which keeps the grouped state count small
-    peeled = list(peel_matchings(capacity._scaled.tolist()))
+    # adjacent, which keeps the grouped state count small; CapacityMatrix
+    # already guarantees the equal line sums the public peel_matchings checks
+    peeled = list(_peel(capacity._scaled.tolist()))
     perms = np.repeat(np.array([cols for cols, _ in peeled], dtype=np.int64).reshape(-1, k),
                       [mult for _, mult in peeled], axis=0)
     # cell (slot r // m, input i, output perms[r, i]) of the flat pattern array
@@ -375,40 +365,23 @@ def _transportation_round(frac: np.ndarray, row_need: np.ndarray, col_need: np.n
     return x
 
 
-def bandlimit_and_round(capacity, f_target: int, *, modules: int | None = None):
-    """Quantize a capacity matrix to denominator ``f_target`` while keeping
-    every row and column sum at exactly m * f_target.
+def bandlimit_and_round(capacity: np.ndarray, f_target: int, *, modules: int) -> tuple[CapacityMatrix, float]:
+    """Quantize a float capacity matrix with line sums ``modules`` to
+    denominator ``f_target`` while keeping every row and column sum at
+    exactly modules * f_target.
 
-    ``capacity`` is a :class:`CapacityMatrix` or a float matrix (then
-    ``modules`` must be given).  Entries move by less than one frame unit,
-    so the reported maximum round-off error is at most 1/f_target.
-    Returns ``(rounded CapacityMatrix, max_abs_error)``.
+    Entries move by less than one frame unit, so the reported maximum
+    round-off error is at most 1/f_target.  Returns ``(rounded
+    CapacityMatrix, max_abs_error)``.
     """
     if f_target < 1:
         raise DomainError("target frame size must be >= 1")
-    if isinstance(capacity, CapacityMatrix):
-        # F_target * C is an integer matrix exactly when F / gcd divides F * C
-        g = math.gcd(f_target, capacity.frame_size)
-        quot, rem = divmod(capacity._scaled, capacity.frame_size // g)
-        if not rem.any():
-            return CapacityMatrix.from_integer_matrix(quot * (f_target // g), f_target), 0.0
-        cap = capacity.as_float()
-        m = capacity.modules
-    else:
-        if modules is None:
-            raise DomainError("modules count required for a raw matrix")
-        cap = np.asarray(capacity, dtype=float)
-        m = modules
-    k = cap.shape[0]
+    cap = np.asarray(capacity, dtype=float)
     target = cap * f_target
     base = np.floor(target + 1e-9).astype(np.int64)
-    frac = target - base
-    row_need = m * f_target - base.sum(axis=1)
-    col_need = m * f_target - base.sum(axis=0)
+    row_need = modules * f_target - base.sum(axis=1)
+    col_need = modules * f_target - base.sum(axis=0)
     if (row_need < 0).any() or (col_need < 0).any() or row_need.sum() != col_need.sum():
         raise PreconditionError("input line sums are not m (cannot round)")
-    extra = _transportation_round(frac, row_need, col_need)
-    scaled = base + extra
-    rounded = CapacityMatrix.from_integer_matrix(scaled, f_target)
-    err = float(np.abs(cap - scaled / f_target).max())
-    return rounded, err
+    scaled = base + _transportation_round(target - base, row_need, col_need)
+    return CapacityMatrix.from_integer_matrix(scaled, f_target), float(np.abs(cap - scaled / f_target).max())

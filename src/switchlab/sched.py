@@ -47,6 +47,9 @@ __all__ = [
 
 # the frame schedulers refuse K * F above this: they work per slot and state
 MAX_FRAME_CELLS = 1 << 20
+# schedule_random refuses more slots than this before any draw: a call holds
+# about 16 bytes a slot, and the CLI's smoothness estimate 32 more
+MAX_RANDOM_SLOTS = 1 << 22
 
 
 @dataclass(frozen=True, init=False)
@@ -239,6 +242,8 @@ def schedule_random(weights: WeightSet, slots: int, seed: int = 0) -> list[int]:
     probabilities.  No frame structure is kept."""
     if slots < 1:
         raise DomainError("need at least one slot")
+    if slots > MAX_RANDOM_SLOTS:
+        raise ResourceLimitError(f"{slots} slots exceed {MAX_RANDOM_SLOTS}")
     rng = np.random.default_rng(seed)
     return rng.choice(len(weights), size=slots, p=weights.as_float()).tolist()
 
@@ -295,6 +300,10 @@ def expected_random_smoothness_gap(weights: WeightSet) -> float:
 
 # --- two-dimensional (token grid) smoothness --------------------------------
 
+# TokenGrid's text form names input module i by the i-th letter
+GRID_SYMBOLS = "abcdefghijklmnopqrstuvwxyz"
+
+
 @dataclass(frozen=True, eq=False)  # identity equality: an array has no single truth value
 class TokenGrid:
     """Frame of granted connections: ``tokens[i, j, t]`` counts the tokens
@@ -332,15 +341,15 @@ class TokenGrid:
     def token_counts(self) -> np.ndarray:
         return self.tokens.sum(axis=2)
 
-    def to_text(self, symbols: str = "abcdefghijklmnopqrstuvwxyz") -> str:
-        return "\n".join(" ".join("".join(symbols[i] for i in cell) or "-" for cell in row)
+    def to_text(self) -> str:
+        return "\n".join(" ".join("".join(GRID_SYMBOLS[i] for i in cell) or "-" for cell in row)
                          for row in self.cells)
 
     @classmethod
-    def from_text(cls, text: str, symbols: str = "abcdefghijklmnopqrstuvwxyz") -> "TokenGrid":
+    def from_text(cls, text: str) -> "TokenGrid":
         """Read the :meth:`to_text` format; a cell's symbols are read as a
         multiset of inputs, in any order."""
-        rows = [[[] if token == "-" else [symbols.index(ch) for ch in token] for token in line.split()]
+        rows = [[[] if token == "-" else [GRID_SYMBOLS.index(ch) for ch in token] for token in line.split()]
                 for line in text.strip().splitlines()]
         if len({len(r) for r in rows}) != 1:
             raise PreconditionError("grid rows must share one frame size")

@@ -301,6 +301,28 @@ def test_oversized_stage_count_fails_before_allocating(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["schedule", "0.5,0.5", "--algorithm", "random", "--slots", "100000000000"], 2),
+    (["schedule", "0.5,0.5", "--algorithm", "random", "--slots", "100"], 0),
+    (["experiment", "montecarlo", "--param", "slots=1000000000000"], 2),
+    (["experiment", "fig10", "--param", "slots=1000000000000"], 2),
+    (["experiment", "fig10", "--param", "slots=10"], 0),
+    (["deflect", "--slots", "1000000000000", "--n", "4"], 2),
+], ids=["random_1e11", "random_100", "montecarlo_1e12", "fig10_1e12", "fig10_10", "deflect_1e12"])
+def test_run_size_table(tmp_path, capsys, argv, code):
+    # oversized runs exit 2 before any draw, with no traceback and no output
+    if argv[0] == "experiment":
+        argv = argv + ["--outdir", str(tmp_path)]
+    start = time.perf_counter()
+    got, _, err = _run(capsys, *argv)
+    assert got == code
+    assert time.perf_counter() - start < 1.0
+    assert "Traceback" not in err
+    if code == cli.EXIT_USAGE:
+        assert err.startswith("error:") and "exceed" in err
+        assert not list(tmp_path.iterdir())
+
+
 def test_outdir_that_is_a_file_is_usage_error(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")

@@ -126,6 +126,11 @@ class TestSimulateCrossbar:
         res = ct.simulate_crossbar(ct.CHUNK_CELLS, 1.0, 1, seed=3)
         assert res.histogram.sum() == ct.CHUNK_CELLS
 
+    def test_run_beyond_the_cell_budget_is_refused(self):
+        for n_ports, slots in ((32, ct.MAX_RUN_CELLS // 32 + 1), (8, 10**12)):
+            with pytest.raises(ResourceLimitError, match="run budget"):
+                ct.simulate_crossbar(n_ports, 0.5, slots)
+
 
 def _binomial_pmf(n, p):
     return np.array([math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)])

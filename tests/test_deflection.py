@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from switchlab import deflection as dfl
-from switchlab.contention import CHUNK_CELLS, carried_load
+from switchlab.contention import CHUNK_CELLS, MAX_RUN_CELLS, carried_load
 from switchlab.errors import DomainError, ResourceLimitError
 
 
@@ -120,6 +120,22 @@ class TestSimulator:
         assert sim.offered == sim.exited + sim.lost
         assert 0.5 < sim.offered / (2000 * 9) < 0.7
         assert sim.exits_by_stage[0] == 0 and sim.exits_by_stage[1] == 0
+
+    @pytest.mark.parametrize("n, rho, slots", [(4, 1.0, 5000), (4, 0.6, 50_000), (8, 0.9, 20_000)])
+    def test_offered_packets_are_binomial(self, n, rho, slots):
+        # each of the slots * n^2 wires holds a packet with probability rho:
+        # all of them at rho = 1, otherwise Binomial(slots n^2, rho), checked
+        # by a Hoeffding bound exceeded with probability below 1e-6
+        sim = dfl.simulate_deflection(n, 2, rho, slots, seed=17)
+        cells = slots * n * n
+        if rho == 1.0:
+            assert sim.live_by_stage[1] == cells
+        else:
+            assert abs(sim.live_by_stage[1] - cells * rho) <= math.sqrt(cells * math.log(2 / 1e-6) / 2)
+
+    def test_run_beyond_the_cell_budget_is_refused(self):
+        with pytest.raises(ResourceLimitError, match="run budget"):
+            dfl.simulate_deflection(4, 10, 0.5, MAX_RUN_CELLS // 16 + 1)
 
     def test_exit_distribution_reported_vs_chain(self):
         # worst-case chain versus actual cohort drain: distance is reported,

@@ -52,6 +52,12 @@ class TestWeightSet:
                 schedule(w)
         assert len(sc.schedule_random(w, 100)) == 100
 
+    def test_random_schedule_slot_count_is_capped(self):
+        w = sc.WeightSet.of("0.5", "0.5")
+        for slots in (sc.MAX_RANDOM_SLOTS + 1, 10**11):
+            with pytest.raises(ResourceLimitError, match="slots exceed"):
+                sc.schedule_random(w, slots)
+
 
 class TestWfq:
     def test_five_state_trace(self):
