@@ -496,6 +496,8 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 def _cmd_schedule2d(args: argparse.Namespace) -> int:
     cap = _parse_matrix(Path(args.matrix), args.frame)
+    if cap.size > len(sched.GRID_SYMBOLS):  # the grid names input modules by letter
+        raise DomainError(f"{cap.size} modules exceed the {len(sched.GRID_SYMBOLS)} token-grid symbols")
     dec = pathswitch.bvn_decompose(cap)
     weights = sched.WeightSet(tuple(w for _, w in dec.states))
     seq = sched.SCHEDULERS[args.algorithm](weights)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .contention import carried_load
 from .errors import DomainError
 
 __all__ = [
@@ -93,17 +94,12 @@ def nonblocking_psnr(spec: ClosSpec) -> float:
 
 
 def random_routing_carried_load(spec: ClosSpec, asymptotic_k: bool = False) -> float:
-    """Carried load on a central-module output link under random routing.
-
-    Finite k: 1 - (1 - (n/m)/k)^k.  With ``asymptotic_k`` the k -> infinity
-    limit 1 - exp(-n/m) is returned.
-    """
+    """Carried load on a central-module output link under random routing:
+    the crossbar law :func:`contention.carried_load` at offered load n/m on
+    a k x k central module, or its k -> infinity limit with ``asymptotic_k``."""
     if spec.n > spec.m:
         raise DomainError("utilization n/m must not exceed 1")
-    sigma = spec.n / spec.m
-    if asymptotic_k:
-        return 1.0 - math.exp(-sigma)
-    return 1.0 - (1.0 - sigma / spec.k) ** spec.k
+    return carried_load(spec.utilization, spec.k, asymptotic=asymptotic_k)
 
 
 def max_data_rate(m: float, psnr: float) -> float:

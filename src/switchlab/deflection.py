@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contention import CHUNK_CELLS, check_run_size
+from .contention import CHUNK_CELLS, carried_load, check_run_size
 from .errors import DomainError, ResourceLimitError
 
 __all__ = [
@@ -39,13 +39,13 @@ logger = logging.getLogger(__name__)
 
 
 def success_probability(rho: float) -> float:
-    """Worst-case contention win probability p = (1 - exp(-rho))/rho in a
-    large square module at offered load rho; 1 in the rho -> 0 limit."""
+    """Worst-case contention win probability p = rho'/rho in a large square
+    module, rho' the crossbar's asymptotic carried load; 1 as rho -> 0."""
     if rho < 0 or rho > 1:
         raise DomainError("analysis holds for offered load in [0, 1] only")
     if rho == 0.0:
         return 1.0
-    return -math.expm1(-rho) / rho
+    return carried_load(rho, asymptotic=True) / rho
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .closmodel import ClosSpec, RoutingTag, address_split
+from .closmodel import ClosSpec, RoutingTag
 from .errors import DomainError, PreconditionError
 
 __all__ = [
@@ -297,40 +297,22 @@ def clos_route_assignment(reqs: CallRequestSet) -> list[RoutingTag]:
 
     Each request becomes an edge (source module, destination module) of a
     bipartite multigraph; coloring that graph with the available central
-    modules is exactly the assignment.  Partial request sets are padded with
-    dummy edges up to regularity, which are dropped afterwards.
+    modules is exactly the assignment.  A partial request set is padded to
+    n-regularity by pairing the spare input ports, in port order, with the
+    spare output ports; any such padding colours with n colours (König), and
+    the dummy edges are dropped afterwards.
     """
     spec = reqs.spec
-    if spec.m < spec.n:
+    if not spec.is_rearrangeable():
         raise DomainError("m >= n required for a rearrangeable assignment")
     n = spec.n
-    edges = [(s // n, d // n) for s, d in reqs.pairs]
-    k = spec.k
-    # pad to n-regularity with dummy edges (greedy on deficits)
-    ldef = [n] * k
-    rdef = [n] * k
-    for l, r in edges:
-        ldef[l] -= 1
-        rdef[r] -= 1
-    if min(ldef) < 0 or min(rdef) < 0:
-        raise PreconditionError("some module carries more requests than ports")
-    real_count = len(edges)
-    for l in range(k):
-        while ldef[l] > 0:
-            r = max(range(k), key=lambda j: rdef[j])
-            if rdef[r] <= 0:  # pragma: no cover - deficits always balance
-                raise PreconditionError("padding failed to balance degrees")
-            edges.append((l, r))
-            ldef[l] -= 1
-            rdef[r] -= 1
-    graph = BipartiteGraph.from_edges(k, k, edges)
-    coloring = edge_color(graph)
-    tags = []
-    for idx in range(real_count):
-        _, dest = reqs.pairs[idx]
-        q, r = address_split(dest, n, spec.k)
-        tags.append(RoutingTag(central=coloring.color_of[idx], out_module=q, out_port=r))
-    return tags
+    sources = {s for s, _ in reqs.pairs}
+    dests = {d for _, d in reqs.pairs}
+    padding = zip([p // n for p in range(spec.ports) if p not in sources],
+                  [p // n for p in range(spec.ports) if p not in dests])
+    edges = [(s // n, d // n) for s, d in reqs.pairs] + list(padding)
+    coloring = edge_color(BipartiteGraph.from_edges(spec.k, spec.k, edges))
+    return [RoutingTag(coloring.color_of[idx], *divmod(d, n)) for idx, (_, d) in enumerate(reqs.pairs)]
 
 
 def verify_route_assignment(reqs: CallRequestSet, tags: Sequence[RoutingTag]) -> bool:

@@ -342,6 +342,8 @@ class TokenGrid:
         return self.tokens.sum(axis=2)
 
     def to_text(self) -> str:
+        if self.n_inputs > len(GRID_SYMBOLS):
+            raise DomainError(f"{self.n_inputs} input modules exceed the {len(GRID_SYMBOLS)} grid symbols")
         return "\n".join(" ".join("".join(GRID_SYMBOLS[i] for i in cell) or "-" for cell in row)
                          for row in self.cells)
 

@@ -215,6 +215,30 @@ class TestSimulator:
         assert sim.live_by_stage[1] == sim.offered
 
 
+def test_losers_take_each_free_port_uniformly():
+    # the exit law is symmetric in the free port a loser takes, so only a
+    # direct look at the draw sees a fixed free-port order.  Even rows of
+    # n = 4 have ports 0 and 2 taken and losers on wires 1 and 3; odd rows
+    # have port 3 taken and losers on wires 0 and 1.  Each loser's port must
+    # be uniform over its row's free ports: Hoeffding on each of the 10
+    # (row kind, loser, port) shares, with a union bound, exceeded with
+    # probability below 1e-6
+    n, rows = 4, 100_000
+    base = np.arange(rows) * n
+    odd = np.arange(rows) % 2 == 1
+    table = np.full(rows * n, -1)
+    table[np.where(odd, base + 3, base)] = 0
+    table[base[~odd] + 2] = 0
+    cell = np.stack([np.where(odd, base, base + 1), np.where(odd, base + 1, base + 3)], axis=1).ravel()
+    ports = dfl._deflection_ports(np.arange(cell.size), cell, n, table, np.random.default_rng(11))
+    ports = ports.reshape(rows, 2)
+    assert (table[base[:, None] + ports] < 0).all() and (ports[:, 0] != ports[:, 1]).all()
+    bound = math.sqrt(math.log(2 * 10 / 1e-6) / rows)  # rows / 2 of each kind
+    for kind, free in ((~odd, (1, 3)), (odd, (0, 1, 2))):
+        for loser in (0, 1):
+            for port in free:
+                assert abs(np.mean(ports[kind, loser] == port) - 1 / len(free)) <= bound
+
 # --- the per-module, per-port stage loop that simulate_deflection replaced by
 # row sorting: a test-only reference for the simulator's exit-stage law
 

@@ -402,6 +402,21 @@ class TestClosRouteAssignment:
         tags = mt.clos_route_assignment(reqs)
         assert mt.verify_route_assignment(reqs, tags)
 
+    def test_seeded_partial_request_sets(self):
+        # partial sets are padded with dummy requests between spare ports;
+        # the first 50 are empty sets and single requests
+        rng = random.Random(23)
+        for trial in range(500):
+            n, k = rng.randint(1, 6), rng.randint(1, 8)
+            spec = ClosSpec(m=rng.randint(n, n + 2), n=n, k=k)
+            count = trial % 2 if trial < 50 else rng.randint(0, spec.ports)
+            pairs = zip(rng.sample(range(spec.ports), count), rng.sample(range(spec.ports), count))
+            reqs = mt.CallRequestSet(tuple(pairs), spec)
+            tags = mt.clos_route_assignment(reqs)
+            assert mt.verify_route_assignment(reqs, tags)
+            assert _independent_validity_check(reqs, tags)
+            assert all(t.central < n for t in tags)
+
     def test_insufficient_bandwidth_rejected(self):
         spec = ClosSpec(m=1, n=2, k=2)
         reqs = mt.CallRequestSet.from_permutation([1, 0, 3, 2], spec)

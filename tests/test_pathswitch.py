@@ -337,6 +337,18 @@ class TestTransportationRound:
             augmented += paths > 0
         assert augmented > 60  # the greedy pass strands demand in about a third of these draws
 
+    def test_augmenting_search_takes_the_first_spare_column(self):
+        # the greedy pass leaves row 1 two units short; its first search
+        # reaches row 3, where columns 1 and 3 both have spare demand, and
+        # the path must end at column 1, the first.  Found by a seeded search
+        # over k <= 5 (numpy seed 10011)
+        frac = np.array([[0.4, 0.6, 0.8, 0.1], [0.3, 0.4, 0.2, 0.6],
+                         [0.5, 0.3, 0.7, 0.1], [0.9, 0.7, 0.1, 0.8]])
+        row_need, col_need = np.array([1, 4, 1, 1]), np.array([1, 2, 2, 2])
+        want = [[0, 0, 0, 1], [1, 1, 1, 1], [0, 0, 1, 0], [0, 1, 0, 0]]
+        assert ps._transportation_round(frac, row_need, col_need).tolist() == want
+        assert _ref_transportation_round(frac, row_need, col_need)[0].tolist() == want
+
     def test_infeasible_line_sums_are_refused(self):
         with pytest.raises(PreconditionError):
             ps._transportation_round(np.zeros((2, 2)), np.array([3, 0]), np.array([2, 1]))

@@ -312,6 +312,12 @@ class TestTokenGrid:
         grid = fixtures.reference_grid("wfq")
         assert sc.TokenGrid.from_text(grid.to_text()).cells == grid.cells
 
+    def test_text_form_refuses_more_inputs_than_symbols(self):
+        limit = len(sc.GRID_SYMBOLS)
+        assert sc.TokenGrid(np.eye(limit, dtype=np.int64)[:, :, None]).to_text().splitlines()[-1] == "z"
+        with pytest.raises(DomainError, match="27 input modules exceed"):
+            sc.TokenGrid(np.eye(limit + 1, dtype=np.int64)[:, :, None]).to_text()
+
     def test_grid_from_reference_schedule_matches_fixture(self):
         states = fixtures.capacity_4x4_states()
         weights = sc.WeightSet(tuple(w for _, w in states))
