@@ -405,15 +405,16 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
 
 def _cmd_deflect(args: argparse.Namespace) -> int:
     par = deflection.DeflectionParams.from_rho(args.rho)
+    # simulate before printing, so a refused run prints nothing
+    sim = (deflection.simulate_deflection(args.n, args.stages, args.rho, args.slots, seed=args.seed)
+           if args.slots else None)
     print(f"rho={args.rho} p={par.p:.4f} q={par.q:.4f} a={par.a:.4f} c={par.c:.4f} "
           f"slope={par.slope_m:.4f} intercept={par.intercept_b:.4f}")
     if args.sweep:
         print("rho,success_p,deflect_q,a,c")
         for d in _load_sweep():
             print(_csv_line([d.rho, d.p, d.q, d.a, d.c]))
-    if args.slots:
-        sim = deflection.simulate_deflection(args.n, args.stages, args.rho, args.slots,
-                                             seed=args.seed)
+    if sim is not None:
         print("length,empirical_loss,loss_bound")
         for length in range(2, args.stages + 1):
             print(_csv_line([length, sim.loss_after(length), deflection.loss_bound(args.rho, length)]))

@@ -10,6 +10,7 @@ load rho and uniformly random destinations.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
@@ -43,6 +44,9 @@ CHUNK_CELLS = 1 << 16
 # cells a simulator run may draw in all, about 11 minutes at 10^8 cells/s
 MAX_RUN_CELLS = 1 << 36
 _PMF_TAIL = 1e-12
+# boltzmann_pmf refuses a series that needs more terms than this to reach
+# mass 1 - _PMF_TAIL (the geometric one does from offered load about 360)
+PMF_MAX_TERMS = 10_000
 _BRUTE_FORCE_LIMIT = 12
 
 
@@ -216,32 +220,30 @@ def boltzmann_pmf(rho: float, model: OccupancyModel = "distinguishable") -> Occu
     """Maximum-entropy distribution of packets per output at offered load rho.
 
     Distinguishable packets give the Poisson pmf exp(-rho) rho^i / i!;
-    indistinguishable packets the geometric (1/(1+rho)) (rho/(1+rho))^i.
-    The series is truncated once cumulative mass exceeds 1 - 1e-12 and the
-    remainder is folded into the final bucket.
+    indistinguishable packets the geometric (1/(1+rho)) (rho/(1+rho))^i;
+    term i is term i-1 times rho/i or rho/(1+rho).  The series is truncated
+    once cumulative mass exceeds 1 - 1e-12 and the remainder is folded into
+    the final bucket.  A first term below a normal double (Poisson from rho
+    about 708) or a series of over ``PMF_MAX_TERMS`` terms is refused.
     """
-    if rho < 0:
+    if not rho >= 0:
         raise DomainError("offered load must be nonnegative")
     if model not in ("distinguishable", "indistinguishable"):
         raise DomainError(f"unknown occupancy model {model!r}")
-    if rho == 0.0:
-        return OccupancyDistribution(pmf=((0, 1.0),), model=model)
-    terms: list[tuple[int, float]] = []
+    poisson = model == "distinguishable"
+    p = math.exp(-rho) if poisson else 1.0 / (1.0 + rho)
+    if p < sys.float_info.min:
+        raise ResourceLimitError(f"pmf at offered load {rho}: first term {p:.3g} is below a normal double")
+    probs: list[float] = []
     cum = 0.0
-    i = 0
     while cum < 1.0 - _PMF_TAIL:
-        if model == "distinguishable":
-            p = math.exp(-rho) * rho**i / math.factorial(i)
-        else:
-            p = (1.0 / (1.0 + rho)) * (rho / (1.0 + rho)) ** i
-        terms.append((i, p))
+        if len(probs) == PMF_MAX_TERMS:
+            raise ResourceLimitError(f"pmf at offered load {rho} needs over {PMF_MAX_TERMS} terms")
+        probs.append(p)
         cum += p
-        i += 1
-        if i > 10_000:  # pragma: no cover - cannot trigger for finite rho
-            raise ResourceLimitError("pmf failed to accumulate mass")
-    last_i, last_p = terms[-1]
-    terms[-1] = (last_i, last_p + (1.0 - cum))
-    return OccupancyDistribution(pmf=tuple(terms), model=model)
+        p *= rho / len(probs) if poisson else rho / (1.0 + rho)
+    probs[-1] += 1.0 - cum
+    return OccupancyDistribution(pmf=tuple(enumerate(probs)), model=model)
 
 
 def poisson_profile(rho: float, levels: int) -> list[float]:

@@ -8,13 +8,11 @@ closed-form tail, and a geometric loss bound.  The slot-level simulator
 checks those analytics empirically.
 
 The recursion :func:`absorption_series` is the normative oracle here; the
-closed forms are validated against it, and any discrepancy with the
-transcribed textbook variant is logged rather than asserted.
+closed forms are validated against it.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -35,13 +33,10 @@ __all__ = [
     "simulate_deflection",
 ]
 
-logger = logging.getLogger(__name__)
-
-
 def success_probability(rho: float) -> float:
     """Worst-case contention win probability p = rho'/rho in a large square
     module, rho' the crossbar's asymptotic carried load; 1 as rho -> 0."""
-    if rho < 0 or rho > 1:
+    if not 0.0 <= rho <= 1.0:
         raise DomainError("analysis holds for offered load in [0, 1] only")
     if rho == 0.0:
         return 1.0
@@ -52,9 +47,9 @@ def success_probability(rho: float) -> float:
 class DeflectionParams:
     """Derived constants of the deflection analysis at one offered load.
 
-    ``slope_m``/``intercept_b`` give the log-linear tail envelope
-    ln P <= slope_m * (L + 2) + intercept_b, and ``a``/``c`` the equivalent
-    geometric form c * a^-L.
+    The tail envelope is c * a^-L (:meth:`envelope`), with a = 1/lambda for
+    the dominant ratio lambda of the exit law; in log form it is
+    slope_m * (L + 2) + intercept_b, slope_m = ln lambda.
     """
 
     rho: float
@@ -84,10 +79,11 @@ class DeflectionParams:
         intercept = -math.log(q * s) if q > 0 else math.inf
         a = 1.0 / lam if lam > 0 else math.inf
         c = lam * lam / (q * s) if q > 0 else math.inf
-        return cls(
-            rho=rho, p=p, q=q, v=v, theta=theta,
-            slope_m=slope, intercept_b=intercept, a=a, c=c,
-        )
+        return cls(rho=rho, p=p, q=q, v=v, theta=theta, slope_m=slope, intercept_b=intercept, a=a, c=c)
+
+    def envelope(self, length: int) -> float:
+        """Geometric envelope c * a^-L of the exit-law tail past ``length``."""
+        return self.c * self.a ** (-length)
 
 
 @dataclass(frozen=True)
@@ -119,22 +115,18 @@ def absorption_series(p: float, q: float, k_max: int) -> AbsorptionSeries:
     g_q = np.zeros(k_max + 1)
     g_r = np.zeros(k_max + 1)
     for k in range(1, k_max + 1):
-        g_o_prev = 1.0 if k == 1 else 0.0
-        g_r[k] = p * g_o_prev + q * g_q[k - 1]
+        g_r[k] = p * (k == 1) + q * g_q[k - 1]
         g_q[k] = p * g_r[k - 1] + q * g_q[k - 1]
     return AbsorptionSeries(p=p, q=q, g_q=g_q, g_r=g_r)
 
 
 @dataclass(frozen=True)
 class TailBounds:
-    """Two closed-form upper bounds on the not-yet-exited mass after L
-    traversals; ``printed_variant`` is the same parity expression written
-    with the shifted argument (L+2) theta — algebraically identical to
-    ``explicit``, kept as a cross-check against the recursion."""
+    """Closed forms of the not-yet-exited mass after L traversals: the exact
+    tail and its geometric envelope."""
 
     explicit: float
     log_linear: float
-    printed_variant: float
 
 
 def _explicit_tail(params: DeflectionParams, length: int) -> float:
@@ -154,51 +146,37 @@ def _explicit_tail(params: DeflectionParams, length: int) -> float:
 
 
 def closed_form_tail(p: float, q: float, length: int) -> TailBounds:
-    """Closed-form dominating bounds on the exit-law tail past ``length``.
+    """Closed-form tail of the exit law past ``length``.
 
     ``explicit`` is the exact parity-dependent cosh/sinh expression;
-    ``log_linear`` is exp(slope_m*(L'+2) + intercept_b) evaluated at the last
-    even L' <= L, which keeps the geometric envelope above the alternating
-    exact tail at every length.  Requires q < 1/2 so the slope is negative.
+    ``log_linear`` is the envelope c * a^-L' at the last even L' <= L, which
+    stays above the alternating exact tail at every length.  Requires
+    q < 1/2 so the envelope decays.
     """
     if q >= 0.5:
         raise DomainError("tail bounds need deflection probability q < 1/2")
     if length < 1:
         raise DomainError("network length must be >= 1")
     params = DeflectionParams.from_pq(p, q)
-    explicit = _explicit_tail(params, length)
-    even_len = length if length % 2 == 0 else length - 1
-    log_linear = math.exp(params.slope_m * (even_len + 2) + params.intercept_b)
-    printed = (
-        1.0
-        / (params.v * q)
-        * (p * q) ** ((length + 2) / 2.0)
-        * (math.sinh if length % 2 == 0 else math.cosh)((length + 2) * params.theta)
+    return TailBounds(
+        explicit=_explicit_tail(params, length),
+        log_linear=params.envelope(length - length % 2),
     )
-    if explicit > 0 and abs(printed - explicit) / explicit > 1e-9:
-        logger.debug(
-            "transcribed tail form deviates from recursion tail at L=%d: %.6e vs %.6e",
-            length, printed, explicit,
-        )
-    return TailBounds(explicit=explicit, log_linear=log_linear, printed_variant=printed)
 
 
 def loss_bound(rho: float, length: int) -> float:
-    """Geometric loss bound c * a^-L on (rho - rho')/rho.
-
-    Only valid for offered load at most 1; above that the deflected traffic
-    exceeds the spare links and the loss probability is unbounded.
-    """
+    """Geometric loss bound c * a^-L (:meth:`DeflectionParams.envelope`) on
+    (rho - rho')/rho.  Only valid for offered load in [0, 1]; above 1 the
+    deflected traffic exceeds the spare links and the loss is unbounded."""
     if rho > 1.0:
         raise DomainError(
             "offered load above 1: deflection capacity exhausted, loss unbounded"
         )
     if length < 0:
         raise DomainError("network length must be nonnegative")
-    if rho <= 0.0:
+    if rho == 0.0:
         return 0.0
-    params = DeflectionParams.from_rho(rho)
-    return params.c * params.a ** (-length)
+    return DeflectionParams.from_rho(rho).envelope(length)
 
 
 @dataclass(frozen=True)

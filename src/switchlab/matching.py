@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .closmodel import ClosSpec, RoutingTag
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, ResourceLimitError
 
 __all__ = [
     "BipartiteGraph",
@@ -37,6 +37,10 @@ __all__ = [
     "count_components",
     "count_solutions_bruteforce",
 ]
+
+# edge_color refuses a vertex-pair count matrix of more cells than this before
+# building it: k <= 2048 modules a side, the frame decomposition's k at F = 1
+MAX_COUNT_CELLS = 1 << 22
 
 @dataclass(frozen=True)
 class BipartiteGraph:
@@ -149,14 +153,26 @@ class _HopcroftKarp:
                     queue.append(nxt)
         return found
 
-    def _dfs(self, l: int) -> bool:
-        for r in self.adj[l]:
-            nxt = self.pair_r[r]
-            if nxt == -1 or (self.dist[nxt] == self.dist[l] + 1 and self._dfs(nxt)):
-                self.pair_l[l] = r
-                self.pair_r[r] = l
-                return True
-        self.dist[l] = self.INF
+    def _dfs(self, root: int) -> bool:
+        """Augment from ``root`` along the first layered path in adjacency order, marking
+        dead ends ``INF``, on an explicit stack: a path may outgrow the recursion limit."""
+        pair_l, pair_r, dist = self.pair_l, self.pair_r, self.dist
+        stack = [(root, iter(self.adj[root]))]  # path vertices, untried edges
+        while stack:
+            l, edges = stack[-1]
+            for r in edges:
+                nxt = pair_r[r]
+                if nxt == -1:  # each path vertex takes the edge below it
+                    for u, _ in reversed(stack):
+                        pair_l[u], r = r, pair_l[u]
+                        pair_r[pair_l[u]] = u
+                    return True
+                if dist[nxt] == dist[l] + 1:
+                    stack.append((nxt, iter(self.adj[nxt])))
+                    break
+            else:
+                dist[l] = self.INF
+                stack.pop()
         return False
 
     def solve(self) -> int:
@@ -253,6 +269,8 @@ def edge_color(g: BipartiteGraph) -> EdgeColoring:
     A non-regular graph is rejected: regularity is what guarantees that
     every residual graph still has a perfect matching.
     """
+    if g.left_count * g.right_count > MAX_COUNT_CELLS:
+        raise ResourceLimitError(f"{g.left_count} x {g.right_count} counts exceed {MAX_COUNT_CELLS} cells")
     pool = [[[] for _ in range(g.right_count)] for _ in range(g.left_count)]  # instance ids
     for idx, (l, r) in enumerate(g.edges):
         pool[l][r].append(idx)

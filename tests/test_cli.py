@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from switchlab import cli
+from switchlab import cli, fixtures
+from switchlab import matching as mt
 from switchlab.errors import ConvergenceError, ResourceLimitError
 
 
@@ -28,7 +29,7 @@ def test_tradeoff_outputs_rows(capsys):
 def test_deflect_constants_line(capsys):
     code, out, _ = _run(capsys, "deflect", "--rho", "1.0")
     assert code == cli.EXIT_OK
-    assert "a=1.4285" in out and "c=1.2906" in out
+    assert f"a={fixtures.DEFLECTION_A:.4f}" in out and f"c={fixtures.DEFLECTION_C:.4f}" in out
 
 
 def test_assign_reference_permutation(capsys):
@@ -297,18 +298,20 @@ def test_montecarlo_short_cascade(tmp_path, capsys, stages, lengths):
     (["experiment", "fig6", "--param", "max_m=100000000"], 2, "rows exceed"),
     (["tradeoff", "--max-m", "100000000"], 2, "rows exceed"),
     (["schedule2d", "{id27}", "--frame", "1"], 2, "27 modules exceed the 26"),
+    # 2049 modules a side: one past the count-matrix cap
+    (["assign", "{id4098}", "--n", "2"], 2, f"exceed {mt.MAX_COUNT_CELLS} cells"),
 ], ids=["assign_n_0", "assign_n_-2", "fig21_k_0", "frame_1e7", "frame_1e7_random",
         "random_1e11", "random_100", "fig10_slots_0", "fig10_slots_-3", "montecarlo_dslots_0",
         "deflect_slots_-5", "montecarlo_1e12", "fig10_1e12", "fig10_10", "deflect_1e12",
         "fig10_n_100000", "deflect_stages_1e9", "fig10_stages_1e9", "montecarlo_stages_1e9",
         "fig6_n_0", "tradeoff_n_0", "fig6_rows_over_cap", "fig6_max_m_1e8", "tradeoff_max_m_1e8",
-        "schedule2d_27_modules"])
+        "schedule2d_27_modules", "assign_4098_ports"])
 def test_run_size_table(tmp_path, tmp_path_factory, capsys, argv, code, fragment):
     # a refused command exits 2 at once, before any work, with one error line,
     # no traceback and nothing written
     id27 = tmp_path_factory.mktemp("input") / "id27.txt"
     id27.write_text("\n".join(" ".join("1" if i == j else "0" for j in range(27)) for i in range(27)))
-    argv = [arg.format(id27=id27) for arg in argv]
+    argv = [arg.format(id27=id27, id4098=",".join(map(str, range(4098)))) for arg in argv]
     if argv[0] == "experiment":
         argv = argv + ["--outdir", str(tmp_path)]
     start = time.perf_counter()
@@ -317,9 +320,7 @@ def test_run_size_table(tmp_path, tmp_path_factory, capsys, argv, code, fragment
     assert time.perf_counter() - start < 1.0
     assert "Traceback" not in err
     if code == cli.EXIT_USAGE:
-        assert err.startswith("error:") and fragment in err
-        if argv[0] != "deflect":  # deflect prints its analytic constants before simulating
-            assert out == ""
+        assert err.startswith("error:") and fragment in err and out == ""
         assert not list(tmp_path.iterdir())
 
 

@@ -262,6 +262,26 @@ class TestBoltzmannPmf:
         with pytest.raises(DomainError):
             ct.boltzmann_pmf(-0.5)
 
+    def test_heavy_load_matches_lgamma_reference(self):
+        rho = 150.0
+        for model, log_term in (
+            ("distinguishable", lambda i: -rho + i * math.log(rho) - math.lgamma(i + 1)),
+            ("indistinguishable", lambda i: i * math.log(rho) - (i + 1) * math.log1p(rho)),
+        ):
+            dist = ct.boltzmann_pmf(rho, model)
+            assert dist.total() == pytest.approx(1.0, abs=1e-12)
+            for i, p in dist.pmf[:-1]:  # the last bucket holds the folded tail
+                assert p == pytest.approx(math.exp(log_term(i)), rel=1e-9)
+
+    @pytest.mark.parametrize("rho, model, match", [
+        (800.0, "distinguishable", "below a normal double"),
+        (math.inf, "distinguishable", "below a normal double"),
+        (1000.0, "indistinguishable", f"over {ct.PMF_MAX_TERMS} terms"),
+    ])
+    def test_unrepresentable_series_refused(self, rho, model, match):
+        with pytest.raises(ResourceLimitError, match=match):
+            ct.boltzmann_pmf(rho, model)
+
 
 class TestCountStates:
     def test_worked_configuration(self):

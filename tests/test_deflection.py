@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from switchlab import deflection as dfl
+from switchlab import fixtures
 from switchlab.contention import CHUNK_CELLS, MAX_RUN_CELLS, carried_load
 from switchlab.errors import DomainError, ResourceLimitError
 
@@ -24,8 +25,8 @@ def test_params_constants_at_full_load():
     assert par.q == pytest.approx(0.3679, abs=5e-4)
     assert par.slope_m == pytest.approx(-0.3566, abs=5e-4)
     assert par.intercept_b == pytest.approx(0.9683, abs=5e-4)
-    assert par.a == pytest.approx(1.4285, abs=5e-4)
-    assert par.c == pytest.approx(1.2906, abs=5e-4)
+    assert par.a == pytest.approx(fixtures.DEFLECTION_A, abs=5e-4)
+    assert par.c == pytest.approx(fixtures.DEFLECTION_C, abs=5e-4)
 
 
 def test_params_conditions_hold_across_loads():
@@ -78,8 +79,20 @@ def test_closed_form_matches_and_dominates_exact_tail():
             tail = ser.tail(length)
             bounds = dfl.closed_form_tail(par.p, par.q, length)
             assert bounds.explicit == pytest.approx(tail, rel=1e-9)
-            assert bounds.printed_variant == pytest.approx(tail, rel=1e-9)
             assert bounds.log_linear >= tail * (1 - 1e-9)
+
+
+def test_one_envelope_behind_loss_bound_and_log_linear_tail():
+    # c * a^-L is also exp(slope_m (L + 2) + intercept_b)
+    for rho in (0.3, 0.8, 1.0):
+        par = dfl.DeflectionParams.from_rho(rho)
+        for length in (1, 2, 7, 40):
+            env = par.envelope(length)
+            assert dfl.loss_bound(rho, length) == env
+            bounds = dfl.closed_form_tail(par.p, par.q, length)
+            assert bounds.log_linear == par.envelope(length - length % 2)
+            log_form = par.slope_m * (length + 2) + par.intercept_b
+            assert math.log(env) == pytest.approx(log_form, abs=1e-12)
 
 
 def test_closed_form_rejects_heavy_deflection():
@@ -98,8 +111,16 @@ def test_loss_bound_values():
     assert len(slopes) == 1
     assert slopes.pop() == pytest.approx(-math.log(par.a), abs=1e-9)
     assert dfl.loss_bound(0.0, 10) == 0.0
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="offered load above 1"):
         dfl.loss_bound(1.5, 10)
+
+
+@pytest.mark.parametrize("rho", [-0.5, -1e-300, math.nan])
+def test_loss_bound_refuses_loads_outside_the_unit_interval(rho):
+    with pytest.raises(DomainError, match=r"\[0, 1\]"):
+        dfl.loss_bound(rho, 10)
+    with pytest.raises(DomainError):
+        dfl.DeflectionParams.from_rho(rho)
 
 
 class TestSimulator:

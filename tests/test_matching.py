@@ -276,6 +276,52 @@ class TestPeelMatchings:
             list(mt.peel_matchings(counts))
 
 
+class _RecursiveHopcroftKarp(mt._HopcroftKarp):
+    """The recursive augmenting search that the explicit stack replaced."""
+
+    def _dfs(self, l):
+        for r in self.adj[l]:
+            nxt = self.pair_r[r]
+            if nxt == -1 or (self.dist[nxt] == self.dist[l] + 1 and self._dfs(nxt)):
+                self.pair_l[l] = r
+                self.pair_r[r] = l
+                return True
+        self.dist[l] = self.INF
+        return False
+
+
+def _chain_graph(n):
+    """Left i < n - 1 joins right i and i + 1, left n - 1 joins right 0 only:
+    the last augmenting path shifts every match, n steps long."""
+    edges = [e for i in range(n - 1) for e in ((i, i), (i, i + 1))] + [(n - 1, 0)]
+    return mt.BipartiteGraph.from_edges(n, n, edges)
+
+
+class TestIterativeAugmentingSearch:
+    def test_matchings_witnesses_and_peels_equal_the_recursive_search(self, monkeypatch):
+        rng = random.Random(83)
+        graphs = [*_seeded_graphs(), _chain_graph(300)]
+        for _ in range(150):  # sparse graphs, where augmenting paths run long
+            left, right = rng.randint(1, 120), rng.randint(1, 120)
+            edges = [(rng.randrange(left), rng.randrange(right)) for _ in range(rng.randint(0, 3 * left))]
+            graphs.append(mt.BipartiteGraph.from_edges(left, right, edges))
+        counts = [_random_regular_counts(rng, rng.randint(1, 40), rng.randint(0, 10)) for _ in range(100)]
+        results = ([mt.complete_matching(g) for g in graphs],
+                   [list(mt.peel_matchings([row[:] for row in c])) for c in counts])
+        with monkeypatch.context() as m:
+            m.setattr(mt, "_HopcroftKarp", _RecursiveHopcroftKarp)
+            reference = ([mt.complete_matching(g) for g in graphs],
+                         [list(mt.peel_matchings([row[:] for row in c])) for c in counts])
+        assert results == reference
+        assert 0.2 * len(graphs) < sum(not r.complete for r in results[0]) < 0.9 * len(graphs)
+
+    def test_augmenting_path_longer_than_the_interpreter_stack(self):
+        n = 5000
+        res = mt.complete_matching(_chain_graph(n))
+        assert res.complete and res.violating_set is None
+        assert res.matching == {**{i: i + 1 for i in range(n - 1)}, n - 1: 0}
+
+
 class TestEdgeColoring:
     def test_degree_one(self):
         g = mt.BipartiteGraph.from_edges(3, 3, [(0, 1), (1, 2), (2, 0)])
