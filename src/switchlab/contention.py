@@ -248,8 +248,20 @@ def boltzmann_pmf(rho: float, model: OccupancyModel = "distinguishable") -> Occu
 
 def poisson_profile(rho: float, levels: int) -> list[float]:
     """Poisson probabilities exp(-rho) rho^i / i! of levels i = 0..levels,
-    the continuous profile exhaustive maximizers are compared with."""
-    return [math.exp(-rho) * rho**i / math.factorial(i) for i in range(levels + 1)]
+    the continuous profile exhaustive maximizers are compared with.
+
+    Where rho^i or i! is beyond a double (every level above 170) a level
+    is exp(i ln rho - rho - ln i!) instead, which underflows to 0.0 far out
+    in the tail."""
+    def level(i: int) -> float:
+        if i <= 170:
+            try:
+                return math.exp(-rho) * rho**i / math.factorial(i)
+            except OverflowError:
+                pass
+        return math.exp(i * math.log(rho) - rho - math.lgamma(i + 1)) if rho else 0.0
+
+    return [level(i) for i in range(levels + 1)]
 
 
 def _validate_occupancy(occupancy: Sequence[int], n_ports: int, n_packets: int) -> None:

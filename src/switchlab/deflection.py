@@ -69,17 +69,18 @@ class DeflectionParams:
 
     @classmethod
     def from_pq(cls, p: float, q: float, rho: float = math.nan) -> "DeflectionParams":
-        if not 0.0 < p <= 1.0 or abs(p + q - 1.0) > 1e-12:
-            raise DomainError("need 0 < p <= 1 and p + q = 1")
+        """Constants at win probability p and deflection probability q.
+        Refuses q = 0 (p = 1): with no deflection every packet exits at its
+        first chance, and the tail constants a and c would be infinite."""
+        if not (0.0 < p < 1.0 and q > 0.0) or abs(p + q - 1.0) > 1e-12:
+            raise DomainError(f"need 0 < p < 1 and q > 0 with p + q = 1, got p={p} q={q}")
         s = math.sqrt(q * q + 4.0 * p * q)
         lam = (q + s) / 2.0  # dominant geometric ratio of the exit law
         v = s / 2.0
-        theta = 0.5 * math.log((q + s) / max(s - q, 1e-300)) if q > 0 else 0.0
-        slope = math.log(lam) if lam > 0 else -math.inf
-        intercept = -math.log(q * s) if q > 0 else math.inf
-        a = 1.0 / lam if lam > 0 else math.inf
-        c = lam * lam / (q * s) if q > 0 else math.inf
-        return cls(rho=rho, p=p, q=q, v=v, theta=theta, slope_m=slope, intercept_b=intercept, a=a, c=c)
+        theta = 0.5 * math.log((q + s) / max(s - q, 1e-300))
+        c = lam * lam / (q * s)
+        return cls(rho=rho, p=p, q=q, v=v, theta=theta, slope_m=math.log(lam),
+                   intercept_b=-math.log(q * s), a=1.0 / lam, c=c)
 
     def envelope(self, length: int) -> float:
         """Geometric envelope c * a^-L of the exit-law tail past ``length``."""
@@ -174,7 +175,7 @@ def loss_bound(rho: float, length: int) -> float:
         )
     if length < 0:
         raise DomainError("network length must be nonnegative")
-    if rho == 0.0:
+    if success_probability(rho) == 1.0:  # nothing is deflected, so nothing is lost
         return 0.0
     return DeflectionParams.from_rho(rho).envelope(length)
 

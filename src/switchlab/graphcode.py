@@ -1,5 +1,5 @@
 """Parity-check codes on bipartite constraint graphs and the sequential
-flip decoder, plus a brute-force neighborhood-expansion checker.
+flip decoder, plus an exhaustive neighborhood-expansion checker.
 
 Variables are left vertices, parity constraints right vertices.  A variable
 flips only on a *strict* majority of unsatisfied neighbours (ties stay put),
@@ -9,9 +9,10 @@ terminates.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .matching import BipartiteGraph
@@ -27,6 +28,8 @@ __all__ = [
 
 # the exhaustive expansion scan over left subsets stops at this many left vertices
 EXHAUSTIVE_LEFT_LIMIT = 20
+# set bits of each byte value
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True, init=False)
@@ -77,12 +80,29 @@ class TannerCode:
 
     def enumerate_codewords(self) -> list[tuple[int, ...]]:
         """All codewords in ascending order of their bitmask (bit v for
-        variable v) by exhaustive scan; exponential, so capped."""
+        variable v): the span of a null-space basis from Gaussian
+        elimination over GF(2); capped, as the span can hold 2^n words."""
         n = self.n_variables
         if n > 16:
             raise ResourceLimitError("codeword enumeration capped at 16 variables")
-        return [_mask_word(w, n) for w in range(1 << n)
-                if not any((row & w).bit_count() & 1 for row in self.rows)]
+        reduced: dict[int, int] = {}  # pivot variable -> the one reduced row holding it
+        for row in self.rows:
+            for pivot, r in reduced.items():
+                if row >> pivot & 1:
+                    row ^= r
+            if row:
+                pivot = row.bit_length() - 1
+                for other, r in reduced.items():
+                    if r >> pivot & 1:
+                        reduced[other] = r ^ row
+                reduced[pivot] = row
+        # a pivot variable is the parity of the free variables in its row
+        words = [0]
+        for free in range(n):
+            if free not in reduced:
+                basis = 1 << free | sum(1 << pivot for pivot, r in reduced.items() if r >> free & 1)
+                words += [w ^ basis for w in words]
+        return [_mask_word(w, n) for w in sorted(words)]
 
 
 def _word_mask(word: Sequence[int]) -> int:
@@ -152,31 +172,45 @@ def expansion_check(g: BipartiteGraph, k: int, alpha: float) -> ExpansionVerdict
     """Scan every left subset A with |A| <= alpha * |V_L| and test
     |N(A)| > (3k/4) |A|, for a graph k-regular on the left.
 
-    Exhaustive, hence limited to EXHAUSTIVE_LEFT_LIMIT left vertices.
-    Returns the subset with the smallest neighborhood-to-size ratio along
-    with the verdict.
+    Every subset's neighbourhood comes from the recurrence N(S + {i}) =
+    N(S) | N(i), one byte of the right side at a time.  Exhaustive, hence
+    limited to EXHAUSTIVE_LEFT_LIMIT left vertices.  Returns the subset with
+    the smallest neighborhood-to-size ratio along with the verdict; of equal
+    ratios the smallest subset, then the first in ``itertools.combinations``
+    order.
     """
-    if g.left_count > EXHAUSTIVE_LEFT_LIMIT:
+    left = g.left_count
+    if left > EXHAUSTIVE_LEFT_LIMIT:
         raise ResourceLimitError(
             f"exhaustive expansion scan capped at {EXHAUSTIVE_LEFT_LIMIT} left vertices"
         )
     degrees = g.left_degrees()
     if any(d != k for d in degrees):
         raise PreconditionError(f"graph is not left-regular of degree {k}")
-    max_size = int(alpha * g.left_count)
+    max_size = int(alpha * left)
     if max_size < 1:
         raise DomainError("alpha admits no nonempty subsets")
     need = 0.75 * k
-    masks = g.neighbor_masks()
-    worst: tuple[int, ...] = ()
-    worst_ratio = float("inf")
-    for size in range(1, max_size + 1):
-        for subset in itertools.combinations(range(g.left_count), size):
-            nb = 0
-            for v in subset:
-                nb |= masks[v]
-            if nb.bit_count() / size < worst_ratio:
-                worst, worst_ratio = subset, nb.bit_count() / size
+    # bit i of a subset index stands for left vertex left - 1 - i, so that of
+    # equal-size subsets the largest index is the first in combinations order
+    masks = g.neighbor_masks()[::-1]
+    sizes = np.zeros(1 << left, dtype=np.uint8)  # |S|
+    counts = np.zeros(1 << left, dtype=np.int32)  # |N(S)|
+    nb = np.zeros(1 << left, dtype=np.uint8)  # one byte of N(S)
+    for i in range(left):
+        sizes[1 << i : 2 << i] = sizes[: 1 << i] + 1
+    for shift in range(0, g.right_count, 8):
+        for i, mask in enumerate(masks):
+            nb[1 << i : 2 << i] = nb[: 1 << i] | (mask >> shift & 0xFF)
+        counts += _BYTE_BITS[nb]
+    scanned = np.flatnonzero((sizes >= 1) & (sizes <= max_size))
+    ratios = counts[scanned] / sizes[scanned]
+    ties = scanned[ratios == ratios.min()]
+    worst = int(ties[sizes[ties] == sizes[ties].min()].max())
+    worst_ratio = int(counts[worst]) / int(sizes[worst])
     return ExpansionVerdict(
-        satisfied=worst_ratio > need, threshold=need, worst_subset=worst, worst_ratio=worst_ratio
+        satisfied=worst_ratio > need,
+        threshold=need,
+        worst_subset=tuple(v for v in range(left) if worst >> (left - 1 - v) & 1),
+        worst_ratio=worst_ratio,
     )

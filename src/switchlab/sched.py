@@ -106,30 +106,27 @@ class FrameSequence:
     def occurrences(self, state: int) -> list[int]:
         return [t for t, s in enumerate(self.slots) if s == state]
 
-    def interstate_times(self, state: int) -> list[int]:
-        """Circular gaps between consecutive occurrences; they sum to F."""
-        pos = self.occurrences(state)
-        return _circular_gaps(pos, len(self.slots)) if pos else []
+
+def _log_rms(sum_sq: int, count: int) -> float:
+    """log2 of the root mean square of ``count`` gaps whose squares sum to
+    ``sum_sq``."""
+    return 0.5 * math.log2(sum_sq / count)
 
 
-def _circular_gaps(positions: list[int], frame: int) -> list[int]:
-    """Gaps between consecutive sorted positions, wrapping around the frame."""
-    return [b - a for a, b in zip(positions, positions[1:])] + [frame - positions[-1] + positions[0]]
-
-
-def _log_rms(gaps: list[int]) -> float:
-    """log2 of the root mean square of the gaps."""
-    return 0.5 * math.log2(sum(g * g for g in gaps) / len(gaps))
-
-
-def _check_frame(seq: FrameSequence, weights: WeightSet) -> None:
+def _state_positions(seq: FrameSequence, weights: WeightSet) -> list[list[int]]:
+    """The slots of each state, ascending, from one pass over the frame;
+    refuses a frame whose length or state counts differ from the weights."""
     if len(seq.slots) != weights.frame_size:
         raise DomainError("sequence length differs from the frame size")
-    if not set(seq.slots) <= set(range(len(weights))):
-        raise DomainError("slots hold unknown states")
-    seen = tuple(seq.slots.count(i) for i in range(len(weights)))
+    positions: dict[int, list[int]] = {i: [] for i in range(len(weights))}
+    for t, s in enumerate(seq.slots):
+        if s not in positions:
+            raise DomainError("slots hold unknown states")
+        positions[s].append(t)
+    seen = tuple(len(pos) for pos in positions.values())
     if seen != weights.counts:
         raise DomainError(f"state counts {seen} do not match weights {weights.counts}")
+    return list(positions.values())
 
 
 def _finish_times(served: Sequence[int], counts: Sequence[int], f: int) -> tuple[Fraction, ...]:
@@ -269,8 +266,13 @@ def smoothness(seq: FrameSequence, weights: WeightSet) -> SmoothnessReport:
     time; averaged with the state weights.  Kraft sum <= 1 and average >=
     entropy for every valid frame, with equality exactly at constant gaps
     1/phi."""
-    _check_frame(seq, weights)
-    per = [_log_rms(seq.interstate_times(i)) for i in range(len(weights))]
+    f = weights.frame_size
+    per = []
+    for pos in _state_positions(seq, weights):
+        # the circular gaps run between consecutive slots of the state and
+        # from its last slot round to its first; they sum to F
+        sum_sq = sum((b - a) ** 2 for a, b in zip(pos, pos[1:])) + (f - pos[-1] + pos[0]) ** 2
+        per.append(_log_rms(sum_sq, len(pos)))
     avg = sum(w * l for w, l in zip(weights.as_float(), per))
     kraft = sum(2.0 ** (-l) for l in per)
     return SmoothnessReport(
@@ -311,6 +313,10 @@ class TokenGrid:
     several central modules serve the same virtual path in one slot)."""
 
     tokens: np.ndarray  # (inputs, outputs, slots)
+
+    def __post_init__(self) -> None:
+        if (self.tokens < 0).any():
+            raise PreconditionError("token counts must be nonnegative")
 
     @property
     def n_inputs(self) -> int:
@@ -405,9 +411,17 @@ def smoothness_2d(grid: TokenGrid, capacity: CapacityMatrix | None = None) -> Tw
     if capacity is not None:
         if f % capacity.frame_size or (counts != capacity.scaled_int() * (f // capacity.frame_size)).any():
             raise DomainError("token counts disagree with the capacity matrix")
+    # the occupied cells as (path, slot) pairs, path-major with slots
+    # ascending; the gap to a path's first slot wraps round from its last,
+    # and the extra tokens of a cell add zero gaps
+    path, slot = np.divmod(np.flatnonzero(grid.tokens > 0), f)
+    first = np.flatnonzero(np.diff(path, prepend=-1))
+    gaps = np.diff(slot, prepend=0)
+    gaps[first] = slot[first] + f - slot[np.roll(first, -1) - 1]  # from each path's last slot
+    sum_sq = np.add.reduceat(gaps * gaps, first) if path.size else gaps
     d = np.zeros(counts.shape)
-    for i, j in zip(*np.nonzero(counts)):
-        d[i, j] = _log_rms(_circular_gaps(grid.token_slots(i, j), f))
+    paths = path[first]
+    d.flat[paths] = [_log_rms(ss, n) for ss, n in zip(sum_sq.tolist(), counts.flat[paths].tolist())]
     kraft = np.where(counts > 0, np.exp2(-d), 0.0)
     rates = counts / f
     input_s = (rates * d).sum(axis=1)

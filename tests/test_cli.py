@@ -188,6 +188,16 @@ def test_validate_reports_malformed_file(tmp_path, capsys, name, text):
     assert f"FAIL,malformed {name}" in out
 
 
+def test_validate_judges_a_boltzmann_row_past_170_levels(tmp_path, capsys):
+    # 200 packets on 6 ports: the Poisson profile runs to level 200, past
+    # the largest factorial a double holds; the row is judged, not malformed
+    (tmp_path / "boltzmann.csv").write_text(
+        "# experiment: boltzmann\nports,packets,maximizer,states,poisson_vector,poisson_states\n6,200,6,1,6,1\n")
+    code, out, _ = _run(capsys, "validate", "--outdir", str(tmp_path))
+    assert code == cli.EXIT_FAIL
+    assert "boltzmann_poisson_shape,FAIL" in out and "malformed boltzmann.csv" not in out
+
+
 def test_non_integer_param_is_usage_error(tmp_path, capsys):
     code, _, err = _run(capsys, "experiment", "fig6", "--outdir", str(tmp_path),
                         "--param", "n=abc")
@@ -283,6 +293,7 @@ def test_montecarlo_short_cascade(tmp_path, capsys, stages, lengths):
     (["experiment", "fig10", "--param", "slots=-3"], 2, "need slots >= 1"),
     (["experiment", "montecarlo", "--param", "dslots=0"], 2, "need slots >= 1"),
     (["deflect", "--slots", "-5", "--n", "4"], 2, "need slots >= 1"),
+    (["deflect", "--rho", "0"], 2, "q > 0"),
     (["experiment", "montecarlo", "--param", "slots=1000000000000"], 2, "exceed"),
     (["experiment", "fig10", "--param", "slots=1000000000000"], 2, "exceed"),
     (["experiment", "fig10", "--param", "slots=10"], 0, None),
@@ -302,7 +313,7 @@ def test_montecarlo_short_cascade(tmp_path, capsys, stages, lengths):
     (["assign", "{id4098}", "--n", "2"], 2, f"exceed {mt.MAX_COUNT_CELLS} cells"),
 ], ids=["assign_n_0", "assign_n_-2", "fig21_k_0", "frame_1e7", "frame_1e7_random",
         "random_1e11", "random_100", "fig10_slots_0", "fig10_slots_-3", "montecarlo_dslots_0",
-        "deflect_slots_-5", "montecarlo_1e12", "fig10_1e12", "fig10_10", "deflect_1e12",
+        "deflect_slots_-5", "deflect_rho_0", "montecarlo_1e12", "fig10_1e12", "fig10_10", "deflect_1e12",
         "fig10_n_100000", "deflect_stages_1e9", "fig10_stages_1e9", "montecarlo_stages_1e9",
         "fig6_n_0", "tradeoff_n_0", "fig6_rows_over_cap", "fig6_max_m_1e8", "tradeoff_max_m_1e8",
         "schedule2d_27_modules", "assign_4098_ports"])

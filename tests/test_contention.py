@@ -283,6 +283,24 @@ class TestBoltzmannPmf:
             ct.boltzmann_pmf(rho, model)
 
 
+class TestPoissonProfile:
+    def test_levels_up_to_170_keep_the_textbook_form(self):
+        for rho in (0.0, 0.5, 3.0, 33.0):
+            assert ct.poisson_profile(rho, 170) == [math.exp(-rho) * rho**i / math.factorial(i) for i in range(171)]
+
+    @pytest.mark.parametrize("rho, levels", [(0.5, 171), (0.5, 1000), (33.0, 400), (100.0, 400), (0.0, 300)])
+    def test_levels_past_a_double_are_finite(self, rho, levels):
+        # 171! and 100^155 exceed the largest double
+        got = ct.poisson_profile(rho, levels)
+        assert len(got) == levels + 1 and all(math.isfinite(x) and x >= 0.0 for x in got)
+        assert sum(got) == pytest.approx(1.0, abs=1e-9)
+        if rho < 1.0:  # far out in the tail a level underflows to 0.0
+            assert got[-1] == 0.0
+        for i in range(1, levels + 1):  # the ratio of neighbouring levels is rho / i
+            if got[i - 1] > 1e-250:
+                assert got[i] == pytest.approx(got[i - 1] * rho / i, rel=1e-9)
+
+
 class TestCountStates:
     def test_worked_configuration(self):
         # eight outputs, five on level 0, two on level 1, one on level 3

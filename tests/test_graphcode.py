@@ -100,6 +100,34 @@ class TestAgainstMatrixProducts:
                 assert code.syndrome(w) == syn
             assert code.parity == tuple(map(tuple, rows))
 
+    @staticmethod
+    def _wide_matrices():
+        """13 to 16 variables: random rows, rank-deficient stacks (sums and
+        repeats of rows), all-zero rows and sparse rows."""
+        rng = random.Random(31)
+        mats = [[[0] * 16], _grid_rows(4)]  # every word a codeword; the benchmark's code
+        for n in range(13, 17):
+            base = [[rng.randint(0, 1) for _ in range(n)] for _ in range(rng.randint(2, 6))]
+            sums = [[a ^ b for a, b in zip(*rng.sample(base, 2))] for _ in range(3)]
+            mats += [base, base + sums + base[:2], [[0] * n, *base, [0] * n],
+                     [[int(rng.random() < 0.1) for _ in range(n)] for _ in range(rng.randint(6, 14))]]
+        return mats
+
+    def test_codewords_of_wide_and_rank_deficient_codes(self):
+        deficient = 0
+        for rows in self._wide_matrices():
+            h = np.array(rows)
+            n = h.shape[1]
+            words = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+            expected = [tuple(w) for w in words[~(words @ h.T % 2).any(axis=1)].tolist()]
+            assert gc.TannerCode.from_rows(rows).enumerate_codewords() == expected
+            deficient += len(expected) > 1 << max(n - len(rows), 0)  # fewer independent rows than rows
+        assert deficient >= 8
+
+    def test_enumeration_capped_at_16_variables(self):
+        with pytest.raises(ResourceLimitError, match="16 variables"):
+            gc.TannerCode.from_rows([[1] * 17]).enumerate_codewords()
+
 
 def _random_left_regular(rng, left, right, k):
     edges = [(l, r) for l in range(left) for r in rng.sample(range(right), k)]
@@ -224,6 +252,58 @@ class TestExpansionCheck:
             verdict = gc.expansion_check(g, k, alpha)
             assert verdict.satisfied == all(r > 0.75 * k for r in ratios.values())
             assert (verdict.worst_subset, verdict.worst_ratio) == (worst, ratios[worst])
+
+
+def _expansion_scan(g, k, alpha):
+    """The scan ``expansion_check`` ran before its subset-union recurrence:
+    every subset in ``itertools.combinations`` order, sizes ascending, and
+    the first of least |N(A)| / |A|."""
+    masks = g.neighbor_masks()
+    worst, worst_ratio = (), float("inf")
+    for size in range(1, int(alpha * g.left_count) + 1):
+        for subset in itertools.combinations(range(g.left_count), size):
+            nb = 0
+            for v in subset:
+                nb |= masks[v]
+            if nb.bit_count() / size < worst_ratio:
+                worst, worst_ratio = subset, nb.bit_count() / size
+    return gc.ExpansionVerdict(worst_ratio > 0.75 * k, 0.75 * k, worst, worst_ratio)
+
+
+class TestExpansionAgainstTheScan:
+    def test_wide_right_sides(self):
+        rng = random.Random(37)
+        cases = [(16, 65, 4, 0.5), (16, 130, 2, 0.5), (16, 70, 1, 0.25), (15, 200, 3, 0.5),
+                 (20, 70, 2, 0.05)]  # the last runs the recurrence over all 2^20 subsets
+        for _ in range(30):
+            cases.append((rng.randint(1, 12), rng.choice([8, 63, 64, 65, 127, 129, 190]),
+                          rng.choice([1, 2, 3, 4]), rng.choice([0.25, 0.5, 1.0])))
+        checked = 0
+        for left, right, k, alpha in cases:
+            if int(alpha * left) < 1:
+                continue
+            low = right - 64 if right > 64 and rng.random() < 0.5 else 0  # some graphs only on the top 64
+            g = gc.BipartiteGraph.from_edges(
+                left, right, [(l, r) for l in range(left) for r in rng.sample(range(low, right), k)])
+            assert gc.expansion_check(g, k, alpha) == _expansion_scan(g, k, alpha)
+            checked += 1
+        assert checked >= 25
+
+    def test_ties_go_to_combinations_order_not_bitmask_order(self):
+        # {0, 3} and {1, 2} each see two right vertices; the scan reaches
+        # (0, 3) first, although {1, 2} has the smaller bitmask
+        g = gc.BipartiteGraph.from_edges(4, 4, [(0, 0), (0, 1), (3, 0), (3, 1),
+                                                (1, 2), (1, 3), (2, 2), (2, 3)])
+        verdict = gc.expansion_check(g, 2, 0.5)
+        assert verdict == _expansion_scan(g, 2, 0.5)
+        assert (verdict.worst_subset, verdict.worst_ratio) == ((0, 3), 1.0)
+
+    def test_equal_ratios_go_to_the_smaller_subset(self):
+        # every subset has ratio 2: the first single vertex wins
+        g = gc.BipartiteGraph.from_edges(3, 6, [(l, r) for l in range(3) for r in (2 * l, 2 * l + 1)])
+        verdict = gc.expansion_check(g, 2, 1.0)
+        assert verdict == _expansion_scan(g, 2, 1.0)
+        assert (verdict.worst_subset, verdict.worst_ratio) == ((0,), 2.0)
 
 
 def test_theorem_radius_exhaustive_on_grid_code():

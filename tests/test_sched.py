@@ -346,6 +346,11 @@ class TestTokenGrid:
         with pytest.raises(PreconditionError):
             sc.grid_from_schedule([bad])
 
+    def test_negative_token_counts_refused(self):
+        for tokens in ([[[1, -1, 0]]], [[[2, -1, 0]]]):
+            with pytest.raises(PreconditionError, match="nonnegative"):
+                sc.TokenGrid(np.array(tokens))
+
     def test_multitoken_cells(self):
         doubled = np.eye(2, dtype=np.int64) * 2
         grid = sc.grid_from_schedule([doubled, np.ones((2, 2), dtype=np.int64)])
@@ -481,3 +486,55 @@ class TestTwoDimensionalBounds:
             assert (rep.output_smoothness >= h_out - 1e-9).all()
             assert rep.total >= h_total - 1e-9
             checked += 1
+
+
+def _log_rms_of_gaps(positions, frame):
+    """The per-state and per-path formula ``smoothness`` and
+    ``smoothness_2d`` used before their one-pass forms: the circular gaps
+    of the sorted positions as a list, then log2 of their RMS."""
+    gaps = [b - a for a, b in zip(positions, positions[1:])] + [frame - positions[-1] + positions[0]]
+    return 0.5 * math.log2(sum(g * g for g in gaps) / len(gaps))
+
+
+class TestAgainstPerStateScans:
+    def test_smoothness_equals_the_per_state_scan(self):
+        rng = random.Random(61)
+        frames = [(w, seq) for w in (sc.WeightSet.of("1/2", "1/4", "1/8", "1/8"),)
+                  for seq in (sc.schedule_wfq(w), sc.schedule_wf2q(w), sc.schedule_hurr(w))]
+        for _ in range(300):
+            w = _random_weightset(rng, max_states=12, max_count=9)
+            frames.append((w, _random_frame(rng, w)))
+        for w, seq in frames:
+            rep = sc.smoothness(seq, w)
+            per = tuple(_log_rms_of_gaps(seq.occurrences(i), w.frame_size) for i in range(len(w)))
+            assert rep.per_state == per
+            assert rep.average == sum(x * l for x, l in zip(w.as_float(), per))
+            assert rep.kraft_sum == sum(2.0 ** (-l) for l in per)
+
+    def test_unknown_states_and_wrong_counts_refused(self):
+        w = sc.WeightSet.of("1/2", "1/2")
+        for slots in ((0, 2), (-1, 0), (0, 1, 1)):
+            with pytest.raises(DomainError):
+                sc.smoothness(sc.FrameSequence(slots), w)
+
+    def test_smoothness_2d_equals_the_per_path_scan(self):
+        rng = np.random.default_rng(62)
+        grids = [fixtures.reference_grid(name) for name in ("wfq", "hurr", "hurr_alt")]
+        for _ in range(60):
+            k, f = rng.integers(1, 7), rng.integers(1, 40)
+            # up to 3 tokens a cell, and paths left empty
+            tokens = rng.integers(0, 4, size=(k, k, f)) * (rng.random((k, k, f)) < rng.uniform(0.05, 0.6))
+            tokens[rng.random((k, k)) < 0.2] = 0
+            grids.append(sc.TokenGrid(tokens))
+        grids.append(sc.TokenGrid(np.zeros((2, 2, 3), dtype=np.int64)))
+        multi = 0
+        for grid in grids:
+            rep = sc.smoothness_2d(grid)
+            path = np.zeros((grid.n_inputs, grid.n_outputs))
+            for i in range(grid.n_inputs):
+                for j in range(grid.n_outputs):
+                    if grid.token_slots(i, j):
+                        path[i, j] = _log_rms_of_gaps(grid.token_slots(i, j), grid.frame_size)
+            assert rep.path.tolist() == path.tolist()
+            multi += int((grid.tokens > 1).any())
+        assert multi > 30
