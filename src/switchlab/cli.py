@@ -298,10 +298,21 @@ def _check_grid_totals(rows: list[list[str]], tol: float) -> tuple[bool, str]:
     return ok, ""
 
 
+def _check_scheduler_entropies(rows: list[list[str]], tol: float) -> tuple[bool, str]:
+    table = fixtures.scheduler_table()
+    if len(rows) != len(table):
+        return False, f"{len(rows)} rows, expected {len(table)}"
+    return all(abs(float(r[5]) - entry["entropy"]) <= 2e-3 for r, entry in zip(rows, table)), ""
+
+
 def _check_poisson_shape(rows: list[list[str]], tol: float) -> tuple[bool, str]:
     ok = True
     for r in rows:
         n_ports, packets = int(r[0]), int(r[1])
+        # the profile has a level per packet: refuse what boltzmann never writes before building it
+        if not 0 <= packets <= n_ports <= contention.BRUTE_FORCE_LIMIT:
+            return False, (f"{packets} packets on {n_ports} ports: "
+                           f"need 0 <= packets <= ports <= {contention.BRUTE_FORCE_LIMIT}")
         vec = [int(v) for v in r[2].split()]
         for level, target in enumerate(contention.poisson_profile(packets / n_ports, packets)):
             actual = vec[level] / n_ports if level < len(vec) else 0.0
@@ -334,9 +345,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "table5": Experiment({}, _exp_table5, [
         ("wf2q_trace", "table5", _selections_are("P1 P2 P1 P3 P1 P4 P1 P5"))]),
     "table6": Experiment({}, _exp_table6, [
-        ("scheduler_entropy_column", "table6", lambda rows, tol: (
-            all(abs(float(r[5]) - entry["entropy"]) <= 2e-3
-                for r, entry in zip(rows, fixtures.scheduler_table())), ""))]),
+        ("scheduler_entropy_column", "table6", _check_scheduler_entropies)]),
     "sec6c": Experiment({}, _exp_sec6c, [("grid_smoothness_totals", "sec6c", _check_grid_totals)]),
     "fig21": Experiment({"k": 4, "m": 8}, _exp_fig21, [
         ("roundoff_within_1_over_f", "fig21",
@@ -375,7 +384,8 @@ def validate_outputs(outdir: Path, tolerance: float = 5e-4) -> tuple[list[dict],
     """Re-derive the key quantities and compare them with the CSV artifacts.
 
     Returns (report rows, all_ok).  A missing file is reported under its own
-    name; a file that cannot be read or parsed fails its check.
+    name; a file that cannot be read or parsed, or holds no data rows, fails
+    its check.
     """
     if not 0.0 <= tolerance < math.inf:  # also false for NaN
         raise DomainError(f"tolerance {tolerance} must be finite and >= 0")
@@ -387,7 +397,8 @@ def validate_outputs(outdir: Path, tolerance: float = 5e-4) -> tuple[list[dict],
                 name, ok, detail = path.name, False, "missing output file"
             else:
                 try:
-                    ok, detail = fn(_read_csv(path), tolerance)
+                    rows = _read_csv(path)
+                    ok, detail = fn(rows, tolerance) if rows else (False, f"no data rows in {path.name}")
                 except (OSError, ValueError, IndexError, KeyError, ArithmeticError) as exc:
                     ok, detail = False, f"malformed {path.name}: {exc}"
             report.append({"check": name, "status": "pass" if ok else "FAIL", "detail": detail})

@@ -47,7 +47,8 @@ _PMF_TAIL = 1e-12
 # boltzmann_pmf refuses a series that needs more terms than this to reach
 # mass 1 - _PMF_TAIL (the geometric one does from offered load about 360)
 PMF_MAX_TERMS = 10_000
-_BRUTE_FORCE_LIMIT = 12
+# maximize_entropy_bruteforce refuses more outputs than this
+BRUTE_FORCE_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -346,9 +347,9 @@ def maximize_entropy_bruteforce(
     Also reports the feasible vector closest (L1) to the continuous Poisson
     profile N * exp(-rho) rho^i / i! with rho = M/N, and its state count.
     """
-    if n_ports > _BRUTE_FORCE_LIMIT:
+    if n_ports > BRUTE_FORCE_LIMIT:
         raise ResourceLimitError(
-            f"exhaustive search capped at {_BRUTE_FORCE_LIMIT} outputs, got {n_ports}"
+            f"exhaustive search capped at {BRUTE_FORCE_LIMIT} outputs, got {n_ports}"
         )
     if model == "one-per-input" and n_packets > n_ports:
         raise PreconditionError("one packet per input allows at most N packets")

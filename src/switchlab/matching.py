@@ -1,7 +1,8 @@
 """Bipartite matching machinery: Hall condition, maximum matching, the
 peeling of perfect matchings off regular count matrices (edge coloring and
-the frame decomposition), Clos route assignment, and the cycle-flip solver
-for the outer stage of a Benes network.
+the frame decomposition), Clos route assignment, the cycle-flip solver for
+the outer stage of a Benes network, and the full Benes assignment, built
+level by level as one array of 2x2 element states.
 
 Multigraphs keep one entry per edge *instance* (stable index into the edge
 list), so an edge coloring is well defined even with repeated endpoints.
@@ -13,6 +14,8 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .closmodel import ClosSpec, RoutingTag
 from .errors import DomainError, PreconditionError, ResourceLimitError
@@ -472,77 +475,68 @@ def count_solutions_bruteforce(sys: BenesConstraintSystem) -> int:
     return count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: an array has no single truth value
 class BenesAssignment:
-    """Recursive switch settings realizing a permutation on N = 2^t ports.
-
-    ``input_cross[t]`` / ``output_cross[u]`` give the 2x2 element states of
-    the outer columns; ``upper``/``lower`` route the half-size
-    subpermutations through central subnetworks 0 and 1.  ``cross`` is the
-    single element state at the N == 2 base case.
+    """Element states of a Benes network on N = 2^t ports: row l < t - 1 of
+    the read-only ``crosses`` is the input column of level l, row 2t - 2 - l
+    its output column and row t - 1 the centre; element e of a row switches
+    ports 2e and 2e + 1, crossed when True.  Level l splits the ports into
+    blocks of s = N / 2^l; a signal leaving input element r // 2 of a block
+    (r its port there) on its upper (lower) side enters port r // 2
+    (s/2 + r // 2) of that block at level l + 1.
     """
 
-    size: int
-    cross: bool = False
-    input_cross: tuple[bool, ...] = ()
-    output_cross: tuple[bool, ...] = ()
-    upper: "BenesAssignment | None" = None
-    lower: "BenesAssignment | None" = None
+    crosses: np.ndarray  # (2t - 1, N/2) bool
 
-    def route(self, port: int) -> int:
-        """Walk one input through the configured network."""
-        if self.size == 2:
-            return port ^ 1 if self.cross else port
-        t, pos = divmod(port, 2)
-        goes_lower = (pos == 1) != self.input_cross[t]
-        sub = self.lower if goes_lower else self.upper
-        assert sub is not None
-        u = sub.route(t)
-        from_lower_to_top = self.output_cross[u]
-        if goes_lower:
-            return 2 * u + (0 if from_lower_to_top else 1)
-        return 2 * u + (1 if from_lower_to_top else 0)
+    @property
+    def size(self) -> int:
+        return 2 * self.crosses.shape[1]
 
     def realized_permutation(self) -> list[int]:
-        return [self.route(i) for i in range(self.size)]
+        """Output port reached by each input: one gather per column."""
+        n, levels = self.size, len(self.crosses) // 2
+        pos = np.arange(n)
+        for level, row in enumerate(self.crosses[:levels]):
+            half = n >> level + 1
+            e = pos >> 1
+            pos = e + e // half * half + ((pos & 1) ^ row[e]) * half
+        pos ^= self.crosses[levels][pos >> 1]
+        for level in reversed(range(levels)):
+            half = n >> level + 1
+            u = pos // (2 * half) * half + pos % half
+            pos = 2 * u + (pos // half & 1 ^ self.crosses[-1 - level][u])
+        return pos.tolist()
 
 
 def benes_full_assign(pi: Sequence[int]) -> BenesAssignment:
-    """Recursively configure a Benes network for permutation ``pi``.
+    """Configure a Benes network for permutation ``pi``, level by level.
 
-    The outer stage is solved by the segment-flip rule of
-    :func:`benes_flip_assign` (x_i = 0 routes request i through the upper
-    subnetwork), then the two half-size subpermutations are assigned the
-    same way.  Each recursion level checks that both subnetworks receive
-    exactly one signal per link.
+    The outer stages of level l are the outer stage of one block-diagonal
+    permutation p of blocks of N / 2^l ports (cycles never cross blocks):
+    one :func:`benes_flip_assign` of p sets input row l and output row
+    2t - 2 - l of :class:`BenesAssignment` and yields the next level's p,
+    and the last level's 2-port blocks set the centre.  Each level checks
+    that the subnetworks receive exactly one signal per link.
     """
     n = len(pi)
     if n < 2 or n & (n - 1):
         raise DomainError("size must be a power of two, at least 2")
     _check_permutation(pi)
-    return _benes_assign(pi)
-
-
-def _benes_assign(pi: Sequence[int]) -> BenesAssignment:
-    n = len(pi)
-    if n == 2:
-        return BenesAssignment(size=2, cross=pi[0] == 1)
-    x = _outer_stage(pi)
-    half = n // 2
-    up_in = [i + x[i] for i in range(0, n, 2)]  # the input of pair t sent up
-    upper_pi = [pi[i] // 2 for i in up_in]
-    lower_pi = [pi[i ^ 1] // 2 for i in up_in]
-    if sorted(upper_pi) != list(range(half)) or sorted(lower_pi) != list(range(half)):
-        raise PreconditionError("subnetwork link used twice")  # pragma: no cover
-    # the output element crosses when the upper-arriving signal targets the
-    # bottom port of its output pair
-    out_cross = [False] * half
-    for i in up_in:
-        out_cross[pi[i] // 2] = pi[i] % 2 == 1
-    return BenesAssignment(
-        size=n,
-        input_cross=tuple(map(bool, x[::2])),
-        output_cross=tuple(out_cross),
-        upper=_benes_assign(upper_pi),
-        lower=_benes_assign(lower_pi),
-    )
+    levels = n.bit_length() - 2
+    crosses = np.empty((2 * levels + 1, n // 2), dtype=bool)
+    elements = np.arange(n // 2)
+    p = np.asarray(pi, dtype=np.intp)
+    for level in range(levels):
+        half = n >> level + 1  # elements per block
+        crosses[level] = _outer_stage(p.tolist())[::2]
+        up = 2 * elements + crosses[level]  # the input of each element sent up
+        up_out, low_out = p[up] // 2, p[up ^ 1] // 2  # their output elements
+        if np.bincount(up_out, minlength=n // 2).max() > 1:
+            raise PreconditionError("subnetwork link used twice")  # pragma: no cover
+        crosses[-1 - level, up_out] = p[up] & 1
+        spread = elements + elements // half * half  # element u of a block: port u of its upper subnetwork
+        p = np.empty_like(p)
+        p[spread], p[spread + half] = spread[up_out], spread[low_out] + half
+    crosses[levels] = p[::2] & 1
+    crosses.flags.writeable = False
+    return BenesAssignment(crosses)

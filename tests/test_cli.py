@@ -189,13 +189,51 @@ def test_validate_reports_malformed_file(tmp_path, capsys, name, text):
 
 
 def test_validate_judges_a_boltzmann_row_past_170_levels(tmp_path, capsys):
-    # 200 packets on 6 ports: the Poisson profile runs to level 200, past
-    # the largest factorial a double holds; the row is judged, not malformed
+    # 200 packets on 6 ports, more than boltzmann ever writes: the row is
+    # judged before its Poisson profile is built, not malformed
     (tmp_path / "boltzmann.csv").write_text(
         "# experiment: boltzmann\nports,packets,maximizer,states,poisson_vector,poisson_states\n6,200,6,1,6,1\n")
     code, out, _ = _run(capsys, "validate", "--outdir", str(tmp_path))
     assert code == cli.EXIT_FAIL
     assert "boltzmann_poisson_shape,FAIL" in out and "malformed boltzmann.csv" not in out
+
+
+@pytest.fixture(scope="module")
+def small_artifacts(tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("artifacts")
+    argv = ["experiment", "all", "--outdir", str(outdir), "--param", "slots=1000", "--param", "dslots=100"]
+    assert cli.main(argv) == cli.EXIT_OK
+    return outdir
+
+
+def _header_only(text):
+    return "".join(text.splitlines(keepends=True)[:2])
+
+
+@pytest.mark.parametrize("name, edit, check, detail", [
+    ("fig10c.csv", _header_only, "deflection_loss_under_bound", "no data rows in fig10c.csv"),
+    ("table2.csv", _header_only, "route_assignment_valid", "no data rows in table2.csv"),
+    ("table6.csv", _header_only, "scheduler_entropy_column", "no data rows in table6.csv"),
+    ("fig21.csv", _header_only, "roundoff_within_1_over_f", "no data rows in fig21.csv"),
+    ("montecarlo_crossbar.csv", _header_only, "crossbar_carried_load",
+     "no data rows in montecarlo_crossbar.csv"),
+    ("boltzmann.csv", _header_only, "boltzmann_poisson_shape", "no data rows in boltzmann.csv"),
+    ("table6.csv", lambda text: "".join(text.splitlines(keepends=True)[:5]), "scheduler_entropy_column",
+     f"3 rows, expected {len(fixtures.scheduler_table())}"),
+    # a Poisson profile of 10^9 levels would take minutes and gigabytes to build
+    ("boltzmann.csv", lambda text: text + "6,1000000000,6,1,6,1\n", "boltzmann_poisson_shape",
+     "1000000000 packets on 6 ports: need 0 <= packets <= ports <= 12"),
+], ids=["fig10c_header", "table2_header", "table6_header", "fig21_header", "montecarlo_crossbar_header",
+        "boltzmann_header", "table6_3_rows", "boltzmann_1e9_packets"])
+def test_validate_fails_a_table_without_evidence(small_artifacts, tmp_path, capsys, name, edit, check, detail):
+    # the edited table alone: every other check reports its missing file
+    (tmp_path / name).write_text(edit((small_artifacts / name).read_text()))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "validate", "--outdir", str(tmp_path))
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_FAIL
+    assert f"{check},FAIL,{detail}\n" in out
+    assert "Traceback" not in out + err
 
 
 def test_non_integer_param_is_usage_error(tmp_path, capsys):

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from collections import deque
 
+import numpy as np
 import pytest
 
 from switchlab import fixtures
@@ -649,36 +650,30 @@ def _ref_flip_assign(pi):
 
 
 def _ref_full_assign(pi):
-    n = len(pi)
-    if n == 2:
-        return mt.BenesAssignment(size=2, cross=pi[0] == 1)
-    x = _ref_flip_assign(pi)
-    half = n // 2
-    upper_pi = [-1] * half
-    lower_pi = [-1] * half
-    input_cross = []
-    out_cross = [False] * half
-    for t in range(half):
-        i0, i1 = 2 * t, 2 * t + 1
-        up_in = i0 if x[i0] == 0 else i1
-        low_in = i1 if up_in == i0 else i0
-        input_cross.append(up_in != i0)
-        upper_pi[t] = pi[up_in] // 2
-        lower_pi[t] = pi[low_in] // 2
-        out_cross[pi[up_in] // 2] = pi[up_in] % 2 == 1
-    return mt.BenesAssignment(
-        size=n,
-        input_cross=tuple(input_cross),
-        output_cross=tuple(out_cross),
-        upper=_ref_full_assign(upper_pi),
-        lower=_ref_full_assign(lower_pi),
-    )
+    """The tagged-cycle recursion, writing each subnetwork's element states
+    into the level array at its block's first element."""
+    t = len(pi).bit_length() - 1
+    crosses = np.zeros((2 * t - 1, len(pi) // 2), dtype=bool)
 
+    def assign(sub, level, offset):
+        if len(sub) == 2:
+            crosses[level, offset] = sub[0] == 1
+            return
+        x = _ref_flip_assign(sub)
+        half = len(sub) // 2
+        upper_pi = [-1] * half
+        lower_pi = [-1] * half
+        for e in range(half):
+            up_in = 2 * e if x[2 * e] == 0 else 2 * e + 1
+            crosses[level, offset + e] = up_in != 2 * e
+            upper_pi[e] = sub[up_in] // 2
+            lower_pi[e] = sub[up_in ^ 1] // 2
+            crosses[2 * t - 2 - level, offset + sub[up_in] // 2] = sub[up_in] % 2 == 1
+        assign(upper_pi, level + 1, offset)
+        assign(lower_pi, level + 1, offset + half // 2)
 
-def _crosses(node):
-    if node is None:
-        return []
-    return [node.cross, *node.input_cross, *node.output_cross, *_crosses(node.upper), *_crosses(node.lower)]
+    assign(list(pi), 0, 0)
+    return crosses
 
 
 class TestBenesAgainstTaggedCycles:
@@ -690,12 +685,14 @@ class TestBenesAgainstTaggedCycles:
             rng.shuffle(pi)
             assert mt.benes_flip_assign(pi) == _ref_flip_assign(pi)
 
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096])
     def test_full_assignment_tree_is_identical(self, n):
         rng = random.Random(2000 + n)
-        for _ in range(40 if n <= 64 else 3):
+        for _ in range(40 if n <= 64 else 3 if n <= 1024 else 1):
             pi = list(range(n))
             rng.shuffle(pi)
             got = mt.benes_full_assign(pi)
-            assert got == _ref_full_assign(pi)
-            assert all(type(c) is bool for c in _crosses(got))
+            assert got.crosses.dtype == bool and not got.crosses.flags.writeable and got.size == n
+            assert np.array_equal(got.crosses, _ref_full_assign(pi))
+            # level 0's input column is the outer stage; at N = 2 row 0 is the centre
+            assert n == 2 or np.array_equal(got.crosses[0], mt.benes_flip_assign(pi)[::2])
