@@ -372,52 +372,44 @@ class BenesConstraintSystem:
     constraints: tuple[tuple[int, int], ...]
 
 
-def _check_permutation(pi: Sequence[int]) -> None:
-    if sorted(pi) != list(range(len(pi))):
+def _check_permutation(pi: Sequence[int]) -> np.ndarray:
+    """``pi`` as an ``np.intp`` array if it is an integer permutation of 0..N-1, N even."""
+    if len(pi) % 2 != 0:
+        raise DomainError("outer stage pairs ports; size must be even")
+    try:
+        p = np.asarray(pi)
+        ok = p.ndim == 1 and (p.dtype.kind in "iu" or p.size == 0)
+    except ValueError:  # ragged
+        ok = False
+    if not (ok and np.array_equal(np.sort(p), np.arange(len(p)))):
         raise PreconditionError("pi must be a permutation of 0..N-1")
+    return p.astype(np.intp)
 
 
 def benes_constraints(pi: Sequence[int]) -> BenesConstraintSystem:
     """Build the pairing constraints of the two-central-module outer stage
     for permutation ``pi`` (input constraints first, then output)."""
-    n = len(pi)
-    if n % 2 != 0:
-        raise DomainError("outer stage pairs ports; size must be even")
-    _check_permutation(pi)
-    cons: list[tuple[int, int]] = [(2 * t, 2 * t + 1) for t in range(n // 2)]
-    by_out_module: dict[int, list[int]] = {}
-    for i, d in enumerate(pi):
-        by_out_module.setdefault(d // 2, []).append(i)
-    for u in range(n // 2):
-        pair = by_out_module[u]
-        cons.append((pair[0], pair[1]))
-    return BenesConstraintSystem(size=n, constraints=tuple(cons))
+    p = _check_permutation(pi)
+    # the inputs of each output module, in module order, each pair ascending
+    pairs = np.concatenate([np.arange(len(p)), np.argsort(p >> 1, kind="stable")]).reshape(-1, 2)
+    return BenesConstraintSystem(size=len(p), constraints=tuple(map(tuple, pairs.tolist())))
 
 
-def _outer_stage(pi: Sequence[int]) -> list[int]:
-    """:func:`benes_flip_assign` of a checked permutation."""
-    n = len(pi)
-    pinv = [0] * n
-    for i, d in enumerate(pi):
-        pinv[d] = i
-    x = [-1] * n
-    for t in range(0, n, 2):
-        if x[t] >= 0:
-            continue
-        walk = []
-        v = t
-        while True:
-            w = pinv[pi[v] ^ 1]
-            walk += v, w
-            v = w ^ 1
-            if v == t:
-                break
-        # b: the parity of the anchor, the output pair of equal parities with the lowest module
-        _, b = min(((pi[v] // 2, v & 1) for v, w in zip(walk[::2], walk[1::2]) if not (v ^ w) & 1),
-                   default=(0, 0))
-        for s, v in enumerate(walk):
-            x[v] = b ^ (s & 1)
-    return x
+def _outer_stage(p: np.ndarray) -> np.ndarray:
+    """:func:`benes_flip_assign` of a checked permutation array ``p``."""
+    n = len(p)
+    ports = np.arange(n)
+    pinv = np.empty_like(p)
+    pinv[p] = ports
+    partner = pinv[p ^ 1]  # the input sharing each input's output module
+    low, nxt = ports, partner ^ 1  # nxt = g; an orbit of g holds at most N/2 ports
+    for _ in range((n // 2 - 1).bit_length()):
+        low, nxt = np.minimum(low, low[nxt]), nxt[nxt]
+    # b: parity of the cycle's least key 2 * output module + parity over its equal-parity
+    # output pairs (both ports give it); other ports key past the even fill n (b = 0 if none)
+    anchor = np.full(n // 2, n)
+    np.minimum.at(anchor, low >> 1, ((p & -2) | (ports & 1)) + n * ((ports ^ partner) & 1))
+    return (anchor[low >> 1] ^ low) & 1
 
 
 def benes_flip_assign(pi: Sequence[int]) -> list[int]:
@@ -428,16 +420,12 @@ def benes_flip_assign(pi: Sequence[int]) -> list[int]:
     pairs cut the cycle into segments; label them alternately starting
     right after the anchor, the unsatisfied pair with the lowest output
     module, and flip all variables in the first label class.  One pass
-    satisfies everything, so x alternates along the cycle: walked from its
-    lowest even port t through the two pairings (t, its output partner
-    w = pinv[pi[t] ^ 1], w's input partner w ^ 1, ... back to t),
-    x[walk[s]] = b ^ (s & 1), where b is the parity of the port right after
-    the anchor, or 0 when the cycle has no unsatisfied pair.
+    satisfies everything.  A cycle is two orbits of g(v) = pinv[pi[v] ^ 1] ^ 1;
+    x[v] = b ^ (least port of v's orbit & 1), with b the parity of the port
+    after the anchor (0 without one).  The array kernel finds the least ports
+    by pointer jumping and every b by one keyed minimum.
     """
-    if len(pi) % 2 != 0:
-        raise DomainError("outer stage pairs ports; size must be even")
-    _check_permutation(pi)
-    return _outer_stage(pi)
+    return _outer_stage(_check_permutation(pi)).tolist()
 
 
 def count_components(sys: BenesConstraintSystem) -> int:
@@ -521,14 +509,13 @@ def benes_full_assign(pi: Sequence[int]) -> BenesAssignment:
     n = len(pi)
     if n < 2 or n & (n - 1):
         raise DomainError("size must be a power of two, at least 2")
-    _check_permutation(pi)
+    p = _check_permutation(pi)
     levels = n.bit_length() - 2
     crosses = np.empty((2 * levels + 1, n // 2), dtype=bool)
     elements = np.arange(n // 2)
-    p = np.asarray(pi, dtype=np.intp)
     for level in range(levels):
         half = n >> level + 1  # elements per block
-        crosses[level] = _outer_stage(p.tolist())[::2]
+        crosses[level] = _outer_stage(p)[::2]
         up = 2 * elements + crosses[level]  # the input of each element sent up
         up_out, low_out = p[up] // 2, p[up ^ 1] // 2  # their output elements
         if np.bincount(up_out, minlength=n // 2).max() > 1:

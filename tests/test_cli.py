@@ -210,6 +210,16 @@ def _header_only(text):
     return "".join(text.splitlines(keepends=True)[:2])
 
 
+def _set_columns(values):
+    """An edit that sets the named columns (name -> text) of every data row."""
+    def edit(text):
+        comment, header, *rows = text.splitlines()
+        names = header.split(",")
+        rows = [",".join(values.get(name, cell) for name, cell in zip(names, row.split(","))) for row in rows]
+        return "\n".join([comment, header, *rows]) + "\n"
+    return edit
+
+
 @pytest.mark.parametrize("name, edit, check, detail", [
     ("fig10c.csv", _header_only, "deflection_loss_under_bound", "no data rows in fig10c.csv"),
     ("table2.csv", _header_only, "route_assignment_valid", "no data rows in table2.csv"),
@@ -223,8 +233,14 @@ def _header_only(text):
     # a Poisson profile of 10^9 levels would take minutes and gigabytes to build
     ("boltzmann.csv", lambda text: text + "6,1000000000,6,1,6,1\n", "boltzmann_poisson_shape",
      "1000000000 packets on 6 ports: need 0 <= packets <= ports <= 12"),
+    # a table that agrees with its own analytic column: validate re-derives that column
+    ("fig10c.csv", _set_columns({"ln_loss_bound": "0", "empirical_loss": "0.9"}),
+     "deflection_loss_under_bound", ""),
+    ("montecarlo_crossbar.csv", _set_columns({"carried_empirical": "0.1", "carried_analytic": "0.1"}),
+     "crossbar_carried_load", ""),
 ], ids=["fig10c_header", "table2_header", "table6_header", "fig21_header", "montecarlo_crossbar_header",
-        "boltzmann_header", "table6_3_rows", "boltzmann_1e9_packets"])
+        "boltzmann_header", "table6_3_rows", "boltzmann_1e9_packets", "fig10c_own_bound",
+        "montecarlo_crossbar_own_analytic"])
 def test_validate_fails_a_table_without_evidence(small_artifacts, tmp_path, capsys, name, edit, check, detail):
     # the edited table alone: every other check reports its missing file
     (tmp_path / name).write_text(edit((small_artifacts / name).read_text()))
@@ -349,12 +365,15 @@ def test_montecarlo_short_cascade(tmp_path, capsys, stages, lengths):
     (["schedule2d", "{id27}", "--frame", "1"], 2, "27 modules exceed the 26"),
     # 2049 modules a side: one past the count-matrix cap
     (["assign", "{id4098}", "--n", "2"], 2, f"exceed {mt.MAX_COUNT_CELLS} cells"),
+    # int() would truncate these JSON entries to a permutation
+    (["assign", "[0.9, 1.5, 2, 3]", "--n", "2"], 2, "permutation is not a list of integers"),
+    (["assign", "[true, false, 2, 3]", "--n", "2"], 2, "permutation is not a list of integers"),
 ], ids=["assign_n_0", "assign_n_-2", "fig21_k_0", "frame_1e7", "frame_1e7_random",
         "random_1e11", "random_100", "fig10_slots_0", "fig10_slots_-3", "montecarlo_dslots_0",
         "deflect_slots_-5", "deflect_rho_0", "montecarlo_1e12", "fig10_1e12", "fig10_10", "deflect_1e12",
         "fig10_n_100000", "deflect_stages_1e9", "fig10_stages_1e9", "montecarlo_stages_1e9",
         "fig6_n_0", "tradeoff_n_0", "fig6_rows_over_cap", "fig6_max_m_1e8", "tradeoff_max_m_1e8",
-        "schedule2d_27_modules", "assign_4098_ports"])
+        "schedule2d_27_modules", "assign_4098_ports", "assign_json_floats", "assign_json_bools"])
 def test_run_size_table(tmp_path, tmp_path_factory, capsys, argv, code, fragment):
     # a refused command exits 2 at once, before any work, with one error line,
     # no traceback and nothing written

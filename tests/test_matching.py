@@ -492,6 +492,7 @@ class TestBenesFlip:
     def test_identity_needs_no_flips(self):
         x = mt.benes_flip_assign([0, 1, 2, 3])
         assert x == [0, 1, 0, 1]
+        assert mt.benes_flip_assign([]) == []
 
     def test_even_unsatisfied_count_per_cycle_at_start(self):
         rng = random.Random(23)
@@ -531,7 +532,8 @@ class TestBenesFlip:
         with pytest.raises(DomainError):
             mt.benes_flip_assign([0, 2, 1])
 
-    @pytest.mark.parametrize("pi", [[0, 0, 1, 2], [0, 1, 3, 3]])
+    # integral floats and bools are not integer permutations either
+    @pytest.mark.parametrize("pi", [[0, 0, 1, 2], [0, 1, 3, 3], [1.0, 0.0, 3.0, 2.0], [True, False]])
     @pytest.mark.parametrize("fn", [mt.benes_constraints, mt.benes_flip_assign, mt.benes_full_assign])
     def test_non_permutation_rejected(self, fn, pi):
         with pytest.raises(PreconditionError):
@@ -589,7 +591,7 @@ class TestBenesFullAssignment:
             mt.benes_full_assign([2, 0, 1, 3, 4, 5])
 
 
-# --- reference: the tagged-cycle Benes solver the index walk replaced -------
+# --- reference: the tagged-cycle Benes solver, oracle of the array kernel --
 
 def _ref_constraint_cycles(sys):
     var_adj = [[] for _ in range(sys.size)]
@@ -676,21 +678,39 @@ def _ref_full_assign(pi):
     return crosses
 
 
+def _draws(rng, n, count):
+    """``count`` shuffled permutations of n ports, then ``count`` whose
+    constraint graph is one cycle over all n ports, so that their g-orbits
+    are as long as they get (n/2 ports) and one pointer-jumping round too few
+    shows: input module a[i] sends one port to output module b[i] and the
+    other to b[i - 1]."""
+    for _ in range(count):
+        pi = list(range(n))
+        rng.shuffle(pi)
+        yield pi
+    k = n // 2
+    for _ in range(count):
+        a, b = rng.sample(range(k), k), rng.sample(range(k), k)
+        side, slot = [rng.randrange(2) for _ in range(k)], [rng.randrange(2) for _ in range(k)]
+        pi = [0] * n
+        for i in range(k):
+            pi[2 * a[i] + side[i]] = 2 * b[i] + slot[i]
+            pi[2 * a[i] + 1 - side[i]] = 2 * b[i - 1] + 1 - slot[i - 1]
+        assert mt.count_components(mt.benes_constraints(pi)) == 1
+        yield pi
+
+
 class TestBenesAgainstTaggedCycles:
-    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 16, 32, 64, 256])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 16, 32, 64, 256, 1024, 4096])
     def test_flip_assignment_is_identical(self, n):
         rng = random.Random(1000 + n)
-        for _ in range(200 if n <= 32 else 20):
-            pi = list(range(n))
-            rng.shuffle(pi)
+        for pi in _draws(rng, n, 200 if n <= 32 else 20 if n <= 256 else 3):
             assert mt.benes_flip_assign(pi) == _ref_flip_assign(pi)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096])
     def test_full_assignment_tree_is_identical(self, n):
         rng = random.Random(2000 + n)
-        for _ in range(40 if n <= 64 else 3 if n <= 1024 else 1):
-            pi = list(range(n))
-            rng.shuffle(pi)
+        for pi in _draws(rng, n, 40 if n <= 64 else 3 if n <= 1024 else 1):
             got = mt.benes_full_assign(pi)
             assert got.crosses.dtype == bool and not got.crosses.flags.writeable and got.size == n
             assert np.array_equal(got.crosses, _ref_full_assign(pi))
