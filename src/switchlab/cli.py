@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -443,9 +444,10 @@ def _cmd_deflect(args: argparse.Namespace) -> int:
 
 def _parse_permutation(text: str) -> list[int]:
     text = text.strip()
-    try:
-        pi = json.loads(text) if text.startswith("[") else [int(v) for v in text.split(",")]
-    except ValueError:  # bad JSON or a non-integer entry
+    try:  # the comma form takes ASCII decimals only: int() alone also reads "1_0" and fullwidth digits
+        pi = json.loads(text) if text.startswith("[") else [
+            int(v) if re.fullmatch(r"\s*[+-]?[0-9]+\s*", v) else None for v in text.split(",")]
+    except ValueError:  # bad JSON
         pi = [None]
     if any(type(v) is not int for v in pi):  # int() would truncate 1.5 and read true as 1
         raise DomainError(f"permutation is not a list of integers: {text!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,7 +42,8 @@ __all__ = [
 ]
 
 # edge_color refuses a vertex-pair count matrix of more cells than this before
-# building it: k <= 2048 modules a side, the frame decomposition's k at F = 1
+# building it (k <= 2048 modules a side, the frame decomposition's k at F = 1),
+# and peel_matchings a (d, k) result of more cells than this
 MAX_COUNT_CELLS = 1 << 22
 
 @dataclass(frozen=True)
@@ -230,63 +231,55 @@ class EdgeColoring:
         return len(self.color_of) == len(self.graph.edges)
 
 
-def peel_matchings(counts: list[list[int]]) -> Iterator[tuple[list[int], int]]:
-    """Peel perfect matchings off a square count matrix with equal line sums
-    (a regular bipartite multigraph) until it is empty, consuming ``counts``.
-
-    Yields ``(cols, mult)``: row i is matched to column ``cols[i]``, and the
-    matching is peeled at its full multiplicity ``mult``, the smallest count
-    on it.  One Hopcroft-Karp state serves every extraction: a peel drops
-    the emptied cells and unmatches their rows, and the next solve
-    re-augments from those rows alone.  The matrix is checked on the call.
-    """
-    k = len(counts)
-    if (k == 0 or any(len(row) != k for row in counts) or min(map(min, counts)) < 0
-            or len({*map(sum, counts), *map(sum, zip(*counts))}) != 1):
-        raise PreconditionError("counts must be a nonempty square nonnegative matrix with equal line sums")
-    return _peel(counts)
-
-
-def _peel(counts: list[list[int]]) -> Iterator[tuple[list[int], int]]:
-    adj = [list(itertools.compress(range(len(row)), row)) for row in counts]  # sorted support
-    hk = _HopcroftKarp(adj, len(counts))
-    while any(adj):
+def peel_matchings(counts: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """Split a square nonnegative integer matrix with equal line sums d into
+    perfect matchings: row c of the (d, k) int64 result is the c-th, and a
+    matching peeled at multiplicity mu (its smallest count) fills mu adjacent
+    rows.  One Hopcroft-Karp state re-augments only the rows each peel empties.
+    ``counts`` is checked before any solve and not changed."""
+    try:
+        arr = np.asarray(counts)
+        ok = arr.ndim == 2 and 0 < len(arr) == arr.shape[1] and arr.dtype.kind in "iu" and arr.min() >= 0
+    except ValueError:  # ragged
+        ok = False
+    if ok and arr.sum(dtype=float) > MAX_COUNT_CELLS:  # the d * k result cells; keeps the sums below exact
+        raise ResourceLimitError(f"the matchings of these counts exceed {MAX_COUNT_CELLS} cells")
+    if not ok or len({*arr.sum(axis=0).tolist(), *arr.sum(axis=1).tolist()}) != 1:
+        raise PreconditionError("counts must be a nonempty square nonnegative integer matrix with equal line sums")
+    rows = arr.tolist()
+    adj = [list(itertools.compress(range(len(row)), row)) for row in rows]  # sorted support
+    hk = _HopcroftKarp(adj, len(rows))
+    perms = np.empty((sum(rows[0]), len(rows)), dtype=np.int64)
+    done = 0
+    while done < len(perms):
         hk.solve()
         cols = hk.pair_l.copy()
         if -1 in cols:  # pragma: no cover - equal line sums keep a perfect matching
             raise PreconditionError("residual lost its perfect matching")
-        mult = min(row[j] for row, j in zip(counts, cols))
+        mult = min(row[j] for row, j in zip(rows, cols))
+        perms[done:done + mult] = cols
+        done += mult
         for i, j in enumerate(cols):
-            counts[i][j] -= mult
-            if not counts[i][j]:
+            rows[i][j] -= mult
+            if not rows[i][j]:
                 adj[i].remove(j)
                 hk.pair_l[i] = hk.pair_r[j] = -1
-        yield cols, mult
+    return perms
 
 
 def edge_color(g: BipartiteGraph) -> EdgeColoring:
-    """Color a d-regular bipartite multigraph with d colors by peeling
-    perfect matchings off its vertex-pair count matrix (each color class is
-    one of them; a matching of multiplicity c gives c colors).
-
-    A non-regular graph is rejected: regularity is what guarantees that
-    every residual graph still has a perfect matching.
-    """
+    """Color a d-regular bipartite multigraph with d colors: color c is row c
+    of :func:`peel_matchings` of its vertex-pair counts, taken by the
+    instances of each vertex pair last first.  A non-regular graph is refused:
+    regularity keeps a perfect matching in every residual graph."""
     if g.left_count * g.right_count > MAX_COUNT_CELLS:
         raise ResourceLimitError(f"{g.left_count} x {g.right_count} counts exceed {MAX_COUNT_CELLS} cells")
     pool = [[[] for _ in range(g.right_count)] for _ in range(g.left_count)]  # instance ids
     for idx, (l, r) in enumerate(g.edges):
         pool[l][r].append(idx)
-    peel = peel_matchings([[len(ids) for ids in row] for row in pool])
-    degree = len(g.edges) // g.left_count
-    color_of: dict[int, int] = {}
-    color = 0
-    for cols, mult in peel:
-        for c in range(color, color + mult):  # instances of a vertex pair go last first
-            for l, r in enumerate(cols):
-                color_of[pool[l][r].pop()] = c
-        color += mult
-    return EdgeColoring(graph=g, color_of=color_of, colors=degree)
+    rows = peel_matchings([[len(ids) for ids in row] for row in pool])
+    color_of = {pool[l][r].pop(): c for c, cols in enumerate(rows.tolist()) for l, r in enumerate(cols)}
+    return EdgeColoring(graph=g, color_of=color_of, colors=len(rows))
 
 
 @dataclass(frozen=True)
@@ -303,13 +296,13 @@ class CallRequestSet:
         dsts = [d for _, d in self.pairs]
         if len(set(srcs)) != len(srcs) or len(set(dsts)) != len(dsts):
             raise PreconditionError("sources and destinations must each be distinct")
-        for v in itertools.chain(srcs, dsts):
-            if not 0 <= v < n_ports:
-                raise PreconditionError(f"port {v} outside [0, {n_ports})")
+        for v in itertools.chain(srcs, dsts):  # refuses bool (an int subclass) and np.bool_
+            if not (type(v) is int or isinstance(v, np.integer)) or not 0 <= v < n_ports:
+                raise PreconditionError(f"port {v!r} is not an integer in [0, {n_ports})")
 
     @classmethod
     def from_permutation(cls, pi: Sequence[int], spec: ClosSpec) -> "CallRequestSet":
-        return cls(tuple((i, int(pi[i])) for i in range(len(pi))), spec)
+        return cls(tuple(enumerate(pi)), spec)
 
 
 def clos_route_assignment(reqs: CallRequestSet) -> list[RoutingTag]:

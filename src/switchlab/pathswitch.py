@@ -20,7 +20,7 @@ import numpy as np
 
 from .closmodel import ClosSpec
 from .errors import ConvergenceError, DomainError, PreconditionError, ResourceLimitError
-from .matching import _peel
+from .matching import peel_matchings
 
 __all__ = [
     "TrafficMatrix",
@@ -63,8 +63,8 @@ class TrafficMatrix:
         self.check_size(k)
         if len(self.rates) != k or any(len(row) != k for row in self.rates):
             raise PreconditionError(f"traffic matrix must be {k}x{k}")
-        if any(v < 0 for row in self.rates for v in row):
-            raise PreconditionError("arrival rates must be nonnegative")
+        if any(not 0 <= v < np.inf for row in self.rates for v in row):  # NaN fails too
+            raise PreconditionError("arrival rates must be finite and nonnegative")
         arr = np.asarray(self.rates)
         limit = min(self.spec.n, self.spec.m)
         if arr.sum(axis=1).max() >= limit or arr.sum(axis=0).max() >= limit:
@@ -290,12 +290,8 @@ def bvn_decompose(capacity: CapacityMatrix) -> Decomposition:
     f, k, m = capacity.frame_size, capacity.size, capacity.modules
     if f * k * max(k, m) > MAX_PATTERN_CELLS:
         raise ResourceLimitError(f"F * k * max(k, m) = {f * k * max(k, m)} cells exceed {MAX_PATTERN_CELLS}")
-    # each matching is peeled at full multiplicity: identical slots stay
-    # adjacent, which keeps the grouped state count small; CapacityMatrix
-    # already guarantees the equal line sums the public peel_matchings checks
-    peeled = list(_peel(capacity._scaled.tolist()))
-    perms = np.repeat(np.array([cols for cols, _ in peeled], dtype=np.int64).reshape(-1, k),
-                      [mult for _, mult in peeled], axis=0)
+    # full-multiplicity peels keep identical slots adjacent: few grouped states
+    perms = peel_matchings(capacity.scaled_int())
     # cell (slot r // m, input i, output perms[r, i]) of the flat pattern array
     cells = ((np.arange(m * f) // m)[:, None] * k + np.arange(k)) * k + perms
     patterns = np.bincount(cells.ravel(), minlength=f * k * k).reshape(f, k * k)

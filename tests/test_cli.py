@@ -368,12 +368,15 @@ def test_montecarlo_short_cascade(tmp_path, capsys, stages, lengths):
     # int() would truncate these JSON entries to a permutation
     (["assign", "[0.9, 1.5, 2, 3]", "--n", "2"], 2, "permutation is not a list of integers"),
     (["assign", "[true, false, 2, 3]", "--n", "2"], 2, "permutation is not a list of integers"),
+    (["assign", "1_0,0,2,3,4,5,6,7,8,9,1", "--n", "1"], 2, "permutation is not a list of integers"),
+    (["assign", "\uff11,0", "--n", "1"], 2, "permutation is not a list of integers"),
 ], ids=["assign_n_0", "assign_n_-2", "fig21_k_0", "frame_1e7", "frame_1e7_random",
         "random_1e11", "random_100", "fig10_slots_0", "fig10_slots_-3", "montecarlo_dslots_0",
         "deflect_slots_-5", "deflect_rho_0", "montecarlo_1e12", "fig10_1e12", "fig10_10", "deflect_1e12",
         "fig10_n_100000", "deflect_stages_1e9", "fig10_stages_1e9", "montecarlo_stages_1e9",
         "fig6_n_0", "tradeoff_n_0", "fig6_rows_over_cap", "fig6_max_m_1e8", "tradeoff_max_m_1e8",
-        "schedule2d_27_modules", "assign_4098_ports", "assign_json_floats", "assign_json_bools"])
+        "schedule2d_27_modules", "assign_4098_ports", "assign_json_floats", "assign_json_bools",
+        "assign_underscore", "assign_fullwidth_digit"])
 def test_run_size_table(tmp_path, tmp_path_factory, capsys, argv, code, fragment):
     # a refused command exits 2 at once, before any work, with one error line,
     # no traceback and nothing written

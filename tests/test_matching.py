@@ -10,7 +10,7 @@ from switchlab import fixtures
 from switchlab import graphcode as gc
 from switchlab import matching as mt
 from switchlab.closmodel import ClosSpec
-from switchlab.errors import DomainError, PreconditionError
+from switchlab.errors import DomainError, PreconditionError, ResourceLimitError
 
 
 def _random_bipartite(rng, nl, nr, p=0.4):
@@ -243,6 +243,11 @@ def _fresh_hopcroft_karp_peel(counts):
         yield cols, mult
 
 
+def _runs(rows):
+    """The peels of a row array: each maximal run of equal rows as (cols, mult)."""
+    return [(cols, len(list(run))) for cols, run in itertools.groupby(rows.tolist())]
+
+
 class TestPeelMatchings:
     def test_against_fresh_hopcroft_karp_extraction(self):
         rng = random.Random(61)
@@ -251,30 +256,102 @@ class TestPeelMatchings:
             counts = _random_regular_counts(rng, k, degree)
             original = [row[:] for row in counts]
             residual = [row[:] for row in counts]
-            rebuilt = [[0] * k for _ in range(k)]
-            peeled = list(mt.peel_matchings(counts))
+            rows = mt.peel_matchings(counts)
+            assert rows.dtype == np.int64 and rows.shape == (degree, k)
+            assert counts == original  # the caller's matrix is left unchanged
+            peeled = _runs(rows)
             for cols, mult in peeled:
                 assert sorted(cols) == list(range(k))
                 assert all(residual[i][cols[i]] > 0 for i in range(k))  # inside the support
                 assert mult == min(residual[i][cols[i]] for i in range(k))  # full multiplicity
                 for i in range(k):
                     residual[i][cols[i]] -= mult
-                    rebuilt[i][cols[i]] += mult
-            assert rebuilt == original
-            assert counts == [[0] * k for _ in range(k)]  # consumed in place
+            assert residual == [[0] * k for _ in range(k)]
+            assert (mt.peel_matchings(np.array(original)) == rows).all()
             reference = list(_fresh_hopcroft_karp_peel(original))
-            assert sum(mult for _, mult in peeled) == sum(mult for _, mult in reference) == degree
+            assert sum(mult for _, mult in reference) == degree
             if peeled:  # the first solve is the cold one
                 assert peeled[0] == reference[0]
             if degree <= 2:  # after the first peel the residual is a forced permutation
                 assert peeled == reference
 
     @pytest.mark.parametrize("counts", [[[1, 0], [1, 1]], [[2, 0], [0, 1]], [[1, 1], [1]],
-                                        [], [[2, -1], [-1, 2]]],
-                             ids=["unequal_columns", "unequal_rows", "ragged", "empty", "negative"])
-    def test_malformed_counts_rejected(self, counts):
+                                        [], [[]], [[2, -1], [-1, 2]], [[0.5, 0.5], [0.5, 0.5]],
+                                        [[True, False], [False, True]], [[1, 0, 0], [0, 0, 1]]],
+                             ids=["unequal_columns", "unequal_rows", "ragged", "empty", "empty_row",
+                                  "negative", "fractional", "bool", "not_square"])
+    def test_malformed_counts_rejected(self, counts, monkeypatch):
+        monkeypatch.setattr(mt, "_HopcroftKarp", None)  # refused before any solve
         with pytest.raises(PreconditionError):
-            list(mt.peel_matchings(counts))
+            mt.peel_matchings(counts)
+
+    @pytest.mark.parametrize("counts", [[[mt.MAX_COUNT_CELLS + 1]], [[mt.MAX_COUNT_CELLS // 2 + 1] * 2] * 2,
+                                        [[1 << 62] * 2] * 2],
+                             ids=["one_cell", "two_by_two", "int64_line_sums"])
+    def test_oversized_result_refused(self, counts, monkeypatch):
+        # d * k result cells above the cap, including line sums past int64, refused before any solve
+        monkeypatch.setattr(mt, "_HopcroftKarp", None)
+        with pytest.raises(ResourceLimitError):
+            mt.peel_matchings(counts)
+
+
+def _pair_peel(counts):
+    """The generator the row-array peel replaced: yields (cols, mult) and
+    consumes ``counts`` in place."""
+    adj = [list(itertools.compress(range(len(row)), row)) for row in counts]
+    hk = mt._HopcroftKarp(adj, len(counts))
+    while any(adj):
+        hk.solve()
+        cols = hk.pair_l.copy()
+        mult = min(row[j] for row, j in zip(counts, cols))
+        for i, j in enumerate(cols):
+            counts[i][j] -= mult
+            if not counts[i][j]:
+                adj[i].remove(j)
+                hk.pair_l[i] = hk.pair_r[j] = -1
+        yield cols, mult
+
+
+def _pool_edge_color(g):
+    """The edge coloring that expanded each (cols, mult) peel into colors."""
+    pool = [[[] for _ in range(g.right_count)] for _ in range(g.left_count)]
+    for idx, (l, r) in enumerate(g.edges):
+        pool[l][r].append(idx)
+    color_of, color = {}, 0
+    for cols, mult in _pair_peel([[len(ids) for ids in row] for row in pool]):
+        for c in range(color, color + mult):  # instances of a vertex pair go last first
+            for l, r in enumerate(cols):
+                color_of[pool[l][r].pop()] = c
+        color += mult
+    return mt.EdgeColoring(graph=g, color_of=color_of, colors=len(g.edges) // g.left_count)
+
+
+class TestRowPeelAgainstPairPeel:
+    """The row-array peel and the coloring read off it equal the (cols, mult)
+    generator and its pool-based coloring."""
+
+    def test_multigraphs_with_shuffled_parallel_edges(self):
+        rng = random.Random(89)
+        for _ in range(1000):
+            k, degree = rng.randint(1, 12), rng.randint(0, 12)
+            counts = _random_regular_counts(rng, k, degree)
+            expected = [cols for cols, mult in _pair_peel([row[:] for row in counts]) for _ in range(mult)]
+            assert mt.peel_matchings(counts).tolist() == expected
+            edges = [(i, j) for i in range(k) for j in range(k) for _ in range(counts[i][j])]
+            rng.shuffle(edges)
+            g = mt.BipartiteGraph.from_edges(k, k, edges)
+            got, ref = mt.edge_color(g), _pool_edge_color(g)
+            assert (got.colors, list(got.color_of.items())) == (ref.colors, list(ref.color_of.items()))
+
+    def test_64_module_clos_request_set(self, monkeypatch):
+        spec = ClosSpec(m=64, n=64, k=64)
+        pi = list(range(spec.ports))
+        random.Random(97).shuffle(pi)
+        reqs = mt.CallRequestSet.from_permutation(pi, spec)
+        tags = mt.clos_route_assignment(reqs)
+        monkeypatch.setattr(mt, "edge_color", _pool_edge_color)
+        assert tags == mt.clos_route_assignment(reqs)
+        assert mt.verify_route_assignment(reqs, tags)
 
 
 class _RecursiveHopcroftKarp(mt._HopcroftKarp):
@@ -307,12 +384,11 @@ class TestIterativeAugmentingSearch:
             edges = [(rng.randrange(left), rng.randrange(right)) for _ in range(rng.randint(0, 3 * left))]
             graphs.append(mt.BipartiteGraph.from_edges(left, right, edges))
         counts = [_random_regular_counts(rng, rng.randint(1, 40), rng.randint(0, 10)) for _ in range(100)]
-        results = ([mt.complete_matching(g) for g in graphs],
-                   [list(mt.peel_matchings([row[:] for row in c])) for c in counts])
+        results = ([mt.complete_matching(g) for g in graphs], [mt.peel_matchings(c).tolist() for c in counts])
         with monkeypatch.context() as m:
             m.setattr(mt, "_HopcroftKarp", _RecursiveHopcroftKarp)
             reference = ([mt.complete_matching(g) for g in graphs],
-                         [list(mt.peel_matchings([row[:] for row in c])) for c in counts])
+                         [mt.peel_matchings(c).tolist() for c in counts])
         assert results == reference
         assert 0.2 * len(graphs) < sum(not r.complete for r in results[0]) < 0.9 * len(graphs)
 
@@ -463,6 +539,25 @@ class TestClosRouteAssignment:
             assert mt.verify_route_assignment(reqs, tags)
             assert _independent_validity_check(reqs, tags)
             assert all(t.central < n for t in tags)
+
+    @pytest.mark.parametrize("ports", [[1.9, 0.2], [1.0, 0.0], [True, False], np.array([1.0, 0.0]),
+                                       np.array([True, False])],
+                             ids=["floats", "integral_floats", "bools", "float_array", "bool_array"])
+    def test_non_integer_ports_rejected(self, ports):
+        spec = ClosSpec(m=1, n=1, k=2)
+        with pytest.raises(PreconditionError, match="not an integer"):
+            mt.CallRequestSet.from_permutation(ports, spec)
+        with pytest.raises(PreconditionError, match="not an integer"):
+            mt.CallRequestSet(((0, 1), (ports[0], ports[1])), spec)  # a destination
+        with pytest.raises(PreconditionError, match="not an integer"):
+            mt.CallRequestSet(((ports[0], 1), (ports[1], 0)), spec)  # a source
+
+    def test_python_and_numpy_integer_ports_accepted(self):
+        spec = ClosSpec(m=1, n=1, k=2)
+        for pi in ([1, 0], np.array([1, 0]), [np.int32(1), np.uint8(0)]):
+            reqs = mt.CallRequestSet.from_permutation(pi, spec)
+            assert reqs.pairs == ((0, 1), (1, 0))
+            assert mt.verify_route_assignment(reqs, mt.clos_route_assignment(reqs))
 
     def test_insufficient_bandwidth_rejected(self):
         spec = ClosSpec(m=1, n=2, k=2)

@@ -34,6 +34,17 @@ class TestTrafficMatrix:
             ps.TrafficMatrix(((1.5, 0.6), (0.4, 0.5)), spec)
         ps.TrafficMatrix(((0.9, 0.6), (0.4, 0.5)), spec)  # fine
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+    def test_rates_must_be_finite_and_nonnegative(self, bad):
+        spec = ClosSpec(m=2, n=2, k=2)
+        with pytest.raises(PreconditionError, match="finite and nonnegative"):
+            ps.TrafficMatrix(((0.2, bad), (0.4, 0.5)), spec)
+
+    def test_nan_and_inf_in_different_cells_refused(self):
+        spec = ClosSpec(m=2, n=2, k=2)
+        with pytest.raises(PreconditionError, match="finite and nonnegative"):
+            ps.TrafficMatrix(((math.nan, 0.1), (0.4, math.inf)), spec)
+
     def test_shape_checked(self):
         spec = ClosSpec(m=2, n=2, k=2)
         with pytest.raises(PreconditionError):
