@@ -200,6 +200,8 @@ def weighted_delay(capacity: np.ndarray, traffic: TrafficMatrix) -> float:
     (stability).
     """
     cap = np.asarray(capacity, dtype=float)
+    if not np.isfinite(cap).all():
+        raise PreconditionError("capacities must be finite")
     lam = traffic.as_array()
     gap = cap - lam
     loaded = lam > 0
@@ -373,6 +375,8 @@ def bandlimit_and_round(capacity: np.ndarray, f_target: int, *, modules: int) ->
     if f_target < 1:
         raise DomainError("target frame size must be >= 1")
     cap = np.asarray(capacity, dtype=float)
+    if not np.isfinite(cap).all():  # before the int64 cast below, which NaN and inf would trip
+        raise PreconditionError("capacities must be finite")
     target = cap * f_target
     base = np.floor(target + 1e-9).astype(np.int64)
     row_need = modules * f_target - base.sum(axis=1)

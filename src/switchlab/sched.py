@@ -113,20 +113,18 @@ def _log_rms(sum_sq: int, count: int) -> float:
     return 0.5 * math.log2(sum_sq / count)
 
 
-def _state_positions(seq: FrameSequence, weights: WeightSet) -> list[list[int]]:
-    """The slots of each state, ascending, from one pass over the frame;
-    refuses a frame whose length or state counts differ from the weights."""
-    if len(seq.slots) != weights.frame_size:
-        raise DomainError("sequence length differs from the frame size")
-    positions: dict[int, list[int]] = {i: [] for i in range(len(weights))}
-    for t, s in enumerate(seq.slots):
-        if s not in positions:
-            raise DomainError("slots hold unknown states")
-        positions[s].append(t)
-    seen = tuple(len(pos) for pos in positions.values())
-    if seen != weights.counts:
-        raise DomainError(f"state counts {seen} do not match weights {weights.counts}")
-    return list(positions.values())
+def _circular_log_rms(path: np.ndarray, slot: np.ndarray, counts: np.ndarray, f: int) -> tuple[np.ndarray, list]:
+    """The occupied paths and the :func:`_log_rms` of each one's circular
+    gaps.  ``path`` and ``slot`` list the occupied cells, path-major with
+    slots ascending; path p holds ``counts[p]`` tokens over ``f`` slots.  A
+    path's gaps sum to ``f``: the one to its first slot wraps round from its
+    last, and the extra tokens of a cell add zero gaps."""
+    first = np.flatnonzero(np.diff(path, prepend=-1))
+    gaps = np.diff(slot, prepend=0)
+    gaps[first] = slot[first] + f - slot[np.roll(first, -1) - 1]
+    sum_sq = np.add.reduceat(gaps * gaps, first) if path.size else gaps
+    paths = path[first]
+    return paths, [_log_rms(ss, n) for ss, n in zip(sum_sq.tolist(), counts[paths].tolist())]
 
 
 def _finish_times(served: Sequence[int], counts: Sequence[int], f: int) -> tuple[Fraction, ...]:
@@ -204,31 +202,24 @@ def wf2q_trace(weights: WeightSet) -> list[Wf2qTrace]:
 
 
 def schedule_hurr(weights: WeightSet) -> FrameSequence:
-    """Huffman round robin: merge the two lightest states into a tree (ties
-    by lowest contained state index), then expand the frame top-down by
-    running two-state WFQ over each intermediate symbol's occurrences and
-    substituting in place."""
+    """Huffman round robin: merge the two lightest nodes (ties by lowest
+    contained state index) until one is left; a merge interleaves the frames
+    of its left and right nodes in the two-state WFQ order of their counts.
+    The k-th slot of a node takes the k-th entry of its frame, so this
+    equals expanding the tree top-down by substitution."""
     if len(weights) < 2:
         raise DomainError("tree scheduling needs at least two states")
-    f = _frame_size(weights)
-    # a node is (count, lowest contained state, the state of a leaf or the
-    # (left, right) children); the first two fields never tie
-    heap = [(c, i, i) for i, c in enumerate(weights.counts)]
+    _frame_size(weights)
+    # a node is (count, lowest contained state, its frame): no two tie on the first two
+    heap = [(c, i, [i] * c) for i, c in enumerate(weights.counts)]
     heapq.heapify(heap)
     while len(heap) > 1:
         a, b = heapq.heappop(heap), heapq.heappop(heap)
         left, right = (a, b) if a[1] < b[1] else (b, a)
-        heapq.heappush(heap, (a[0] + b[0], left[1], (left, right)))
-    seq = [heap[0]] * f
-    pending = [heap[0]]
-    while pending:
-        node = pending.pop()
-        children = node[2]
-        if isinstance(children, tuple):
-            picks = iter(_wfq_order([child[0] for child in children]))
-            seq = [children[next(picks)] if nd is node else nd for nd in seq]
-            pending.extend(children)
-    return FrameSequence(tuple(nd[2] for nd in seq))
+        frames = iter(left[2]), iter(right[2])
+        merged = [next(frames[pick]) for pick in _wfq_order([left[0], right[0]])]
+        heapq.heappush(heap, (a[0] + b[0], left[1], merged))
+    return FrameSequence(tuple(heap[0][2]))
 
 
 SCHEDULERS = {"wfq": schedule_wfq, "wf2q": schedule_wf2q, "hurr": schedule_hurr}
@@ -266,13 +257,18 @@ def smoothness(seq: FrameSequence, weights: WeightSet) -> SmoothnessReport:
     time; averaged with the state weights.  Kraft sum <= 1 and average >=
     entropy for every valid frame, with equality exactly at constant gaps
     1/phi."""
-    f = weights.frame_size
-    per = []
-    for pos in _state_positions(seq, weights):
-        # the circular gaps run between consecutive slots of the state and
-        # from its last slot round to its first; they sum to F
-        sum_sq = sum((b - a) ** 2 for a, b in zip(pos, pos[1:])) + (f - pos[-1] + pos[0]) ** 2
-        per.append(_log_rms(sum_sq, len(pos)))
+    f, k = weights.frame_size, len(weights)
+    if len(seq.slots) != f:
+        raise DomainError("sequence length differs from the frame size")
+    # a Python or numpy integer in 0..K-1: bool, np.bool_, floats and None are refused
+    if not all((type(s) is int or isinstance(s, np.integer)) and 0 <= s < k for s in seq.slots):
+        raise DomainError("slots hold unknown states")
+    slots = np.array(seq.slots, dtype=np.intp)
+    seen = tuple(np.bincount(slots, minlength=k).tolist())
+    if seen != weights.counts:
+        raise DomainError(f"state counts {seen} do not match weights {weights.counts}")
+    order = np.argsort(slots, kind="stable")
+    _, per = _circular_log_rms(slots[order], order, np.array(seen), f)
     avg = sum(w * l for w, l in zip(weights.as_float(), per))
     kraft = sum(2.0 ** (-l) for l in per)
     return SmoothnessReport(
@@ -357,8 +353,11 @@ class TokenGrid:
     def from_text(cls, text: str) -> "TokenGrid":
         """Read the :meth:`to_text` format; a cell's symbols are read as a
         multiset of inputs, in any order."""
-        rows = [[[] if token == "-" else [GRID_SYMBOLS.index(ch) for ch in token] for token in line.split()]
-                for line in text.strip().splitlines()]
+        lines = [line.split() for line in text.strip().splitlines()]
+        unknown = {ch for line in lines for token in line if token != "-" for ch in token} - set(GRID_SYMBOLS)
+        if unknown:
+            raise PreconditionError(f"grid symbol {min(unknown)!r} is not a letter a-z")
+        rows = [[[] if token == "-" else [GRID_SYMBOLS.index(ch) for ch in token] for token in line] for line in lines]
         if len({len(r) for r in rows}) != 1:
             raise PreconditionError("grid rows must share one frame size")
         n_inputs = max((i + 1 for row in rows for cell in row for i in cell), default=0)
@@ -373,17 +372,20 @@ def grid_from_schedule(patterns: Iterable[np.ndarray]) -> TokenGrid:
     and columns outputs, with every line summing to the same m (a sum of m
     permutation matrices); entry (i, j) grants that many tokens to the path.
     """
-    mats = [np.asarray(p, dtype=np.int64) for p in patterns]
+    mats = list(patterns)
     if not mats:
         raise DomainError("schedule holds no slots")
-    k = mats[0].shape[0]
-    if any(p.shape != (k, k) for p in mats):
-        raise PreconditionError("patterns must be square")
-    frame = np.stack(mats)  # (slots, inputs, outputs)
+    try:
+        frame = np.array(mats)  # (slots, inputs, outputs)
+        ok = frame.ndim == 3 and 0 < frame.shape[1] == frame.shape[2] and frame.dtype.kind in "iu"
+    except ValueError:  # ragged, or patterns of different shapes
+        ok = False
+    if not ok:  # bool and float patterns are refused, not cast
+        raise PreconditionError("patterns must be nonempty square integer matrices of one shape")
     m = frame[0, :, 0].sum()
     if (frame < 0).any() or (frame.sum(axis=1) != m).any() or (frame.sum(axis=2) != m).any():
         raise PreconditionError("patterns must be nonnegative with every line sum equal to the module count")
-    return TokenGrid(np.ascontiguousarray(frame.transpose(1, 2, 0)))
+    return TokenGrid(np.ascontiguousarray(frame.transpose(1, 2, 0), dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -409,19 +411,14 @@ def smoothness_2d(grid: TokenGrid, capacity: CapacityMatrix | None = None) -> Tw
     f = grid.frame_size
     counts = grid.token_counts()
     if capacity is not None:
-        if f % capacity.frame_size or (counts != capacity.scaled_int() * (f // capacity.frame_size)).any():
+        # equal rates n_ij / f == C_ij, cross-multiplied in Python ints so no product wraps
+        scaled = capacity.scaled_int().astype(object)
+        if counts.shape != scaled.shape or (counts.astype(object) * capacity.frame_size != scaled * f).any():
             raise DomainError("token counts disagree with the capacity matrix")
-    # the occupied cells as (path, slot) pairs, path-major with slots
-    # ascending; the gap to a path's first slot wraps round from its last,
-    # and the extra tokens of a cell add zero gaps
     path, slot = np.divmod(np.flatnonzero(grid.tokens > 0), f)
-    first = np.flatnonzero(np.diff(path, prepend=-1))
-    gaps = np.diff(slot, prepend=0)
-    gaps[first] = slot[first] + f - slot[np.roll(first, -1) - 1]  # from each path's last slot
-    sum_sq = np.add.reduceat(gaps * gaps, first) if path.size else gaps
+    paths, per = _circular_log_rms(path, slot, counts.ravel(), f)
     d = np.zeros(counts.shape)
-    paths = path[first]
-    d.flat[paths] = [_log_rms(ss, n) for ss, n in zip(sum_sq.tolist(), counts.flat[paths].tolist())]
+    d.flat[paths] = per
     kraft = np.where(counts > 0, np.exp2(-d), 0.0)
     rates = counts / f
     input_s = (rates * d).sum(axis=1)

@@ -127,6 +127,13 @@ class TestWeightedDelay:
         with pytest.raises(DomainError):
             ps.weighted_delay(np.array([[0.9]]), traffic)
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_capacity_refused(self):
+        traffic = ps.TrafficMatrix(((0.1, 0.1), (0.1, 0.1)), ClosSpec(m=2, n=2, k=2))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(PreconditionError, match="finite"):
+                ps.weighted_delay(np.array([[bad, 1.0], [1.0, 1.0]]), traffic)
+
     def test_heuristic_close_to_oracle_on_2x2(self):
         rng = random.Random(12)
         for _ in range(200):
@@ -256,6 +263,12 @@ class TestBandlimitAndRound:
                 assert (scaled.sum(axis=0) == m * f).all()
                 assert (scaled.sum(axis=1) == m * f).all()
                 assert err <= 1.0 / f + 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_capacity_refused(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(PreconditionError, match="finite"):
+                ps.bandlimit_and_round(np.array([[bad, 1.0], [1.0, 0.0]]), 4, modules=1)
 
     def test_error_shrinks_with_frame_size(self):
         rng = random.Random(35)

@@ -225,6 +225,19 @@ class TestAgainstFractionReference:
             if len(w) >= 2:
                 assert sc.schedule_hurr(w).slots == _ref_hurr(w.weights)
 
+    def test_hurr_frame_with_huffman_ties(self):
+        # up to 40 states drawn from few distinct counts, so equal node counts
+        # and equal merged sums are common; then 1024 equal weights
+        rng = random.Random(19)
+        sets = []
+        for _ in range(300):
+            counts = [rng.randint(1, rng.choice((1, 2, 4, 9))) for _ in range(rng.randint(2, 40))]
+            sets.append(sc.WeightSet(tuple(Fraction(c, sum(counts)) for c in counts)))
+        sets.append(sc.WeightSet(tuple(Fraction(1, 1024) for _ in range(1024))))
+        for w in sets:
+            assert sc.schedule_hurr(w).slots == _ref_hurr(w.weights)
+        assert sum(len(set(w.counts)) < len(w) for w in sets) > 250
+
 
 class TestSmoothness:
     def test_optimal_dyadic(self):
@@ -342,9 +355,21 @@ class TestTokenGrid:
         assert grid.token_slots(0, 1) == []
 
     def test_malformed_pattern_rejected(self):
-        bad = np.array([[1, 0], [1, 0]])
+        # unequal line sums; non-integer patterns, refused rather than cast; ragged and empty ones
+        for bad in (np.array([[1, 0], [1, 0]]), [[0.5, 0.5], [0.5, 0.5]], [[1.7, 0.2], [0.2, 1.7]],
+                    [[1.0, 0.0], [0.0, 1.0]], [[True, False], [False, True]], np.eye(2, dtype=bool),
+                    [["1", "0"], ["0", "1"]], [[1, 0], [0]], [1, 0], np.zeros((0, 0), dtype=np.int64)):
+            with pytest.raises(PreconditionError):
+                sc.grid_from_schedule([bad])
         with pytest.raises(PreconditionError):
-            sc.grid_from_schedule([bad])
+            sc.grid_from_schedule([np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)])
+        small = sc.grid_from_schedule([np.eye(2, dtype=np.int8), [[0, 1], [1, 0]]])
+        assert small.tokens.dtype == np.int64 and small.token_slots(0, 1) == [1]
+
+    def test_from_text_refuses_unknown_symbols(self):
+        for text, symbol in (("A", "'A'"), ("a1 b", "'1'"), ("ab- b", "'-'"), ("a\nb?", "'?'")):
+            with pytest.raises(PreconditionError, match=f"grid symbol {symbol}"):
+                sc.TokenGrid.from_text(text)
 
     def test_negative_token_counts_refused(self):
         for tokens in ([[[1, -1, 0]]], [[[2, -1, 0]]]):
@@ -416,6 +441,25 @@ class TestSmoothness2d:
         )
         with pytest.raises(DomainError):
             sc.smoothness_2d(fixtures.reference_grid("wfq"), other)
+        with pytest.raises(DomainError):  # another shape at the same F = 8
+            sc.smoothness_2d(sc.grid_from_schedule([np.eye(2, dtype=np.int64)] * 8), cap)
+        # 1 * 2**64 is 0 modulo 2**64, so a wrapping product would match the zero matrix
+        with pytest.raises(DomainError):
+            sc.smoothness_2d(sc.grid_from_schedule([np.eye(2, dtype=np.int64)]),
+                             ps.CapacityMatrix.from_integer_matrix([[0, 0], [0, 0]], 2**64))
+
+    def test_grid_on_a_reduced_frame_matches_its_capacity(self):
+        # the decomposition's states carry weights 1/2 and 1/2, so the grid
+        # frame is 2 slots while the capacity matrix holds F = 4
+        cap = ps.CapacityMatrix.from_integer_matrix([[2, 2], [2, 2]], 4)
+        states = ps.bvn_decompose(cap).states
+        weights = sc.WeightSet(tuple(w for _, w in states))
+        grid = sc.grid_from_schedule([states[i][0] for i in sc.schedule_wfq(weights).slots])
+        assert grid.frame_size == 2
+        assert sc.smoothness_2d(grid, cap).path.tolist() == sc.smoothness_2d(grid).path.tolist()
+        for other in ([[3, 1], [1, 3]], [[4, 0], [0, 4]]):
+            with pytest.raises(DomainError):
+                sc.smoothness_2d(grid, ps.CapacityMatrix.from_integer_matrix(other, 4))
 
     def test_degenerate_zero_gaps_allowed(self):
         doubled = np.eye(2, dtype=np.int64) * 2
@@ -513,9 +557,14 @@ class TestAgainstPerStateScans:
 
     def test_unknown_states_and_wrong_counts_refused(self):
         w = sc.WeightSet.of("1/2", "1/2")
-        for slots in ((0, 2), (-1, 0), (0, 1, 1)):
+        k = len(w)
+        for slots in ((0, k), (k, 0), (-1, 0), (0, 1, 1), (0, 0),
+                      (True, False), (0, True), (np.bool_(True), 0), (1.0, 0.0), (None, 0), ("0", 1), ((0,), 1)):
             with pytest.raises(DomainError):
                 sc.smoothness(sc.FrameSequence(slots), w)
+        rep = sc.smoothness(sc.FrameSequence((0, 1)), w)
+        for slots in ((np.int64(0), np.int64(1)), (np.int8(0), 1), (np.uint64(0), np.int32(1))):
+            assert sc.smoothness(sc.FrameSequence(slots), w) == rep
 
     def test_smoothness_2d_equals_the_per_path_scan(self):
         rng = np.random.default_rng(62)
