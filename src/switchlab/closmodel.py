@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .contention import carried_load
-from .errors import DomainError
+from .errors import DomainError, is_integer
 
 __all__ = [
     "ClosSpec",
@@ -38,8 +38,8 @@ class ClosSpec:
     k: int
 
     def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1 or self.k < 1:
-            raise DomainError("m, n, k must all be >= 1")
+        if not all(is_integer(v) and v >= 1 for v in (self.m, self.n, self.k)):
+            raise DomainError("m, n, k must all be >= 1 and integers")
 
     @property
     def ports(self) -> int:

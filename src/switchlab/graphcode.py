@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, ResourceLimitError
+from .errors import DomainError, PreconditionError, ResourceLimitError, integer_array, is_integer
 from .matching import BipartiteGraph
 
 __all__ = [
@@ -44,15 +44,12 @@ class TannerCode:
     columns: tuple[int, ...]
 
     def __init__(self, parity: Sequence[Sequence[int]]) -> None:
-        bits = [[int(b) for b in row] for row in parity]
-        widths = {len(row) for row in bits}
-        if len(widths) != 1:
-            raise PreconditionError("parity rows must share one width")
-        if any(bit not in (0, 1) for row in bits for bit in row):
-            raise PreconditionError("parity entries must be 0/1")
-        object.__setattr__(self, "n_variables", widths.pop())
-        object.__setattr__(self, "rows", tuple(_word_mask(row) for row in bits))
-        object.__setattr__(self, "columns", tuple(_word_mask(col) for col in zip(*bits)))
+        bits = integer_array(parity, 2)
+        if bits is None or not np.isin(bits, (0, 1)).all():
+            raise PreconditionError("parity must be a 0/1 matrix with rows of one width")
+        object.__setattr__(self, "n_variables", bits.shape[1])
+        object.__setattr__(self, "rows", tuple(map(_word_mask, bits.tolist())))
+        object.__setattr__(self, "columns", tuple(map(_word_mask, bits.T.tolist())))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "TannerCode":
@@ -106,8 +103,10 @@ class TannerCode:
 
 
 def _word_mask(word: Sequence[int]) -> int:
-    """Bitmask of a binary word: bit v is word[v] mod 2."""
-    return sum((int(x) & 1) << v for v, x in enumerate(word))
+    """Bitmask of a binary word: bit v is word[v], which must be an integer 0 or 1."""
+    if not all(is_integer(x) and 0 <= x <= 1 for x in word):
+        raise DomainError("word entries must be integers 0 or 1")
+    return sum(1 << v for v, x in enumerate(word) if x)
 
 
 def _mask_word(mask: int, n: int) -> tuple[int, ...]:
@@ -137,7 +136,7 @@ def flip_decode(code: TannerCode, received: Sequence[int]) -> DecodeResult:
     if len(received) != code.n_variables:
         raise DomainError("received length does not match the code")
     word = _word_mask(received)
-    unsat = _word_mask(code.syndrome(received))
+    unsat = sum(((row & word).bit_count() & 1) << c for c, row in enumerate(code.rows))  # the syndrome
     neighbours = code.columns  # variable -> bitmask of its constraints
     flips: list[int] = []
     trace = [unsat.bit_count()]

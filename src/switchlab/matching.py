@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .closmodel import ClosSpec, RoutingTag
-from .errors import DomainError, PreconditionError, ResourceLimitError
+from .errors import DomainError, PreconditionError, ResourceLimitError, integer_array, is_integer
 
 __all__ = [
     "BipartiteGraph",
@@ -55,14 +55,14 @@ class BipartiteGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        for l, r in self.edges:
-            if not (0 <= l < self.left_count and 0 <= r < self.right_count):
-                raise PreconditionError(f"edge ({l}, {r}) endpoint out of range")
+        ends = integer_array(self.edges, 2) if len(self.edges) else np.empty((0, 2), dtype=np.int64)
+        if ends is None or ends.shape[1] != 2 or not ((0 <= ends) & (ends < (self.left_count, self.right_count))).all():
+            raise PreconditionError(f"edges must be integer pairs below ({self.left_count}, {self.right_count})")
+        object.__setattr__(self, "edges", tuple(zip(*ends.T.tolist())))  # pairs of Python ints
 
     @classmethod
-    def from_edges(cls, left_count: int, right_count: int,
-                   edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
-        return cls(left_count, right_count, tuple((int(l), int(r)) for l, r in edges))
+    def from_edges(cls, left_count: int, right_count: int, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
+        return cls(left_count, right_count, tuple(edges))
 
     def adjacency(self) -> list[list[int]]:
         """Left vertex -> sorted unique right neighbours."""
@@ -237,11 +237,8 @@ def peel_matchings(counts: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     matching peeled at multiplicity mu (its smallest count) fills mu adjacent
     rows.  One Hopcroft-Karp state re-augments only the rows each peel empties.
     ``counts`` is checked before any solve and not changed."""
-    try:
-        arr = np.asarray(counts)
-        ok = arr.ndim == 2 and 0 < len(arr) == arr.shape[1] and arr.dtype.kind in "iu" and arr.min() >= 0
-    except ValueError:  # ragged
-        ok = False
+    arr = integer_array(counts, 2)
+    ok = arr is not None and 0 < len(arr) == arr.shape[1] and arr.min() >= 0
     if ok and arr.sum(dtype=float) > MAX_COUNT_CELLS:  # the d * k result cells; keeps the sums below exact
         raise ResourceLimitError(f"the matchings of these counts exceed {MAX_COUNT_CELLS} cells")
     if not ok or len({*arr.sum(axis=0).tolist(), *arr.sum(axis=1).tolist()}) != 1:
@@ -296,8 +293,8 @@ class CallRequestSet:
         dsts = [d for _, d in self.pairs]
         if len(set(srcs)) != len(srcs) or len(set(dsts)) != len(dsts):
             raise PreconditionError("sources and destinations must each be distinct")
-        for v in itertools.chain(srcs, dsts):  # refuses bool (an int subclass) and np.bool_
-            if not (type(v) is int or isinstance(v, np.integer)) or not 0 <= v < n_ports:
+        for v in itertools.chain(srcs, dsts):
+            if not is_integer(v) or not 0 <= v < n_ports:
                 raise PreconditionError(f"port {v!r} is not an integer in [0, {n_ports})")
 
     @classmethod
@@ -366,17 +363,13 @@ class BenesConstraintSystem:
 
 
 def _check_permutation(pi: Sequence[int]) -> np.ndarray:
-    """``pi`` as an ``np.intp`` array if it is an integer permutation of 0..N-1, N even."""
+    """``pi`` as an int64 array if it is an integer permutation of 0..N-1, N even."""
     if len(pi) % 2 != 0:
         raise DomainError("outer stage pairs ports; size must be even")
-    try:
-        p = np.asarray(pi)
-        ok = p.ndim == 1 and (p.dtype.kind in "iu" or p.size == 0)
-    except ValueError:  # ragged
-        ok = False
-    if not (ok and np.array_equal(np.sort(p), np.arange(len(p)))):
+    p = integer_array(pi, 1)
+    if p is None or not np.array_equal(np.sort(p), np.arange(len(p))):
         raise PreconditionError("pi must be a permutation of 0..N-1")
-    return p.astype(np.intp)
+    return p
 
 
 def benes_constraints(pi: Sequence[int]) -> BenesConstraintSystem:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .closmodel import ClosSpec
-from .errors import ConvergenceError, DomainError, PreconditionError, ResourceLimitError
+from .errors import ConvergenceError, DomainError, PreconditionError, ResourceLimitError, integer_array, is_integer
 from .matching import peel_matchings
 
 __all__ = [
@@ -85,24 +85,24 @@ class CapacityMatrix:
     """
 
     def __init__(self, entries: Sequence[Sequence[Fraction]], frame_size: int):
+        if not is_integer(frame_size) or frame_size < 1:  # before it scales an entry
+            raise DomainError("frame size must be an integer >= 1")
         scaled = [[Fraction(v) * frame_size for v in row] for row in entries]
         if any(x.denominator != 1 for row in scaled for x in row):
             raise PreconditionError("entries times frame size must be integers")
         self._set_scaled([[x.numerator for x in row] for row in scaled], frame_size)
 
     def _set_scaled(self, scaled: Sequence[Sequence[int]], frame_size: int) -> None:
-        if frame_size < 1:
-            raise DomainError("frame size must be >= 1")
+        if not is_integer(frame_size) or frame_size < 1:  # F may exceed int64
+            raise DomainError("frame size must be an integer >= 1")
         k = len(scaled)
         if k == 0 or any(len(row) != k for row in scaled):
             raise PreconditionError("capacity matrix must be square")
-        raw = np.asarray(scaled)  # object dtype for Python ints beyond int64
-        with np.errstate(invalid="ignore"):  # before the int64 cast could truncate; NaN and inf fail
-            if raw.dtype.kind not in "biufO" or not (raw % 1 == 0).all():
-                raise PreconditionError("entries of F * C must be integers")
-        if (abs(raw) > np.iinfo(np.int64).max // k).any():
+        arr = integer_array(scaled, 2)
+        if arr is None:
+            raise PreconditionError("entries of F * C must be integers")
+        if (abs(arr) > np.iinfo(np.int64).max // k).any():
             raise ResourceLimitError("line sums of F * C exceed the int64 range")
-        arr = raw.astype(np.int64)
         if (arr < 0).any():
             raise PreconditionError("capacities must be nonnegative")
         total = int(arr[0].sum())
@@ -110,8 +110,8 @@ class CapacityMatrix:
             raise PreconditionError("row and column sums must all be equal")
         if total % frame_size:
             raise PreconditionError("line sums must be an integer multiple of F")
-        arr.flags.writeable = False
-        self._scaled = arr
+        self._scaled = arr.copy()  # the caller's array is not shared
+        self._scaled.flags.writeable = False
         self.frame_size = frame_size
         self.modules = total // frame_size
 

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, ResourceLimitError
+from .errors import DomainError, PreconditionError, ResourceLimitError, integer_array
 from .pathswitch import CapacityMatrix
 
 __all__ = [
@@ -260,10 +260,9 @@ def smoothness(seq: FrameSequence, weights: WeightSet) -> SmoothnessReport:
     f, k = weights.frame_size, len(weights)
     if len(seq.slots) != f:
         raise DomainError("sequence length differs from the frame size")
-    # a Python or numpy integer in 0..K-1: bool, np.bool_, floats and None are refused
-    if not all((type(s) is int or isinstance(s, np.integer)) and 0 <= s < k for s in seq.slots):
+    slots = integer_array(seq.slots, 1)
+    if slots is None or not ((0 <= slots) & (slots < k)).all():
         raise DomainError("slots hold unknown states")
-    slots = np.array(seq.slots, dtype=np.intp)
     seen = tuple(np.bincount(slots, minlength=k).tolist())
     if seen != weights.counts:
         raise DomainError(f"state counts {seen} do not match weights {weights.counts}")
@@ -279,8 +278,10 @@ def smoothness(seq: FrameSequence, weights: WeightSet) -> SmoothnessReport:
 def random_sequence_smoothness(seq: Sequence[int], weights: WeightSet) -> float:
     """Empirical smoothness of an unframed sequence: consecutive
     inter-occurrence gaps are the samples, weighted by the nominal phis."""
+    arr = integer_array(seq, 1)
+    if arr is None or not ((0 <= arr) & (arr < len(weights))).all():
+        raise DomainError("sequence holds unknown states")
     total = 0.0
-    arr = np.asarray(seq)
     for i, w in enumerate(weights.as_float()):
         pos = np.nonzero(arr == i)[0]
         if pos.size < 2:
@@ -311,8 +312,9 @@ class TokenGrid:
     tokens: np.ndarray  # (inputs, outputs, slots)
 
     def __post_init__(self) -> None:
-        if (self.tokens < 0).any():
-            raise PreconditionError("token counts must be nonnegative")
+        object.__setattr__(self, "tokens", integer_array(self.tokens, 3))
+        if self.tokens is None or (self.tokens < 0).any():
+            raise PreconditionError("tokens must be a 3-D array of nonnegative integer counts")
 
     @property
     def n_inputs(self) -> int:
@@ -375,17 +377,13 @@ def grid_from_schedule(patterns: Iterable[np.ndarray]) -> TokenGrid:
     mats = list(patterns)
     if not mats:
         raise DomainError("schedule holds no slots")
-    try:
-        frame = np.array(mats)  # (slots, inputs, outputs)
-        ok = frame.ndim == 3 and 0 < frame.shape[1] == frame.shape[2] and frame.dtype.kind in "iu"
-    except ValueError:  # ragged, or patterns of different shapes
-        ok = False
-    if not ok:  # bool and float patterns are refused, not cast
+    frame = integer_array(mats, 3)  # (slots, inputs, outputs)
+    if frame is None or not 0 < frame.shape[1] == frame.shape[2]:
         raise PreconditionError("patterns must be nonempty square integer matrices of one shape")
     m = frame[0, :, 0].sum()
     if (frame < 0).any() or (frame.sum(axis=1) != m).any() or (frame.sum(axis=2) != m).any():
         raise PreconditionError("patterns must be nonnegative with every line sum equal to the module count")
-    return TokenGrid(np.ascontiguousarray(frame.transpose(1, 2, 0), dtype=np.int64))
+    return TokenGrid(np.ascontiguousarray(frame.transpose(1, 2, 0)))
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,16 @@ def _set_columns(values):
     return edit
 
 
+def _drop_column(name):
+    """An edit that removes the named column from the header and every data row."""
+    def edit(text):
+        comment, header, *rows = text.splitlines()
+        i = header.split(",").index(name)
+        rows = [",".join(cell for j, cell in enumerate(row.split(",")) if j != i) for row in (header, *rows)]
+        return "\n".join([comment, *rows]) + "\n"
+    return edit
+
+
 @pytest.mark.parametrize("name, edit, check, detail", [
     ("fig10c.csv", _header_only, "deflection_loss_under_bound", "no data rows in fig10c.csv"),
     ("table2.csv", _header_only, "route_assignment_valid", "no data rows in table2.csv"),
@@ -238,12 +248,24 @@ def _set_columns(values):
      "deflection_loss_under_bound", ""),
     ("montecarlo_crossbar.csv", _set_columns({"carried_empirical": "0.1", "carried_analytic": "0.1"}),
      "crossbar_carried_load", ""),
+    # values no experiment writes, a lost column and bytes that are not UTF-8
+    ("fig21.csv", _set_columns({"max_roundoff": "nan"}), "roundoff_within_1_over_f", ""),
+    ("montecarlo_crossbar.csv", _set_columns({"carried_empirical": "nan"}), "crossbar_carried_load", ""),
+    ("fig10c.csv", _set_columns({"empirical_loss": "inf"}), "deflection_loss_under_bound", ""),
+    ("table2.csv", _drop_column("central"), "route_assignment_valid",
+     "malformed table2.csv: list index out of range"),
+    ("table2.csv", lambda text: b"\xff" + text.encode(), "route_assignment_valid",
+     "malformed table2.csv: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ("fig21.csv", _set_columns({"frame_size": "0"}), "roundoff_within_1_over_f",
+     "malformed fig21.csv: float division by zero"),
 ], ids=["fig10c_header", "table2_header", "table6_header", "fig21_header", "montecarlo_crossbar_header",
         "boltzmann_header", "table6_3_rows", "boltzmann_1e9_packets", "fig10c_own_bound",
-        "montecarlo_crossbar_own_analytic"])
+        "montecarlo_crossbar_own_analytic", "fig21_nan_roundoff", "montecarlo_crossbar_nan_carried",
+        "fig10c_inf_loss", "table2_dropped_column", "table2_not_utf8", "fig21_frame_0"])
 def test_validate_fails_a_table_without_evidence(small_artifacts, tmp_path, capsys, name, edit, check, detail):
     # the edited table alone: every other check reports its missing file
-    (tmp_path / name).write_text(edit((small_artifacts / name).read_text()))
+    edited = edit((small_artifacts / name).read_text())
+    (tmp_path / name).write_bytes(edited if isinstance(edited, bytes) else edited.encode())
     start = time.perf_counter()
     code, out, err = _run(capsys, "validate", "--outdir", str(tmp_path))
     assert time.perf_counter() - start < 1.0

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from switchlab import closmodel as cm
@@ -15,6 +16,18 @@ def test_spec_invariants():
     assert cm.ClosSpec(m=7, n=4, k=2).is_strictly_nonblocking()
     with pytest.raises(DomainError):
         cm.ClosSpec(m=0, n=1, k=1)
+
+
+@pytest.mark.parametrize("shape", [(2.5, 2, 2), (2, 2.0, 2), (2, 2, "2"), (True, True, True), (2, 2, None)])
+def test_spec_shape_must_be_integers(shape):
+    # ClosSpec(m=2.5, n=2, k=2) and ClosSpec(True, True, True) were accepted; ports could be a float
+    with pytest.raises(DomainError, match="must all be >= 1 and integers"):
+        cm.ClosSpec(*shape)
+
+
+def test_spec_accepts_numpy_integers():
+    spec = cm.ClosSpec(m=np.int64(4), n=np.uint8(4), k=np.int32(8))
+    assert spec.ports == 32 and spec.is_rearrangeable()
 
 
 def test_address_split_examples():

@@ -67,6 +67,36 @@ class TestCodewords:
         with pytest.raises(PreconditionError):
             gc.TannerCode.from_rows([[0, 2]])
 
+    @pytest.mark.parametrize("row", [[0.5, 1], [1.0, 1], [True, 1], [np.bool_(True), 0], [None, 1], ["1", 0]],
+                             ids=["half", "integral_float", "bool", "np_bool", "none", "string"])
+    def test_non_integer_parity_entries_rejected(self, row):
+        # int() read 0.5 as 0 and accepted 1.0 and True as 1
+        with pytest.raises(PreconditionError):
+            gc.TannerCode.from_rows([[1, 0], row])
+
+    def test_numpy_integer_parity_entries_accepted(self):
+        code = gc.TannerCode.from_rows(np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8))
+        assert code.parity == ((1, 1, 0), (0, 1, 1))
+        assert gc.TannerCode.from_rows([[np.int64(1), 1, 0], [0, 1, 1]]) == code
+
+    @pytest.mark.parametrize("word", [[0.5, 1, 0], [1.7, 0, 0], [True, 0, 0], [1.0, 0, 0], [2, 0, 0], [-1, 0, 0],
+                                      [None, 0, 0], [np.bool_(False), 0, 0]],
+                             ids=["half", "1.7", "bool", "integral_float", "two", "minus_one", "none", "np_bool"])
+    def test_received_word_entries_must_be_integer_bits(self, word):
+        # flip_decode read 0.5 as 0 and syndrome read 1.7 as 1
+        code = gc.TannerCode.from_rows([[1, 1, 0], [0, 1, 1]])
+        with pytest.raises(DomainError, match="word entries must be integers 0 or 1"):
+            code.syndrome(word)
+        with pytest.raises(DomainError, match="word entries must be integers 0 or 1"):
+            gc.flip_decode(code, word)
+        with pytest.raises(DomainError, match="word entries must be integers 0 or 1"):
+            gc.is_codeword(code, word)
+
+    def test_numpy_integer_word_entries_accepted(self):
+        code = gc.TannerCode.from_rows([[1, 1, 0], [0, 1, 1]])
+        assert code.syndrome([np.int8(1), np.uint64(0), 0]) == code.syndrome([1, 0, 0]) == [1, 0]
+        assert gc.flip_decode(code, np.array([1, 0, 0])) == gc.flip_decode(code, [1, 0, 0])
+
 
 class TestAgainstMatrixProducts:
     """Bitmask parity rows against H @ w % 2 over every word, in ascending

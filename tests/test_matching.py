@@ -26,6 +26,34 @@ def _has_perfect_matching_bruteforce(g):
     return False
 
 
+class TestBipartiteGraph:
+    @pytest.mark.parametrize("edge", [(0.5, 1), (1.0, 0), (True, 0), (0, np.bool_(True)), (None, 0), ("0", 1),
+                                      (0, 1, 1)],
+                             ids=["half", "integral_float", "bool", "np_bool", "none", "string", "triple"])
+    def test_non_integer_endpoints_rejected(self, edge):
+        # from_edges used to cast with int(), so (0.5, 1) became (0, 1); the constructor kept 0.5
+        with pytest.raises(PreconditionError):
+            mt.BipartiteGraph.from_edges(2, 2, [(0, 0), edge])
+        with pytest.raises(PreconditionError):
+            mt.BipartiteGraph(2, 2, ((0, 0), edge))
+
+    def test_out_of_range_endpoints_rejected(self):
+        for edge in ((0, 2), (2, 0), (-1, 0)):
+            with pytest.raises(PreconditionError):
+                mt.BipartiteGraph.from_edges(2, 2, [edge])
+
+    def test_numpy_integer_endpoints_become_python_ints(self):
+        for g in (mt.BipartiteGraph.from_edges(2, 70, [(np.int8(1), np.uint64(69))]),
+                  mt.BipartiteGraph(2, 70, ((np.int8(1), np.uint64(69)),))):
+            assert g.edges == ((1, 69),) and {type(v) for e in g.edges for v in e} == {int}
+            assert g.neighbor_masks() == [0, 1 << 69]  # a numpy shift would overflow at bit 69
+        assert mt.BipartiteGraph.from_edges(0, 0, []).edges == ()
+
+    def test_endpoint_past_int64_is_a_resource_limit(self):
+        with pytest.raises(ResourceLimitError):
+            mt.BipartiteGraph.from_edges(2, 2, [(0, 2**70)])
+
+
 class TestHallCheck:
     def test_complete_bipartite(self):
         g = mt.BipartiteGraph.from_edges(4, 4, [(l, r) for l in range(4) for r in range(4)])
@@ -277,9 +305,10 @@ class TestPeelMatchings:
 
     @pytest.mark.parametrize("counts", [[[1, 0], [1, 1]], [[2, 0], [0, 1]], [[1, 1], [1]],
                                         [], [[]], [[2, -1], [-1, 2]], [[0.5, 0.5], [0.5, 0.5]],
-                                        [[True, False], [False, True]], [[1, 0, 0], [0, 0, 1]]],
+                                        [[True, False], [False, True]], [[1, 0, 0], [0, 0, 1]],
+                                        [[1, False], [False, True]]],
                              ids=["unequal_columns", "unequal_rows", "ragged", "empty", "empty_row",
-                                  "negative", "fractional", "bool", "not_square"])
+                                  "negative", "fractional", "bool", "not_square", "mixed_bool"])
     def test_malformed_counts_rejected(self, counts, monkeypatch):
         monkeypatch.setattr(mt, "_HopcroftKarp", None)  # refused before any solve
         with pytest.raises(PreconditionError):
@@ -628,7 +657,7 @@ class TestBenesFlip:
             mt.benes_flip_assign([0, 2, 1])
 
     # integral floats and bools are not integer permutations either
-    @pytest.mark.parametrize("pi", [[0, 0, 1, 2], [0, 1, 3, 3], [1.0, 0.0, 3.0, 2.0], [True, False]])
+    @pytest.mark.parametrize("pi", [[0, 0, 1, 2], [0, 1, 3, 3], [1.0, 0.0, 3.0, 2.0], [True, False], [True, 0]])
     @pytest.mark.parametrize("fn", [mt.benes_constraints, mt.benes_flip_assign, mt.benes_full_assign])
     def test_non_permutation_rejected(self, fn, pi):
         with pytest.raises(PreconditionError):

@@ -172,11 +172,28 @@ class TestCapacityStorage:
 
     @pytest.mark.parametrize("scaled", [[[1.7, 0.2], [0.2, 1.7]], [[0.5, 0.5], [0.5, 0.5]],
                                         [[math.nan, 1], [1, math.nan]],
-                                        [[math.inf, 1], [1, math.inf]]],
-                             ids=["near_identity", "half_ones", "nan", "inf"])
+                                        [[math.inf, 1], [1, math.inf]],
+                                        [[True, False], [False, True]], np.eye(2, dtype=bool),
+                                        [[1.0, 0.0], [0.0, 1.0]], np.eye(2),
+                                        [[1, False], [0, True]]],
+                             ids=["near_identity", "half_ones", "nan", "inf", "bool", "bool_array",
+                                  "integral_float", "integral_float_array", "mixed_bool"])
     def test_non_integral_entries_rejected_not_truncated(self, scaled):
         with pytest.raises(PreconditionError):
             ps.CapacityMatrix.from_integer_matrix(scaled, 1)
+
+    @pytest.mark.parametrize("frame", [2.0, 2.5, True, np.bool_(True), "2", None, 0, -1])
+    def test_frame_size_must_be_an_integer_of_at_least_one(self, frame):
+        # 2.0 ended in AttributeError ('float' has no 'denominator') or gave F=2.0, m=1.0; True was F=1
+        with pytest.raises(DomainError, match="frame size must be an integer >= 1"):
+            ps.CapacityMatrix([[1, 0], [0, 1]], frame)
+        with pytest.raises(DomainError, match="frame size must be an integer >= 1"):
+            ps.CapacityMatrix.from_integer_matrix([[2, 0], [0, 2]], frame)
+
+    def test_numpy_and_beyond_int64_frame_sizes_accepted(self):
+        assert ps.CapacityMatrix.from_integer_matrix([[2, 0], [0, 2]], np.int32(2)).modules == 1
+        cap = ps.CapacityMatrix.from_integer_matrix([[0, 0], [0, 0]], 2**64)
+        assert cap.frame_size == 2**64 and cap.modules == 0
 
 
 class TestBvnDecompose:

@@ -319,8 +319,29 @@ class TestRandomSchedule:
         seq = sc.schedule_random(w, 100, seed=1)
         assert set(seq) == {0}
 
+    def test_unknown_states_refused(self):
+        w = sc.WeightSet.of("1/2", "1/2")
+        # [0, 1, 0, 1, True, 1.0] scored 0.75, counting True and 1.0 as state 1; state 2 was ignored
+        for seq in ([0, 1, 0, 1, True, 1.0], [0, 1, 0, 1, 2], [0, 1, 0, 1, -1], np.array([0, 1, 0, 1.0]),
+                    [0, 1, 0, 1, None], [0, 1, 0, "1"], [[0, 1], [0, 1]]):
+            with pytest.raises(DomainError, match="unknown states"):
+                sc.random_sequence_smoothness(seq, w)
+        assert sc.random_sequence_smoothness(np.array([0, 1, 0, 1], dtype=np.uint8), w) == \
+            sc.random_sequence_smoothness([0, np.int64(1), 0, 1], w) == 1.0
+
 
 class TestTokenGrid:
+    def test_tokens_must_be_a_3d_nonnegative_integer_array(self):
+        # half tokens scored 0.25 bits, a 2-D array ended in IndexError and a nested list in TypeError
+        for bad in (np.array([[[0.5, 0.5]]]), np.eye(2, dtype=np.int64), np.ones((1, 1, 2), dtype=bool),
+                    [[[1, True]]], [[[1, -1]]], [[[1, 0], [1]]]):
+            with pytest.raises(PreconditionError, match="3-D array of nonnegative integer counts"):
+                sc.smoothness_2d(sc.TokenGrid(bad))
+        grid = sc.TokenGrid([[[1, 0]]])
+        assert grid.tokens.dtype == np.int64 and grid.token_slots(0, 0) == [0]
+        with pytest.raises(ResourceLimitError):
+            sc.TokenGrid([[[2**70]]])
+
     def test_roundtrip_text(self):
         grid = fixtures.reference_grid("wfq")
         assert sc.TokenGrid.from_text(grid.to_text()).cells == grid.cells
