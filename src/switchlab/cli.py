@@ -508,7 +508,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     weights = _weights_from_arg(args.weights)
     if args.algorithm == "random":
         draws = sched.schedule_random(weights, args.slots, seed=args.seed)
-        print(" ".join(f"P{i + 1}" for i in draws[:min(len(draws), 64)]))
+        print(" ".join(f"P{i + 1}" for i in draws[:64].tolist()))
         gap = sched.random_sequence_smoothness(draws, weights)
         print(f"empirical_smoothness={gap:.4f} entropy={sched.entropy(weights):.4f}")
         return EXIT_OK

@@ -11,7 +11,6 @@ list), so an edge coloring is well defined even with repeated endpoints.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -85,11 +84,8 @@ class BipartiteGraph:
         return masks
 
     def neighborhood(self, subset: Iterable[int]) -> set[int]:
-        masks = self.neighbor_masks()
-        nb = 0
-        for v in subset:
-            nb |= masks[v]
-        return {r for r in range(self.right_count) if nb >> r & 1}
+        chosen = set(subset)
+        return {r for l, r in self.edges if l in chosen}
 
 
 @dataclass(frozen=True)
@@ -120,41 +116,51 @@ class MatchingResult:
 
 
 class _HopcroftKarp:
-    """Standard Hopcroft-Karp on adjacency lists; deterministic order.
-
-    :meth:`solve` ends on a search that finds no augmenting path; after it,
-    ``dist[l] != INF`` holds exactly for the left vertices that search
-    reached by alternating paths from the exposed ones.
-    """
+    """Standard Hopcroft-Karp; deterministic order.  The breadth-first search
+    runs by layers on neighbour bitmasks built from ``adj``: each new right
+    vertex brings in its mate alone, so ``dist`` is the one a search of the
+    lists gives.  The augmenting search walks the sorted lists.  :meth:`solve`
+    ends on a search that finds no augmenting path; after it, ``dist[l] !=
+    INF`` holds exactly for the left vertices that search reached by
+    alternating paths from the exposed ones."""
 
     INF = -1
 
-    def __init__(self, adj: Sequence[Sequence[int]], right_count: int):
+    def __init__(self, adj: list[list[int]], right_count: int):
         self.adj = adj
+        self.masks = [sum(1 << r for r in row) for row in adj]
         self.nl = len(adj)
-        self.nr = right_count
         self.pair_l = [-1] * self.nl
-        self.pair_r = [-1] * self.nr
+        self.pair_r = [-1] * right_count
         self.dist = [0] * self.nl
 
+    def remove_edge(self, l: int, r: int) -> None:  # from the list and the mask; unmatches both ends
+        self.adj[l].remove(r)
+        self.masks[l] &= ~(1 << r)
+        self.pair_l[l] = self.pair_r[r] = -1
+
     def _bfs(self) -> bool:
-        queue: deque[int] = deque()
-        for l in range(self.nl):
-            if self.pair_l[l] == -1:
-                self.dist[l] = 0
-                queue.append(l)
-            else:
-                self.dist[l] = self.INF
-        found = False
-        while queue:
-            l = queue.popleft()
-            for r in self.adj[l]:
-                nxt = self.pair_r[r]
+        masks, pair_r = self.masks, self.pair_r
+        self.dist = dist = [self.INF] * self.nl
+        layer = [l for l, r in enumerate(self.pair_l) if r == -1]
+        for l in layer:
+            dist[l] = 0
+        seen, found, depth = 0, False, 0
+        while layer:
+            new = 0
+            for l in layer:
+                new |= masks[l]
+            new, seen = new & ~seen, seen | new
+            layer, depth = [], depth + 1
+            while new:  # the new right vertices, lowest first
+                low = new & -new
+                new ^= low
+                nxt = pair_r[low.bit_length() - 1]
                 if nxt == -1:
                     found = True
-                elif self.dist[nxt] == self.INF:
-                    self.dist[nxt] = self.dist[l] + 1
-                    queue.append(nxt)
+                else:
+                    dist[nxt] = depth
+                    layer.append(nxt)
         return found
 
     def _dfs(self, root: int) -> bool:
@@ -235,7 +241,8 @@ def peel_matchings(counts: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     """Split a square nonnegative integer matrix with equal line sums d into
     perfect matchings: row c of the (d, k) int64 result is the c-th, and a
     matching peeled at multiplicity mu (its smallest count) fills mu adjacent
-    rows.  One Hopcroft-Karp state re-augments only the rows each peel empties.
+    rows.  One Hopcroft-Karp state re-augments only the rows each peel empties;
+    each row's sorted support and residual counts come from one ``np.nonzero``.
     ``counts`` is checked before any solve and not changed."""
     arr = integer_array(counts, 2)
     ok = arr is not None and 0 < len(arr) == arr.shape[1] and arr.min() >= 0
@@ -243,24 +250,25 @@ def peel_matchings(counts: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
         raise ResourceLimitError(f"the matchings of these counts exceed {MAX_COUNT_CELLS} cells")
     if not ok or len({*arr.sum(axis=0).tolist(), *arr.sum(axis=1).tolist()}) != 1:
         raise PreconditionError("counts must be a nonempty square nonnegative integer matrix with equal line sums")
-    rows = arr.tolist()
-    adj = [list(itertools.compress(range(len(row)), row)) for row in rows]  # sorted support
-    hk = _HopcroftKarp(adj, len(rows))
-    perms = np.empty((sum(rows[0]), len(rows)), dtype=np.int64)
+    i, j = np.nonzero(arr)  # row-major: each row's columns ascend
+    left: list[dict[int, int]] = [{} for _ in arr]  # row -> column -> residual count
+    for row, col, count in zip(i.tolist(), j.tolist(), arr[i, j].tolist()):
+        left[row][col] = count
+    hk = _HopcroftKarp([list(row) for row in left], len(arr))
+    perms = np.empty((sum(left[0].values()), len(arr)), dtype=np.int64)
     done = 0
     while done < len(perms):
         hk.solve()
-        cols = hk.pair_l.copy()
-        if -1 in cols:  # pragma: no cover - equal line sums keep a perfect matching
+        match = hk.pair_l.copy()
+        if -1 in match:  # pragma: no cover - equal line sums keep a perfect matching
             raise PreconditionError("residual lost its perfect matching")
-        mult = min(row[j] for row, j in zip(rows, cols))
-        perms[done:done + mult] = cols
+        mult = min(row[col] for row, col in zip(left, match))
+        perms[done:done + mult] = match
         done += mult
-        for i, j in enumerate(cols):
-            rows[i][j] -= mult
-            if not rows[i][j]:
-                adj[i].remove(j)
-                hk.pair_l[i] = hk.pair_r[j] = -1
+        for l, (row, col) in enumerate(zip(left, match)):
+            row[col] -= mult
+            if not row[col]:
+                hk.remove_edge(l, col)
     return perms
 
 
@@ -269,13 +277,15 @@ def edge_color(g: BipartiteGraph) -> EdgeColoring:
     of :func:`peel_matchings` of its vertex-pair counts, taken by the
     instances of each vertex pair last first.  A non-regular graph is refused:
     regularity keeps a perfect matching in every residual graph."""
-    if g.left_count * g.right_count > MAX_COUNT_CELLS:
-        raise ResourceLimitError(f"{g.left_count} x {g.right_count} counts exceed {MAX_COUNT_CELLS} cells")
-    pool = [[[] for _ in range(g.right_count)] for _ in range(g.left_count)]  # instance ids
-    for idx, (l, r) in enumerate(g.edges):
-        pool[l][r].append(idx)
-    rows = peel_matchings([[len(ids) for ids in row] for row in pool])
-    color_of = {pool[l][r].pop(): c for c, cols in enumerate(rows.tolist()) for l, r in enumerate(cols)}
+    k = g.right_count
+    if g.left_count * k > MAX_COUNT_CELLS:
+        raise ResourceLimitError(f"{g.left_count} x {k} counts exceed {MAX_COUNT_CELLS} cells")
+    pair = np.array([l * k + r for l, r in g.edges], dtype=np.int64)  # the vertex pair of each instance
+    rows = peel_matchings(np.bincount(pair, minlength=g.left_count * k).reshape(g.left_count, k))
+    slots = np.argsort((rows + np.arange(k) * k).ravel(), kind="stable")  # (color, left) slots by pair
+    instance = np.empty_like(slots)
+    instance[slots] = len(pair) - 1 - np.argsort(pair[::-1], kind="stable")
+    color_of = dict(zip(instance.tolist(), (np.arange(len(pair)) // k).tolist()))
     return EdgeColoring(graph=g, color_of=color_of, colors=len(rows))
 
 

@@ -225,15 +225,15 @@ def schedule_hurr(weights: WeightSet) -> FrameSequence:
 SCHEDULERS = {"wfq": schedule_wfq, "wf2q": schedule_wf2q, "hurr": schedule_hurr}
 
 
-def schedule_random(weights: WeightSet, slots: int, seed: int = 0) -> list[int]:
+def schedule_random(weights: WeightSet, slots: int, seed: int = 0) -> np.ndarray:
     """Memoryless scheduling: each slot draws a state i.i.d. with the given
-    probabilities.  No frame structure is kept."""
+    probabilities, returned as an int64 array.  No frame structure is kept."""
     if slots < 1:
         raise DomainError("need at least one slot")
     if slots > MAX_RANDOM_SLOTS:
         raise ResourceLimitError(f"{slots} slots exceed {MAX_RANDOM_SLOTS}")
     rng = np.random.default_rng(seed)
-    return rng.choice(len(weights), size=slots, p=weights.as_float()).tolist()
+    return rng.choice(len(weights), size=slots, p=weights.as_float())
 
 
 @dataclass(frozen=True)
@@ -275,7 +275,7 @@ def smoothness(seq: FrameSequence, weights: WeightSet) -> SmoothnessReport:
     )
 
 
-def random_sequence_smoothness(seq: Sequence[int], weights: WeightSet) -> float:
+def random_sequence_smoothness(seq: Sequence[int] | np.ndarray, weights: WeightSet) -> float:
     """Empirical smoothness of an unframed sequence: consecutive
     inter-occurrence gaps are the samples, weighted by the nominal phis."""
     arr = integer_array(seq, 1)

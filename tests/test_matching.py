@@ -177,7 +177,7 @@ def _ref_complete_matching(g):
     """Hopcroft-Karp, then the separate alternating search from the exposed
     left vertices that ``complete_matching`` used to run."""
     adj = g.adjacency()
-    hk = mt._HopcroftKarp(adj, g.right_count)
+    hk = _ListBfsHopcroftKarp(adj, g.right_count)
     size = hk.solve()
     matching = {l: r for l, r in enumerate(hk.pair_l) if r != -1}
     if size == g.left_count:
@@ -326,9 +326,11 @@ class TestPeelMatchings:
 
 def _pair_peel(counts):
     """The generator the row-array peel replaced: yields (cols, mult) and
-    consumes ``counts`` in place."""
+    consumes ``counts`` in place.  It deletes edges from the lists behind the
+    solver's back, so it runs the list search: the bitmask search would keep
+    seeing a deleted edge to an exposed right vertex and never end."""
     adj = [list(itertools.compress(range(len(row)), row)) for row in counts]
-    hk = mt._HopcroftKarp(adj, len(counts))
+    hk = _ListBfsHopcroftKarp(adj, len(counts))
     while any(adj):
         hk.solve()
         cols = hk.pair_l.copy()
@@ -383,6 +385,32 @@ class TestRowPeelAgainstPairPeel:
         assert mt.verify_route_assignment(reqs, tags)
 
 
+class _ListBfsHopcroftKarp(mt._HopcroftKarp):
+    """The breadth-first search on adjacency lists that the bitmask layers
+    replaced.  It reads ``adj`` alone, so an edge may be deleted from the
+    lists behind the solver's back."""
+
+    def _bfs(self):
+        queue = deque()
+        for l in range(self.nl):
+            if self.pair_l[l] == -1:
+                self.dist[l] = 0
+                queue.append(l)
+            else:
+                self.dist[l] = self.INF
+        found = False
+        while queue:
+            l = queue.popleft()
+            for r in self.adj[l]:
+                nxt = self.pair_r[r]
+                if nxt == -1:
+                    found = True
+                elif self.dist[nxt] == self.INF:
+                    self.dist[nxt] = self.dist[l] + 1
+                    queue.append(nxt)
+        return found
+
+
 class _RecursiveHopcroftKarp(mt._HopcroftKarp):
     """The recursive augmenting search that the explicit stack replaced."""
 
@@ -404,14 +432,20 @@ def _chain_graph(n):
     return mt.BipartiteGraph.from_edges(n, n, edges)
 
 
+def _sparse_graphs(rng):
+    """150 sparse graphs of up to 120 vertices a side, where augmenting paths run long."""
+    graphs = []
+    for _ in range(150):
+        left, right = rng.randint(1, 120), rng.randint(1, 120)
+        edges = [(rng.randrange(left), rng.randrange(right)) for _ in range(rng.randint(0, 3 * left))]
+        graphs.append(mt.BipartiteGraph.from_edges(left, right, edges))
+    return graphs
+
+
 class TestIterativeAugmentingSearch:
     def test_matchings_witnesses_and_peels_equal_the_recursive_search(self, monkeypatch):
         rng = random.Random(83)
-        graphs = [*_seeded_graphs(), _chain_graph(300)]
-        for _ in range(150):  # sparse graphs, where augmenting paths run long
-            left, right = rng.randint(1, 120), rng.randint(1, 120)
-            edges = [(rng.randrange(left), rng.randrange(right)) for _ in range(rng.randint(0, 3 * left))]
-            graphs.append(mt.BipartiteGraph.from_edges(left, right, edges))
+        graphs = [*_seeded_graphs(), _chain_graph(300), *_sparse_graphs(rng)]
         counts = [_random_regular_counts(rng, rng.randint(1, 40), rng.randint(0, 10)) for _ in range(100)]
         results = ([mt.complete_matching(g) for g in graphs], [mt.peel_matchings(c).tolist() for c in counts])
         with monkeypatch.context() as m:
@@ -426,6 +460,38 @@ class TestIterativeAugmentingSearch:
         res = mt.complete_matching(_chain_graph(n))
         assert res.complete and res.violating_set is None
         assert res.matching == {**{i: i + 1 for i in range(n - 1)}, n - 1: 0}
+
+
+class _BothSearchesHopcroftKarp(mt._HopcroftKarp):
+    """Runs the list search after the bitmask search in every phase and
+    records each phase's two (found, dist) pairs."""
+
+    phases: list = []
+
+    def _bfs(self):
+        found = super()._bfs()
+        masked = (found, list(self.dist))
+        listed = (_ListBfsHopcroftKarp._bfs(self), list(self.dist))
+        self.phases.append((masked, listed))
+        return found
+
+
+class TestBitmaskSearch:
+    def test_layers_and_verdict_equal_the_list_search_in_every_phase(self, monkeypatch):
+        rng = random.Random(29)
+        graphs = [*_seeded_graphs(), _chain_graph(300), *_sparse_graphs(rng)]
+        counts = [_random_regular_counts(rng, rng.randint(1, 40), rng.randint(0, 12)) for _ in range(100)]
+        phases = []
+        monkeypatch.setattr(_BothSearchesHopcroftKarp, "phases", phases)
+        monkeypatch.setattr(mt, "_HopcroftKarp", _BothSearchesHopcroftKarp)
+        for g in graphs:
+            mt.complete_matching(g)
+        graph_phases = len(phases)
+        for c in counts:  # every residual of each peel
+            mt.peel_matchings(c)
+        assert all(masked == listed for masked, listed in phases)
+        assert graph_phases > len(graphs) and len(phases) > graph_phases + 1000  # some solves take several
+        assert 0.2 * len(phases) < sum(found for (found, _), _ in phases) < 0.8 * len(phases)
 
 
 class TestEdgeColoring:

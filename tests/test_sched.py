@@ -317,7 +317,7 @@ class TestRandomSchedule:
     def test_single_state_sequence(self):
         w = sc.WeightSet.of(1)
         seq = sc.schedule_random(w, 100, seed=1)
-        assert set(seq) == {0}
+        assert seq.dtype == np.int64 and set(seq.tolist()) == {0}
 
     def test_unknown_states_refused(self):
         w = sc.WeightSet.of("1/2", "1/2")
