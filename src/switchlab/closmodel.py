@@ -75,9 +75,11 @@ class RoutingTag:
 def address_split(addr: int, n: int, k: int | None = None) -> tuple[int, int]:
     """Split a port address into (module quotient, port remainder).
 
-    ``addr`` is a global port index, ``n`` the module width.  Returns
-    ``(addr // n, addr % n)`` so that ``n * q + r == addr``.
+    The integers ``addr``, ``n`` and ``k`` (if given) are a global port index, the
+    module width and count.  Returns ``(addr // n, addr % n)``, so ``n * q + r == addr``.
     """
+    if not all(map(is_integer, (addr, n) if k is None else (addr, n, k))):
+        raise DomainError("address, module width and module count must be integers")
     if n < 1:
         raise DomainError("module width must be >= 1")
     if addr < 0 or (k is not None and addr >= n * k):

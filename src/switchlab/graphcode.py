@@ -65,9 +65,9 @@ class TannerCode:
         return len(self.rows)
 
     def graph(self) -> BipartiteGraph:
-        """Incidence graph: variables on the left, constraints on the right."""
-        edges = [(v, c) for c, row in enumerate(self.rows) for v in range(self.n_variables) if row >> v & 1]
-        return BipartiteGraph.from_edges(self.n_variables, self.n_constraints, edges)
+        """Incidence graph: variables on the left, constraints on the right, edges constraint-major."""
+        edges = np.argwhere(np.array(self.parity, dtype=np.int64))[:, ::-1]  # (constraint, variable) -> (v, c)
+        return BipartiteGraph(self.n_variables, self.n_constraints, edges)
 
     def syndrome(self, word: Sequence[int]) -> list[int]:
         if len(word) != self.n_variables:

@@ -10,7 +10,6 @@ list), so an edge coloring is well defined even with repeated endpoints.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -45,19 +44,28 @@ __all__ = [
 # and peel_matchings a (d, k) result of more cells than this
 MAX_COUNT_CELLS = 1 << 22
 
-@dataclass(frozen=True)
+def _pair_array(pairs: Sequence[Sequence[int]], bounds: tuple[int, int]) -> np.ndarray | None:
+    """``pairs`` as an (E, 2) int64 array with column j in [0, bounds[j]), or None."""
+    ends = integer_array(pairs, 2) if len(pairs) else np.empty((0, 2), dtype=np.int64)
+    ok = ends is not None and ends.shape[1] == 2 and ((0 <= ends) & (ends < bounds)).all()
+    return ends if ok else None
+
+
+@dataclass(frozen=True, eq=False)  # identity equality: an array has no single truth value
 class BipartiteGraph:
-    """Left/right vertex sets plus a multiset of edges (index = instance id)."""
+    """Left/right vertex sets plus a multiset of edges: row e of the read-only (E, 2) int64 ``edges``."""
 
     left_count: int
     right_count: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
 
     def __post_init__(self) -> None:
-        ends = integer_array(self.edges, 2) if len(self.edges) else np.empty((0, 2), dtype=np.int64)
-        if ends is None or ends.shape[1] != 2 or not ((0 <= ends) & (ends < (self.left_count, self.right_count))).all():
+        ends = _pair_array(self.edges, (self.left_count, self.right_count))
+        if ends is None:
             raise PreconditionError(f"edges must be integer pairs below ({self.left_count}, {self.right_count})")
-        object.__setattr__(self, "edges", tuple(zip(*ends.T.tolist())))  # pairs of Python ints
+        ends = ends.copy()  # the caller's array is not shared
+        ends.flags.writeable = False
+        object.__setattr__(self, "edges", ends)
 
     @classmethod
     def from_edges(cls, left_count: int, right_count: int, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
@@ -66,26 +74,23 @@ class BipartiteGraph:
     def adjacency(self) -> list[list[int]]:
         """Left vertex -> sorted unique right neighbours."""
         adj: list[set[int]] = [set() for _ in range(self.left_count)]
-        for l, r in self.edges:
+        for l, r in self.edges.tolist():
             adj[l].add(r)
         return [sorted(s) for s in adj]
 
     def left_degrees(self) -> list[int]:
-        deg = [0] * self.left_count
-        for l, _ in self.edges:
-            deg[l] += 1
-        return deg
+        return np.bincount(self.edges[:, 0], minlength=self.left_count).tolist()
 
     def neighbor_masks(self) -> list[int]:
-        """Left vertex -> bitmask of its right neighbours (bit r for vertex r)."""
+        """Left vertex -> bitmask of its right neighbours (bit r for vertex r), Python ints past bit 63."""
         masks = [0] * self.left_count
-        for l, r in self.edges:
+        for l, r in self.edges.tolist():
             masks[l] |= 1 << r
         return masks
 
     def neighborhood(self, subset: Iterable[int]) -> set[int]:
         chosen = set(subset)
-        return {r for l, r in self.edges if l in chosen}
+        return {r for l, r in self.edges.tolist() if l in chosen}
 
 
 @dataclass(frozen=True)
@@ -213,23 +218,16 @@ def complete_matching(g: BipartiteGraph) -> MatchingResult:
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Proper coloring of edge instances: no color repeats at any vertex."""
+    """Proper coloring of edge instances (int64 ``color_of[e]`` for instance e): no color repeats at any vertex."""
 
     graph: BipartiteGraph
-    color_of: dict[int, int] = field(compare=False)
+    color_of: np.ndarray = field(compare=False)
     colors: int = 0
-
-    def classes(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.colors)]
-        for e, c in self.color_of.items():
-            out[c].append(e)
-        return out
 
     def is_proper(self) -> bool:
         left: set[tuple[int, int]] = set()  # (vertex, color) pairs seen on each side
         right: set[tuple[int, int]] = set()
-        for e, c in self.color_of.items():
-            l, r = self.graph.edges[e]
+        for (l, r), c in zip(self.graph.edges.tolist(), self.color_of.tolist()):
             if (l, c) in left or (r, c) in right:
                 return False
             left.add((l, c))
@@ -275,17 +273,17 @@ def peel_matchings(counts: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
 def edge_color(g: BipartiteGraph) -> EdgeColoring:
     """Color a d-regular bipartite multigraph with d colors: color c is row c
     of :func:`peel_matchings` of its vertex-pair counts, taken by the
-    instances of each vertex pair last first.  A non-regular graph is refused:
+    instances of each vertex pair last first (two stable sorts by pair fill
+    the instance-indexed ``color_of``).  A non-regular graph is refused:
     regularity keeps a perfect matching in every residual graph."""
     k = g.right_count
     if g.left_count * k > MAX_COUNT_CELLS:
         raise ResourceLimitError(f"{g.left_count} x {k} counts exceed {MAX_COUNT_CELLS} cells")
-    pair = np.array([l * k + r for l, r in g.edges], dtype=np.int64)  # the vertex pair of each instance
+    pair = g.edges[:, 0] * k + g.edges[:, 1]  # the vertex pair of each instance
     rows = peel_matchings(np.bincount(pair, minlength=g.left_count * k).reshape(g.left_count, k))
     slots = np.argsort((rows + np.arange(k) * k).ravel(), kind="stable")  # (color, left) slots by pair
-    instance = np.empty_like(slots)
-    instance[slots] = len(pair) - 1 - np.argsort(pair[::-1], kind="stable")
-    color_of = dict(zip(instance.tolist(), (np.arange(len(pair)) // k).tolist()))
+    color_of = np.empty(len(pair), dtype=np.int64)
+    color_of[len(pair) - 1 - np.argsort(pair[::-1], kind="stable")] = slots // k
     return EdgeColoring(graph=g, color_of=color_of, colors=len(rows))
 
 
@@ -298,14 +296,18 @@ class CallRequestSet:
     spec: ClosSpec
 
     def __post_init__(self) -> None:
-        n_ports = self.spec.ports
-        srcs = [s for s, _ in self.pairs]
-        dsts = [d for _, d in self.pairs]
-        if len(set(srcs)) != len(srcs) or len(set(dsts)) != len(dsts):
+        ports = self.spec.ports
+        try:
+            ends = _pair_array(self.pairs, (ports, ports))
+        except ResourceLimitError:  # a port past int64 is out of range too
+            ends = None
+        if ends is None:  # name the first bad port
+            bad = [v for pair in self.pairs for v in pair if not (is_integer(v) and 0 <= v < ports)]
+            raise PreconditionError(f"port {bad[0]!r} is not an integer in [0, {ports})" if bad
+                                    else "each request must be a (source, destination) pair")
+        ends = np.sort(ends, axis=0)  # each side's ports ascending
+        if (ends[1:] == ends[:-1]).any():
             raise PreconditionError("sources and destinations must each be distinct")
-        for v in itertools.chain(srcs, dsts):
-            if not is_integer(v) or not 0 <= v < n_ports:
-                raise PreconditionError(f"port {v!r} is not an integer in [0, {n_ports})")
 
     @classmethod
     def from_permutation(cls, pi: Sequence[int], spec: ClosSpec) -> "CallRequestSet":
@@ -321,19 +323,19 @@ def clos_route_assignment(reqs: CallRequestSet) -> list[RoutingTag]:
     modules is exactly the assignment.  A partial request set is padded to
     n-regularity by pairing the spare input ports, in port order, with the
     spare output ports; any such padding colours with n colours (König), and
-    the dummy edges are dropped afterwards.
+    the dummy edges are dropped afterwards.  The spare ports are the
+    ``np.flatnonzero`` of each side of a (2, N) bool array of the used ones.
     """
     spec = reqs.spec
     if not spec.is_rearrangeable():
         raise DomainError("m >= n required for a rearrangeable assignment")
     n = spec.n
-    sources = {s for s, _ in reqs.pairs}
-    dests = {d for _, d in reqs.pairs}
-    padding = zip([p // n for p in range(spec.ports) if p not in sources],
-                  [p // n for p in range(spec.ports) if p not in dests])
-    edges = [(s // n, d // n) for s, d in reqs.pairs] + list(padding)
-    coloring = edge_color(BipartiteGraph.from_edges(spec.k, spec.k, edges))
-    return [RoutingTag(coloring.color_of[idx], *divmod(d, n)) for idx, (_, d) in enumerate(reqs.pairs)]
+    ports = np.array(reqs.pairs, dtype=np.int64).reshape(-1, 2)
+    used = np.zeros((2, spec.ports), dtype=bool)
+    used[[0, 1], ports] = True  # column j of the requests marks side j
+    padding = np.stack([np.flatnonzero(~side) for side in used], axis=1)
+    color_of = edge_color(BipartiteGraph(spec.k, spec.k, np.concatenate([ports, padding]) // n)).color_of
+    return [RoutingTag(c, *divmod(d, n)) for c, (_, d) in zip(color_of[:len(ports)].tolist(), reqs.pairs)]
 
 
 def verify_route_assignment(reqs: CallRequestSet, tags: Sequence[RoutingTag]) -> bool:

@@ -270,9 +270,6 @@ class Decomposition:
     def state_count(self) -> int:
         return len(self.states)
 
-    def slot_patterns(self) -> list[np.ndarray]:
-        return [self.states[i][0] for i in self.frame]
-
     def reconstruct(self) -> list[list[Fraction]]:
         """Exact weighted sum of the states; equals the capacity matrix."""
         counts = np.bincount(self.frame, minlength=self.state_count)

@@ -38,6 +38,14 @@ def test_address_split_examples():
         cm.address_split(8, 2, k=4)
 
 
+@pytest.mark.parametrize("args", [(5.5, 4), (math.inf, 4), (True, 4), (3, 4.0)],
+                         ids=["half_address", "infinite_address", "bool_address", "float_width"])
+def test_address_split_refuses_non_integers(args):
+    # these returned (1.0, 1.5), (nan, nan), (0, 1) and (0.0, 3.0)
+    with pytest.raises(DomainError):
+        cm.address_split(*args)
+
+
 def test_address_split_bijection():
     n, k = 3, 5
     seen = set()

@@ -43,11 +43,14 @@ class TestBipartiteGraph:
                 mt.BipartiteGraph.from_edges(2, 2, [edge])
 
     def test_numpy_integer_endpoints_become_python_ints(self):
+        caller = np.array([[1, 69]])  # already int64: the integer gate does not copy it
         for g in (mt.BipartiteGraph.from_edges(2, 70, [(np.int8(1), np.uint64(69))]),
-                  mt.BipartiteGraph(2, 70, ((np.int8(1), np.uint64(69)),))):
-            assert g.edges == ((1, 69),) and {type(v) for e in g.edges for v in e} == {int}
+                  mt.BipartiteGraph(2, 70, ((np.int8(1), np.uint64(69)),)), mt.BipartiteGraph(2, 70, caller)):
+            assert g.edges.dtype == np.int64 and g.edges.tolist() == [[1, 69]]
+            assert not g.edges.flags.writeable and not np.shares_memory(g.edges, caller)
             assert g.neighbor_masks() == [0, 1 << 69]  # a numpy shift would overflow at bit 69
-        assert mt.BipartiteGraph.from_edges(0, 0, []).edges == ()
+        assert caller.flags.writeable
+        assert mt.BipartiteGraph.from_edges(0, 0, []).edges.shape == (0, 2)
 
     def test_endpoint_past_int64_is_a_resource_limit(self):
         with pytest.raises(ResourceLimitError):
@@ -354,6 +357,7 @@ def _pool_edge_color(g):
             for l, r in enumerate(cols):
                 color_of[pool[l][r].pop()] = c
         color += mult
+    color_of = np.array([color_of[e] for e in range(len(g.edges))], dtype=np.int64)  # instance -> color
     return mt.EdgeColoring(graph=g, color_of=color_of, colors=len(g.edges) // g.left_count)
 
 
@@ -372,7 +376,8 @@ class TestRowPeelAgainstPairPeel:
             rng.shuffle(edges)
             g = mt.BipartiteGraph.from_edges(k, k, edges)
             got, ref = mt.edge_color(g), _pool_edge_color(g)
-            assert (got.colors, list(got.color_of.items())) == (ref.colors, list(ref.color_of.items()))
+            assert got.color_of.dtype == np.int64 and got.colors == ref.colors
+            assert np.array_equal(got.color_of, ref.color_of)
 
     def test_64_module_clos_request_set(self, monkeypatch):
         spec = ClosSpec(m=64, n=64, k=64)
@@ -514,9 +519,10 @@ class TestEdgeColoring:
             g = mt.BipartiteGraph.from_edges(k, k, edges)
             coloring = mt.edge_color(g)
             assert coloring.is_proper()
-            for cls in coloring.classes():
-                lefts = sorted(g.edges[e][0] for e in cls)
-                rights = sorted(g.edges[e][1] for e in cls)
+            for c in range(coloring.colors):
+                cls = np.flatnonzero(coloring.color_of == c)
+                lefts = sorted(g.edges[cls, 0].tolist())
+                rights = sorted(g.edges[cls, 1].tolist())
                 assert lefts == list(range(k)) and rights == list(range(k))
 
     def test_integer_doubly_stochastic_3x3_decomposes(self):
@@ -551,15 +557,27 @@ class TestEdgeColoring:
     def test_is_proper_per_side(self):
         g = mt.BipartiteGraph.from_edges(2, 2, [(0, 1), (1, 0), (0, 0), (1, 1)])
         # left 0 and right 0 may share a color: they are different vertices
-        assert mt.EdgeColoring(g, {0: 0, 1: 0, 2: 1, 3: 1}, 2).is_proper()
-        assert not mt.EdgeColoring(g, {0: 0, 1: 1, 2: 0, 3: 1}, 2).is_proper()  # left 0 twice
-        assert not mt.EdgeColoring(g, {0: 0, 1: 1, 2: 1, 3: 0}, 2).is_proper()  # right 0 twice
-        assert not mt.EdgeColoring(g, {0: 0, 1: 0, 2: 1}, 2).is_proper()  # an edge uncolored
+        assert mt.EdgeColoring(g, np.array([0, 0, 1, 1]), 2).is_proper()
+        assert not mt.EdgeColoring(g, np.array([0, 1, 0, 1]), 2).is_proper()  # left 0 twice
+        assert not mt.EdgeColoring(g, np.array([0, 1, 1, 0]), 2).is_proper()  # right 0 twice
+        assert not mt.EdgeColoring(g, np.array([0, 0, 1]), 2).is_proper()  # an edge uncolored
 
     def test_rejects_irregular(self):
         g = mt.BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0)])
         with pytest.raises(PreconditionError):
             mt.edge_color(g)
+
+
+def _scan_padded_graph(reqs):
+    """The module-pair graph ``clos_route_assignment`` colored when it found
+    the spare ports with two sets and two scans of every port."""
+    spec, n = reqs.spec, reqs.spec.n
+    sources = {s for s, _ in reqs.pairs}
+    dests = {d for _, d in reqs.pairs}
+    padding = zip([p // n for p in range(spec.ports) if p not in sources],
+                  [p // n for p in range(spec.ports) if p not in dests])
+    edges = [(s // n, d // n) for s, d in reqs.pairs] + list(padding)
+    return mt.BipartiteGraph.from_edges(spec.k, spec.k, edges)
 
 
 def _independent_validity_check(reqs, tags):
@@ -621,8 +639,8 @@ class TestClosRouteAssignment:
         assert mt.verify_route_assignment(reqs, tags)
 
     def test_seeded_partial_request_sets(self):
-        # partial sets are padded with dummy requests between spare ports;
-        # the first 50 are empty sets and single requests
+        # partial sets are padded with dummy requests between spare ports, as the
+        # set-and-scan padding padded them; the first 50 are empty sets and single requests
         rng = random.Random(23)
         for trial in range(500):
             n, k = rng.randint(1, 6), rng.randint(1, 8)
@@ -634,6 +652,8 @@ class TestClosRouteAssignment:
             assert mt.verify_route_assignment(reqs, tags)
             assert _independent_validity_check(reqs, tags)
             assert all(t.central < n for t in tags)
+            colors = _pool_edge_color(_scan_padded_graph(reqs)).color_of.tolist()
+            assert tags == [mt.RoutingTag(c, *divmod(d, n)) for c, (_, d) in zip(colors, reqs.pairs)]
 
     @pytest.mark.parametrize("ports", [[1.9, 0.2], [1.0, 0.0], [True, False], np.array([1.0, 0.0]),
                                        np.array([True, False])],
@@ -646,6 +666,13 @@ class TestClosRouteAssignment:
             mt.CallRequestSet(((0, 1), (ports[0], ports[1])), spec)  # a destination
         with pytest.raises(PreconditionError, match="not an integer"):
             mt.CallRequestSet(((ports[0], 1), (ports[1], 0)), spec)  # a source
+
+    def test_port_past_int64_and_a_non_pair_are_preconditions(self):
+        spec = ClosSpec(m=1, n=1, k=2)
+        with pytest.raises(PreconditionError, match=rf"port {2**70} is not an integer in \[0, 2\)"):
+            mt.CallRequestSet(((0, 1), (2**70, 0)), spec)
+        with pytest.raises(PreconditionError, match=r"must be a \(source, destination\) pair"):
+            mt.CallRequestSet(((0, 1, 1),), spec)
 
     def test_python_and_numpy_integer_ports_accepted(self):
         spec = ClosSpec(m=1, n=1, k=2)

@@ -414,7 +414,7 @@ class TestTokenGrid:
                 rng.shuffle(perm)
                 mat[range(k), perm] += 1
             dec = ps.bvn_decompose(ps.CapacityMatrix.from_integer_matrix(mat, f))
-            patterns = dec.slot_patterns()
+            patterns = [dec.states[i][0] for i in dec.frame]
             grid = sc.grid_from_schedule(patterns)
             # cells by scanning each slot's pattern: [output][slot] -> inputs
             scan = tuple(
