@@ -335,7 +335,7 @@ def clos_route_assignment(reqs: CallRequestSet) -> list[RoutingTag]:
     used[[0, 1], ports] = True  # column j of the requests marks side j
     padding = np.stack([np.flatnonzero(~side) for side in used], axis=1)
     color_of = edge_color(BipartiteGraph(spec.k, spec.k, np.concatenate([ports, padding]) // n)).color_of
-    return [RoutingTag(c, *divmod(d, n)) for c, (_, d) in zip(color_of[:len(ports)].tolist(), reqs.pairs)]
+    return list(map(RoutingTag, *np.stack([color_of[:len(ports)], *np.divmod(ports[:, 1], n)]).tolist()))
 
 
 def verify_route_assignment(reqs: CallRequestSet, tags: Sequence[RoutingTag]) -> bool:

@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-# the frame schedulers refuse K * F above this: they work per slot and state
+# the frame schedulers refuse K * F above this: wfq_trace and wf2q_trace hold K finish times a slot
 MAX_FRAME_CELLS = 1 << 20
 # schedule_random refuses more slots than this before any draw: a call holds
 # about 16 bytes a slot, and the CLI's smoothness estimate 32 more
@@ -102,9 +102,6 @@ class FrameSequence:
     """One frame: slot t holds the index of the state served there."""
 
     slots: tuple[int, ...]
-
-    def occurrences(self, state: int) -> list[int]:
-        return [t for t, s in enumerate(self.slots) if s == state]
 
 
 def _log_rms(sum_sq: int, count: int) -> float:
@@ -163,42 +160,45 @@ def wfq_trace(weights: WeightSet) -> list[tuple[tuple[Fraction, ...], int]]:
 
 @dataclass(frozen=True)
 class Wf2qTrace:
-    """Per-slot record: finish times entering the slot, the qualified set,
-    and the chosen state."""
+    """Per-slot record: finish times entering the slot, the qualified set and the chosen state."""
 
     finish: tuple[Fraction, ...]
     qualified: tuple[int, ...]
     selection: int
 
 
-def _wf2q_steps(weights: WeightSet) -> Iterator[tuple[list[int], list[int], int]]:
-    """Per slot tau of the WF2Q frame: the services so far (a list updated
-    in place after the yield), the qualified states and the state served.
-    State i qualifies while served_i < tau * phi_i, i.e. served_i * F <
-    tau * c_i; among those the smallest finish time (served_i + 1) F / c_i
-    wins, compared by cross-multiplication, lowest index on ties."""
+def _wf2q_steps(weights: WeightSet) -> Iterator[tuple[list[int], list[tuple[int, int]], int]]:
+    """Per slot tau of the WF2Q frame: the services so far and the qualified
+    states as a heap of (finish rank, state), both updated in place after the
+    yield, and the state served.  State i qualifies once its virtual start
+    is at most the slot's start, served_i * F <= (tau - 1) * c_i (Bennett &
+    Zhang, INFOCOM 1996); the least finish rank of :func:`_wfq_order` wins,
+    lowest index on ties.  A served state waits in ``pending`` until slot
+    ceil(served_i F / c_i) + 1, as in WF2Q+ (SIGCOMM 1996): O(F log K)."""
     f = _frame_size(weights)
     counts = weights.counts
     served = [0] * len(counts)
+    ready, pending = sorted((f * f // c, i) for i, c in enumerate(counts)), []  # a sorted list is a heap
     for tau in range(1, f + 1):
-        qualified = [i for i, c in enumerate(counts) if served[i] * f < tau * c]
-        pick = qualified[0]
-        for i in qualified[1:]:
-            if (served[i] + 1) * counts[pick] < (served[pick] + 1) * counts[i]:
-                pick = i
-        yield served, qualified, pick
+        while pending and pending[0][0] <= tau:
+            i = heapq.heappop(pending)[1]
+            heapq.heappush(ready, ((served[i] + 1) * f * f // counts[i], i))
+        yield served, ready, ready[0][1]
+        pick = heapq.heappop(ready)[1]
         served[pick] += 1
+        if served[pick] < counts[pick]:
+            heapq.heappush(pending, (-(-served[pick] * f // counts[pick]) + 1, pick))
 
 
 def schedule_wf2q(weights: WeightSet) -> FrameSequence:
-    """WFQ restricted per slot tau to states whose service so far is below
-    tau * phi (the states already started in the fluid reference system)."""
+    """WFQ restricted per slot to the states already started in the fluid reference system."""
     return FrameSequence(tuple(pick for _, _, pick in _wf2q_steps(weights)))
 
 
 def wf2q_trace(weights: WeightSet) -> list[Wf2qTrace]:
-    return [Wf2qTrace(_finish_times(served, weights.counts, weights.frame_size), tuple(qualified), pick)
-            for served, qualified, pick in _wf2q_steps(weights)]
+    return [Wf2qTrace(_finish_times(served, weights.counts, weights.frame_size),
+                      tuple(sorted(i for _, i in ready)), pick)
+            for served, ready, pick in _wf2q_steps(weights)]
 
 
 def schedule_hurr(weights: WeightSet) -> FrameSequence:

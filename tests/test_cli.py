@@ -119,7 +119,7 @@ EXPERIMENT_ALL_SHA256 = {
     "table2.csv": ("24c4ea413f61946848a03700d0df6bdbc6a7dada9d2b1eb69ba1c717de66b91f",) * 2,
     "table4.csv": ("9cdf6b03279106ef5fe21b8695147dc92ae3d077a8275701583ab623d886479e",) * 2,
     "table5.csv": ("4921bb318d4b2b4f282225898effcceacd95f611005e60ecc845e5b294df7192",) * 2,
-    "table6.csv": ("a69bacc042140aa93132dc31ec40711b0b9e88dd0eedb9a0834e0e9f09ad0ac3",) * 2,
+    "table6.csv": ("c11a68bcac85e098fd69d20e433e8c021aa8bdec21a025fa73977b3ecbe657b1",) * 2,
 }
 
 

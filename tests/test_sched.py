@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from switchlab import fixtures
 from switchlab import pathswitch as ps
 from switchlab import sched as sc
+from switchlab.closmodel import ClosSpec
 from switchlab.errors import DomainError, PreconditionError, ResourceLimitError
 
 
@@ -82,7 +84,7 @@ class TestWfq:
             w = _random_weightset(rng)
             seq = sc.schedule_wfq(w)
             for i, c in enumerate(w.counts):
-                assert len(seq.occurrences(i)) == c
+                assert seq.slots.count(i) == c
 
 
 class TestWf2q:
@@ -116,7 +118,7 @@ class TestWf2q:
             w = _random_weightset(rng)
             seq = sc.schedule_wf2q(w)
             for i, c in enumerate(w.counts):
-                assert len(seq.occurrences(i)) == c
+                assert seq.slots.count(i) == c
 
 
 class TestHurr:
@@ -144,7 +146,7 @@ class TestHurr:
                 continue
             seq = sc.schedule_hurr(w)
             for i, c in enumerate(w.counts):
-                assert len(seq.occurrences(i)) == c
+                assert seq.slots.count(i) == c
 
 
 # --- per-slot Fraction reference schedulers: test-only oracles for the integer ones
@@ -163,12 +165,31 @@ def _ref_wf2q(phis):
     served = [0] * len(phis)
     trace = []
     for tau in range(1, f + 1):
-        qualified = tuple(i for i, w in enumerate(phis) if served[i] < tau * w)
+        qualified = tuple(i for i, w in enumerate(phis) if served[i] <= (tau - 1) * w)
         pick = min(qualified, key=lambda i: (finish[i], i))
         trace.append((tuple(finish), qualified, pick))
         served[pick] += 1
         finish[pick] += 1 / phis[pick]
     return trace
+
+
+def _scan_wf2q(w):
+    """The per-slot scan that the two heaps of ``_wf2q_steps`` replaced: in
+    every slot, test every state's virtual start and compare the finish
+    times of the qualified ones by cross-multiplication.  Returns the
+    qualified states and the pick of each slot."""
+    f, counts = w.frame_size, w.counts
+    served = [0] * len(counts)
+    steps = []
+    for tau in range(1, f + 1):
+        qualified = [i for i, c in enumerate(counts) if served[i] * f <= (tau - 1) * c]
+        pick = qualified[0]
+        for i in qualified[1:]:
+            if (served[i] + 1) * counts[pick] < (served[pick] + 1) * counts[i]:
+                pick = i
+        steps.append((tuple(qualified), pick))
+        served[pick] += 1
+    return steps
 
 
 def _ref_hurr(phis):
@@ -237,6 +258,87 @@ class TestAgainstFractionReference:
         for w in sets:
             assert sc.schedule_hurr(w).slots == _ref_hurr(w.weights)
         assert sum(len(set(w.counts)) < len(w) for w in sets) > 250
+
+
+def _exact_workload_weights(seed=0, k=32, m=4, frame=256):
+    """State weights of a k = 32, F = 256 decomposition, drawn and built as
+    the exact benchmark workload builds them."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.2, 1.0, size=(k, k))
+    lam *= 0.8 * m / max(lam.sum(axis=0).max(), lam.sum(axis=1).max())
+    traffic = ps.TrafficMatrix(tuple(map(tuple, lam)), ClosSpec(m=m, n=m, k=k))
+    rounded, _ = ps.bandlimit_and_round(ps.allocate_capacity(traffic), frame, modules=m)
+    return sc.WeightSet(tuple(w for _, w in ps.bvn_decompose(rounded).states))
+
+
+class TestHeapsAgainstScan:
+    """The two-heap WF2Q equals the per-slot scan on frames and qualified sets."""
+
+    def test_seeded_weight_sets(self):
+        rng = random.Random(23)
+        for _ in range(2000):
+            counts = [rng.randint(1, 12) for _ in range(rng.randint(1, 30))]
+            w = sc.WeightSet(tuple(Fraction(c, sum(counts)) for c in counts))
+            steps = _scan_wf2q(w)
+            assert [(tuple(sorted(i for _, i in ready)), pick) for _, ready, pick in sc._wf2q_steps(w)] == steps
+            assert sc.schedule_wf2q(w).slots == tuple(pick for _, pick in steps)
+
+    def test_exact_workload_weights(self):
+        w = _exact_workload_weights()
+        assert (len(w), w.frame_size) == (254, 256)
+        steps = _scan_wf2q(w)
+        assert [(t.qualified, t.selection) for t in sc.wf2q_trace(w)] == steps
+        assert sc.schedule_wf2q(w).slots == tuple(pick for _, pick in steps)
+
+
+def _huffman_trees(nodes):
+    """Every Huffman tree over nodes (count, state or (left, right)): each
+    step merges two nodes holding the two least counts, under any choice
+    among ties and in either child order."""
+    if len(nodes) == 1:
+        yield nodes[0]
+        return
+    least = sorted(c for c, _ in nodes)[:2]
+    for a, b in itertools.permutations(range(len(nodes)), 2):
+        if sorted((nodes[a][0], nodes[b][0])) == least:
+            rest = [nd for j, nd in enumerate(nodes) if j not in (a, b)]
+            yield from _huffman_trees(rest + [(nodes[a][0] + nodes[b][0], (nodes[a], nodes[b]))])
+
+
+def _tree_frame(node):
+    """A node's HuRR frame: its children's frames interleaved in the
+    two-state WFQ order of their counts."""
+    count, kids = node
+    if not isinstance(kids, tuple):
+        return [kids] * count
+    frames = iter(_tree_frame(kids[0])), iter(_tree_frame(kids[1]))
+    order = _ref_wfq_steps([Fraction(kids[0][0], count), Fraction(kids[1][0], count)], count)
+    return [next(frames[pick]) for _, pick in order]
+
+
+class TestTableSixRowsOutOfReach:
+    """Two listed table-6 values that no frame reaches: the criterion-11
+    FAIL names them, and these exhaustive searches show why."""
+
+    def test_row_7_no_arrangement_gives_the_listed_wf2q(self):
+        row = fixtures.scheduler_table()[6]
+        w = row["weights"]
+        assert w.counts == (1, 1, 1, 2)
+        frames = set(itertools.permutations([0, 1, 2, 3, 3]))
+        averages = {round(sc.smoothness(sc.FrameSequence(f), w).average, 4) for f in frames}
+        assert len(frames) == 60 and averages == {1.9332, 2.0106}
+        assert sc.schedule_wf2q(w).slots in frames
+        assert all(abs(a - row["wf2q"]) > 0.02 for a in averages)
+
+    def test_row_8_no_huffman_tree_gives_the_listed_hurr(self):
+        row = fixtures.scheduler_table()[7]
+        w = row["weights"]
+        assert w.counts == (1, 3, 3, 3)
+        frames = [tuple(_tree_frame(t)) for t in _huffman_trees([(c, i) for i, c in enumerate(w.counts)])]
+        averages = {round(sc.smoothness(sc.FrameSequence(f), w).average, 4) for f in frames}
+        assert len(frames) == 24 and sc.schedule_hurr(w).slots in frames
+        assert averages == {1.9324}
+        assert all(abs(a - row["hurr"]) > 0.02 for a in averages)
 
 
 class TestSmoothness:
@@ -571,7 +673,8 @@ class TestAgainstPerStateScans:
             frames.append((w, _random_frame(rng, w)))
         for w, seq in frames:
             rep = sc.smoothness(seq, w)
-            per = tuple(_log_rms_of_gaps(seq.occurrences(i), w.frame_size) for i in range(len(w)))
+            per = tuple(_log_rms_of_gaps([t for t, s in enumerate(seq.slots) if s == i], w.frame_size)
+                        for i in range(len(w)))
             assert rep.per_state == per
             assert rep.average == sum(x * l for x, l in zip(w.as_float(), per))
             assert rep.kraft_sum == sum(2.0 ** (-l) for l in per)
