@@ -16,7 +16,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, ResourceLimitError
+from .errors import DomainError, PreconditionError, ResourceLimitError, is_integer
 
 __all__ = [
     "CrossbarLoad",
@@ -28,6 +28,7 @@ __all__ = [
     "psnr",
     "power_stats",
     "check_run_size",
+    "packet_draws",
     "simulate_crossbar",
     "boltzmann_pmf",
     "poisson_profile",
@@ -102,7 +103,7 @@ def carried_load(rho: float, n_ports: int | None = None, *, asymptotic: bool = F
         raise DomainError(f"offered load {rho} outside [0, 1]")
     if asymptotic:
         return -math.expm1(-rho)
-    if n_ports is None or n_ports < 1:
+    if not is_integer(n_ports) or n_ports < 1:
         raise DomainError("need n_ports >= 1 or asymptotic=True")
     return 1.0 - (1.0 - rho / n_ports) ** n_ports
 
@@ -154,6 +155,26 @@ def check_run_size(slots: int, cells_per_slot: int, unit: str) -> None:
         )
 
 
+def packet_draws(rho: float, bins: int) -> tuple[int, float]:
+    """Threshold t and scale s of a simulator's 32-bit draws at offered
+    load rho, for ``bins`` destinations (at most 2^16).
+
+    A draw x < t = ceil(rho 2^32), that is u = x / 2^32 < rho, holds a
+    packet, so a packet has probability t / 2^32.  s is the least double
+    >= bins / t, so int(x * s) is floor(x bins / t) exactly for every
+    32-bit x: a packet's destination is uniform to within bins / t <=
+    bins / (rho 2^32), and every x >= t gives bins or more.  At rho = 0, t
+    is 0 and s is infinite."""
+    threshold = math.ceil(rho * 2**32)
+    if threshold == 0:
+        return 0, math.inf
+    scale = bins / threshold
+    num, den = scale.as_integer_ratio()
+    if num * threshold < bins * den:  # rounded below bins / t
+        scale = math.nextafter(scale, math.inf)
+    return threshold, scale
+
+
 def simulate_crossbar(
     n_ports: int, rho: float, slots: int, seed: int = 0
 ) -> CrossbarSimResult:
@@ -164,44 +185,50 @@ def simulate_crossbar(
     targets it.  Deterministic for a given seed; slots are independent, so
     parallel runs with distinct seeds can be merged by summing counts.
 
-    One uniform u per input decides both: u < rho holds a packet bound for
-    output floor(u * N / rho), uniform since u / rho is uniform on [0, 1)
-    given u < rho; any other u lands in an idle bin N of its slot.
+    One 32-bit draw x per input decides both (:func:`packet_draws`): x < t
+    = ceil(rho 2^32) holds a packet, with probability t / 2^32, bound for
+    output floor(x N / t), uniform to within N / (rho 2^32); any other x
+    lands in an idle bin N of its slot.  Each 64-bit word of the bit
+    generator gives two draws, low half first, and a half word left over
+    at the end of a chunk starts the next, so the draws do not depend on
+    the chunk size.
     """
     if not 0.0 <= rho <= 1.0:
         raise DomainError(f"offered load {rho} outside [0, 1]")
-    if n_ports < 1 or slots < 1:
+    if not (is_integer(n_ports) and is_integer(slots)) or n_ports < 1 or slots < 1:
         raise DomainError("need n_ports >= 1 and slots >= 1")
     check_run_size(slots, n_ports, "ports")
+    threshold, scale = packet_draws(rho, n_ports)
     rows = min(CHUNK_CELLS // n_ports, slots)
     width = n_ports + 1  # the outputs, then the idle bin
-    scale = n_ports / rho if rho > 0 else math.inf  # rho = 0: 0 * inf is NaN, which fmin bins idle
-    rng = np.random.default_rng(seed)
-    # chunk buffers, filled in place; the last chunk uses their leading rows
-    u = np.empty((rows, n_ports))
+    bits = np.random.default_rng(seed).bit_generator
+    # chunk buffer, filled in place; the last chunk uses its leading rows
     cells = np.empty((rows, n_ports), dtype=np.intp)
     offsets = width * np.arange(rows)[:, None]
+    ones = np.ones(width)
     hist = np.zeros(width, dtype=np.int64)
-    s1 = s2 = s3 = 0.0
+    busy_hist = np.zeros(width, dtype=np.int64)  # slots by their number of busy outputs
+    spare = np.empty(0, dtype=np.uint32)
     done = 0
-    with np.errstate(invalid="ignore"):
-        while done < slots:
-            b = min(rows, slots - done)
-            ub, cb = u[:b], cells[:b]
-            rng.random(out=ub)
-            ub *= scale
-            np.fmin(ub, n_ports, out=ub)
-            np.copyto(cb, ub, casting="unsafe")
-            cb += offsets[:b]
-            counts = np.bincount(cb.ravel(), minlength=b * width).reshape(b, width)
-            idle = counts[:, n_ports]
-            hist += np.bincount(counts.ravel(), minlength=width)
-            hist -= np.bincount(idle, minlength=width)
-            busy = (np.count_nonzero(counts, axis=1) - (idle > 0)).astype(np.float64)
-            s1 += busy.sum()
-            s2 += (busy**2).sum()
-            s3 += (busy**3).sum()
-            done += b
+    if threshold == 0:  # nothing is offered: every output idle in every slot, with no draw
+        hist[0], busy_hist[0], done = n_ports * slots, slots, slots
+    while done < slots:
+        b = min(rows, slots - done)
+        need = b * n_ports - spare.size
+        words = bits.random_raw((need + 1) // 2).view(np.uint32)
+        draws = np.concatenate((spare, words[:need])) if spare.size else words[:need]
+        spare = words[need:]
+        cb = cells[:b]
+        np.multiply(draws.reshape(b, n_ports), scale, out=cb, casting="unsafe")
+        np.minimum(cb, n_ports, out=cb)
+        cb += offsets[:b]
+        counts = np.bincount(cb.ravel(), minlength=b * width).reshape(b, width)
+        counts[:, n_ports] = 0  # each idle bin counts as one idle output, taken back from hist[0]
+        hist += np.bincount(counts.ravel(), minlength=width)
+        hist[0] -= b
+        busy_hist += np.bincount(((counts != 0) @ ones).astype(np.intp), minlength=width)
+        done += b
+    s1, s2, s3 = (sum(c * k**p for k, c in enumerate(busy_hist.tolist()) if c) for p in (1, 2, 3))
     mean = s1 / slots
     var = s2 / slots - mean**2
     mu3 = s3 / slots - 3 * mean * var - mean**3
@@ -253,7 +280,15 @@ def poisson_profile(rho: float, levels: int) -> list[float]:
 
     Where rho^i or i! is beyond a double (every level above 170) a level
     is exp(i ln rho - rho - ln i!) instead, which underflows to 0.0 far out
-    in the tail."""
+    in the tail.  Like :func:`boltzmann_pmf` it refuses more than
+    ``PMF_MAX_TERMS`` levels."""
+    if not 0.0 <= rho < math.inf:
+        raise DomainError("offered load must be finite and nonnegative")
+    if not is_integer(levels) or levels < 0:
+        raise DomainError("need levels >= 0")
+    if levels >= PMF_MAX_TERMS:
+        raise ResourceLimitError(f"profile of {levels} levels needs over {PMF_MAX_TERMS} terms")
+
     def level(i: int) -> float:
         if i <= 170:
             try:
@@ -347,6 +382,8 @@ def maximize_entropy_bruteforce(
     Also reports the feasible vector closest (L1) to the continuous Poisson
     profile N * exp(-rho) rho^i / i! with rho = M/N, and its state count.
     """
+    if not (is_integer(n_ports) and is_integer(n_packets)) or n_ports < 1 or n_packets < 0:
+        raise DomainError("need n_ports >= 1 and n_packets >= 0")
     if n_ports > BRUTE_FORCE_LIMIT:
         raise ResourceLimitError(
             f"exhaustive search capped at {BRUTE_FORCE_LIMIT} outputs, got {n_ports}"

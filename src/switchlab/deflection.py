@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contention import CHUNK_CELLS, carried_load, check_run_size
-from .errors import DomainError, ResourceLimitError
+from .contention import CHUNK_CELLS, carried_load, check_run_size, packet_draws
+from .errors import DomainError, ResourceLimitError, is_integer
 
 __all__ = [
     "DeflectionParams",
@@ -226,14 +226,15 @@ _DRAW_BITS = 63 - _INDEX_BITS
 
 
 def _offered_packets(
-    rng: np.random.Generator, cells: int, rho: float, n: int
+    rng: np.random.Generator, cells: int, threshold: int, scale: float, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cell index, module digit hi and port digit lo of the packets offered
-    to a chunk: one uniform per cell, and u < rho holds a packet for wire
-    n hi + lo = floor(u n^2 / rho)."""
-    u = rng.random(cells)
-    cell = np.flatnonzero(u < rho)
-    dest = np.minimum(u[cell] / rho * (n * n), n * n - 1).astype(np.int32)
+    to a chunk: one 32-bit draw x per cell, two to a 64-bit word, and x <
+    threshold holds a packet for wire n hi + lo = floor(x n^2 / threshold)
+    (:func:`~switchlab.contention.packet_draws`)."""
+    x = rng.bit_generator.random_raw((cells + 1) // 2).view(np.uint32)[:cells]
+    cell = np.flatnonzero(x < threshold)
+    dest = (x[cell] * scale).astype(np.int32)
     hi = dest // n
     return cell.astype(np.int32), hi, dest - hi * n
 
@@ -243,20 +244,29 @@ def _deflection_ports(
 ) -> np.ndarray:
     """Ports of the contention losers ``lose``: in each (slot, module) row
     that holds one, the losers, in port order, take the row's free ports in
-    a random order.  ``table`` marks the links won this stage (>= 0)."""
+    a random order.  ``table`` marks the links won this stage (>= 0).
+
+    The order is one row sort of packed 32-bit keys: the taken flag on top,
+    then 31 - ceil(log2 n) random bits, then the port index.  Two keys tie
+    on their random bits with probability 2^-(31 - ceil(log2 n)), and the
+    lower port then comes first."""
     lrow = cell[lose] // n
     has_loser = np.zeros(table.size // n, dtype=bool)
     has_loser[lrow] = True
     rows = np.flatnonzero(has_loser)
     lbase = (np.cumsum(has_loser) - 1)[lrow] * n
     lpos = lbase + cell[lose] % n
-    free_key = rng.random((rows.size, n))
-    free_key += table.reshape(-1, n)[rows] >= 0  # taken ports sort last
-    free_order = np.argsort(free_key, axis=1).ravel()
+    port_bits = (n - 1).bit_length()
+    size = rows.size * n
+    key = rng.bit_generator.random_raw((size + 1) // 2).view(np.uint32)[:size].reshape(rows.size, n)
+    key &= (0x7FFFFFFF >> port_bits) << port_bits
+    key |= np.arange(n, dtype=np.uint32)
+    key |= np.left_shift(table.reshape(-1, n)[rows] >= 0, 31, dtype=np.uint32)  # taken ports sort last
+    free_order = np.sort(key, axis=1).ravel()
     rank = np.zeros((rows.size, n), dtype=np.int32)
     rank.ravel()[lpos] = 1
     np.cumsum(rank, axis=1, out=rank)
-    return free_order[lbase + rank.ravel()[lpos] - 1]
+    return free_order[lbase + rank.ravel()[lpos] - 1] & ((1 << port_bits) - 1)
 
 
 def _stage(
@@ -340,11 +350,11 @@ def simulate_deflection(
     (slot, module, port), destination digits and need-second-digit flag, so
     a stage costs time in proportion to the packets in flight.
     """
-    if module_size < 2 or stages < 2:
+    if not (is_integer(module_size) and is_integer(stages)) or module_size < 2 or stages < 2:
         raise DomainError("need module_size >= 2 and stages >= 2")
     if not 0.0 <= rho <= 1.0:
         raise DomainError("simulator offered load must lie in [0, 1]")
-    if slots < 1:
+    if not is_integer(slots) or slots < 1:
         raise DomainError("need slots >= 1")
     if stages > MAX_STAGES:
         raise ResourceLimitError(f"{stages} stages exceed {MAX_STAGES}")
@@ -352,6 +362,7 @@ def simulate_deflection(
     wires = n * n
     check_run_size(slots, wires, "wires")
     chunk = CHUNK_CELLS // wires
+    threshold, scale = packet_draws(rho, wires)
     rng = np.random.default_rng(seed)
     exits = np.zeros(stages + 1, dtype=np.int64)
     in_flight = np.zeros(stages + 1, dtype=np.int64)
@@ -363,7 +374,7 @@ def simulate_deflection(
 
     while done < slots:
         b = min(chunk, slots - done)
-        cell, hi, lo = _offered_packets(rng, b * wires, rho, n)
+        cell, hi, lo = _offered_packets(rng, b * wires, threshold, scale, n)
         need_r = np.zeros(cell.size, dtype=bool)
         for stage in range(1, stages + 1):
             if cell.size == 0:

@@ -106,14 +106,14 @@ EXPERIMENT_ALL_SHA256 = {
     "boltzmann.csv": ("bbe2a66d409f7f193f704091a2a3905b6d1a6006e0da04a1cafe0234ccd54a9b",) * 2,
     "fig10a.csv": ("89cf72e325c88ca4efef5e72c210f534ed22cc306bf927efe474bc036b7f40a8",) * 2,
     "fig10b.csv": ("953057ec3a4c883f7d739c99a461c19b5478d8ba23a482c44ea499e66cb6bfc3",) * 2,
-    "fig10c.csv": ("9940814be57137a9ce53dd669b3edd8e21ce43b95049157a0fa7c9bd914d1332",
-                   "8a6e2a35afb576fa9296fb5cf9e3fdcaef4acf7e223c60c2de84da48d4bc3f0e"),
+    "fig10c.csv": ("0066af64ee71865f2ffdc986012f5fe8e44cdb45811aac9382f5e32e38a4b7df",
+                   "7cf25a1089a6b7a3cb46f860fb88b3f020e84bf42fafee03a96fdf4075bd963e"),
     "fig21.csv": ("6bc444ce8214d7e8ed06e32b3eb54aebce2a0dfcaa93f1856b375b255099f758",
                   "b84d4196a9db7dc4ff339e57b49b327acbc0534b98b0d38f0333848e74417f86"),
     "fig6.csv": ("1dde1d7f4fcfad20d95c785ed29858d214ac4e182d69e72602eb8d9394f4567d",) * 2,
-    "montecarlo_crossbar.csv": ("27364f630d7194c9324ca1236e3da35360d26a20c17ed383a630fb48090a25c3",
-                                "5e5274c52ac8f1fdeeeb3cab569155e530206e745be307c4d58d23e8b722634e"),
-    "montecarlo_deflection.csv": ("7f0d35c3928643a05a89d352fb56e4fad6b70b4022b83be698557ba85a4eeba4",
+    "montecarlo_crossbar.csv": ("b5fda388107e8dd1cf199b5adfd7b195ce2dbb07aa5e321491dc51dedceb62be",
+                                "96e30c37dfd84700f1d9cdbce45689f5d61f8e7cec400f68808d4cb6d66cf0f2"),
+    "montecarlo_deflection.csv": ("140441a5e89fa8e5d7213c6df2f8072c729dc003366aaffb6d74d8d5d5774c7f",
                                   "9a18b6d721713bc64894b2a7d59f6812be0b2bfc2970d157dc5b4dbdcd7f716d"),
     "sec6c.csv": ("b34523b7379b96a149c7790c60c67edc182a57cd2c2211be279757e7dfcc4515",) * 2,
     "table2.csv": ("24c4ea413f61946848a03700d0df6bdbc6a7dada9d2b1eb69ba1c717de66b91f",) * 2,

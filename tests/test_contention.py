@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -112,12 +113,27 @@ class TestSimulateCrossbar:
             assert (a.histogram != other.histogram).any()
 
     def test_draws_do_not_depend_on_the_chunk_budget(self, monkeypatch):
-        a = ct.simulate_crossbar(32, 0.6, 5000, seed=3)
-        monkeypatch.setattr(ct, "CHUNK_CELLS", 1000)  # 31 slots a chunk, not a divisor
-        b = ct.simulate_crossbar(32, 0.6, 5000, seed=3)
-        assert (a.histogram == b.histogram).all()
-        assert (a.busy_mean, a.busy_variance, a.busy_skewness) == (
-            b.busy_mean, b.busy_variance, b.busy_skewness)
+        # at N = 9 a 1000-cell budget holds 111 slots, 999 cells: the chunks
+        # end on half words, which the next chunk must take up
+        a = {n: ct.simulate_crossbar(n, 0.6, 5000, seed=3) for n in (32, 9)}
+        monkeypatch.setattr(ct, "CHUNK_CELLS", 1000)  # 31 slots a chunk at N = 32, not a divisor
+        for n in (32, 9):
+            b = ct.simulate_crossbar(n, 0.6, 5000, seed=3)
+            assert (a[n].histogram == b.histogram).all()
+            assert (a[n].busy_mean, a[n].busy_variance, a[n].busy_skewness) == (
+                b.busy_mean, b.busy_variance, b.busy_skewness)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("n, slots, budget", [(7, (1 << 16) // 7 + 3, None), (9, 2500, 1000), (3, 3000, None)],
+                             ids=["n7_partial_chunk", "n9_odd_chunks", "n3"])
+    def test_matches_the_slot_by_slot_reference(self, monkeypatch, n, rho, slots, budget):
+        if budget:
+            monkeypatch.setattr(ct, "CHUNK_CELLS", budget)
+        res = ct.simulate_crossbar(n, rho, slots, seed=8)
+        hist, moments, carried = _reference_crossbar(n, rho, slots, seed=8)
+        assert res.histogram.tolist() == hist.tolist()
+        assert (res.busy_mean, res.busy_variance, res.busy_skewness) == moments
+        assert res.load.carried_load == carried
 
     def test_one_slot_beyond_the_chunk_budget_is_refused(self):
         for n_ports in (ct.CHUNK_CELLS + 1, 10**9):
@@ -130,6 +146,43 @@ class TestSimulateCrossbar:
         for n_ports, slots in ((32, ct.MAX_RUN_CELLS // 32 + 1), (8, 10**12)):
             with pytest.raises(ResourceLimitError, match="run budget"):
                 ct.simulate_crossbar(n_ports, 0.5, slots)
+
+
+def _reference_crossbar(n, rho, slots, seed):
+    """Histogram, (mean, variance, skewness) of the busy count and carried
+    load, one slot at a time from the same 32-bit draws as simulate_crossbar:
+    two to each 64-bit word, low half first; x < t = ceil(rho 2^32) holds a
+    packet for output x N // t, in exact integers."""
+    draws = np.random.default_rng(seed).bit_generator.random_raw((n * slots + 1) // 2).view(np.uint32)
+    t = math.ceil(rho * 2**32)
+    hist = np.zeros(n + 1, dtype=np.int64)
+    sums = [0, 0, 0]
+    for row in draws[: n * slots].reshape(slots, n).tolist():
+        counts = np.bincount([x * n // t for x in row if x < t], minlength=n)
+        np.add.at(hist, counts, 1)
+        busy = int(np.count_nonzero(counts))
+        sums = [s + busy**p for s, p in zip(sums, (1, 2, 3))]
+    mean = sums[0] / slots
+    var = sums[1] / slots - mean**2
+    mu3 = sums[2] / slots - 3 * mean * var - mean**3
+    return hist, (mean, var, mu3 / var**1.5 if var > 0 else 0.0), sums[0] / (slots * n)
+
+
+@pytest.mark.parametrize("bins", [1, 7, 64, 1000, 1 << 16])
+@pytest.mark.parametrize("rho", [1e-300, 2**-33, 1e-6, 0.3, 1 / 3, 0.5, 0.999999, 1.0])
+def test_packet_draws_bin_exactly(rho, bins):
+    # int(x * scale) must be floor(x bins / t) for every 32-bit x; both are
+    # monotone in x, so checking both sides of each bin edge, the threshold
+    # and the largest draw covers them all
+    t, scale = ct.packet_draws(rho, bins)
+    assert t == math.ceil(rho * 2**32) and 1 <= t <= 2**32
+    edges = np.array([-(-k * t // bins) for k in range(1, bins + 1)], dtype=np.int64)
+    x = np.unique(np.clip(np.concatenate((edges - 1, edges, [0, t - 1, t, 2**32 - 1])), 0, 2**32 - 1))
+    assert ((x * scale).astype(np.int64) == x * bins // t).all()
+
+
+def test_packet_draws_at_zero_load():
+    assert ct.packet_draws(0.0, 8) == (0, math.inf)
 
 
 def _binomial_pmf(n, p):
@@ -283,7 +336,43 @@ class TestBoltzmannPmf:
             ct.boltzmann_pmf(rho, model)
 
 
+@pytest.mark.parametrize("call, args, error", [
+    (ct.simulate_crossbar, (True, True, True), DomainError),
+    (ct.simulate_crossbar, (4.0, 0.5, 10), DomainError),
+    (ct.simulate_crossbar, (4, 0.5, 10.0), DomainError),
+    (ct.poisson_profile, (-1, 5), DomainError),
+    (ct.poisson_profile, (math.nan, 3), DomainError),
+    (ct.poisson_profile, (math.inf, 3), DomainError),
+    (ct.poisson_profile, (0.5, 2.5), DomainError),
+    (ct.poisson_profile, (0.5, -1), DomainError),
+    (ct.poisson_profile, (0.5, ct.PMF_MAX_TERMS), ResourceLimitError),
+    (ct.poisson_profile, (0.5, 10**6), ResourceLimitError),
+    (ct.poisson_profile, (True, 2**70), ResourceLimitError),
+    (ct.carried_load, (0.5, 4.5), DomainError),
+    (ct.carried_load, (0.5, True), DomainError),
+    (ct.power_stats, (True, 0.5), DomainError),
+    (ct.maximize_entropy_bruteforce, (0, 0), DomainError),
+    (ct.maximize_entropy_bruteforce, (True, -1), DomainError),
+    (ct.maximize_entropy_bruteforce, (2.5, 1), DomainError),
+], ids=["crossbar_bools", "crossbar_float_ports", "crossbar_float_slots", "profile_negative_load",
+        "profile_nan_load", "profile_infinite_load", "profile_half_level", "profile_negative_levels",
+        "profile_levels_at_cap", "profile_levels_1e6", "profile_levels_2e70", "carried_half_port",
+        "carried_bool_ports", "power_bool_ports", "brute_zero_ports", "brute_bool_ports", "brute_float_ports"])
+def test_scalar_refusals(call, args, error):
+    # before these refusals the crossbar calls, the brute-force calls and a
+    # half level ended in TypeError, ZeroDivisionError or AssertionError; the
+    # profile returned negative, NaN or no levels, or ran for seconds past
+    # the cap; carried_load and power_stats returned numbers
+    start = time.perf_counter()
+    with pytest.raises(error):
+        call(*args)
+    assert time.perf_counter() - start < 1.0
+
+
 class TestPoissonProfile:
+    def test_levels_up_to_the_cap(self):
+        assert len(ct.poisson_profile(0.5, ct.PMF_MAX_TERMS - 1)) == ct.PMF_MAX_TERMS
+
     def test_levels_up_to_170_keep_the_textbook_form(self):
         for rho in (0.0, 0.5, 3.0, 33.0):
             assert ct.poisson_profile(rho, 170) == [math.exp(-rho) * rho**i / math.factorial(i) for i in range(171)]

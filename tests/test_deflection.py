@@ -223,11 +223,20 @@ class TestSimulator:
         assert sim.exits_by_stage.size == dfl.MAX_STAGES + 1 and sim.lost == 0
 
     def test_two_packets_on_one_link_are_refused(self, monkeypatch):
-        # every loser of a row sent to the same free port breaks the invariant
-        argsort = np.argsort
-        monkeypatch.setattr(dfl.np, "argsort", lambda a, axis: np.zeros_like(argsort(a, axis=axis)))
+        # every loser of a row sent to the same free port breaks the
+        # invariant: a free-port order of all-zero keys sends each to port 0
+        monkeypatch.setattr(dfl.np, "sort", lambda a, axis: np.zeros_like(a))
         with pytest.raises(AssertionError, match="two packets leave on one link"):
             dfl.simulate_deflection(4, 8, 1.0, 50, seed=0)
+
+    @pytest.mark.parametrize("args", [(4.0, 10, 0.5, 10), (4, 10, 0.5, 10.5), (4, 10.0, 0.5, 10), (True, 10, 0.5, 10)],
+                             ids=["float_module_size", "half_slot", "float_stages", "bool_module_size"])
+    def test_non_integer_sizes_are_refused(self, monkeypatch, args):
+        # the first three ended in a TypeError from numpy; True was refused
+        # only as a module size below 2
+        monkeypatch.setattr(dfl.np.random, "default_rng", None)  # refused before any draw
+        with pytest.raises(DomainError):
+            dfl.simulate_deflection(*args)
 
     @pytest.mark.parametrize("n, rho, slots", [(4, 1.0, 20_000), (8, 0.3, 8000), (16, 1.0, 500)])
     def test_first_stage_deflections_follow_the_crossbar_law(self, n, rho, slots):
@@ -274,6 +283,38 @@ def test_losers_take_each_free_port_uniformly():
         for loser in (0, 1):
             for port in free:
                 assert abs(np.mean(ports[kind, loser] == port) - 1 / len(free)) <= bound
+
+
+def test_loser_ports_are_uniform_over_the_free_ports_of_random_rows():
+    # n = 4 rows with random taken ports and random losers, no more losers
+    # than free ports: whatever the row, its r-th loser's port must be
+    # uniform over the row's free ports.  Losers are grouped by (taken ports,
+    # rank r); Hoeffding on each (group, port) share, with a union bound over
+    # all of them, is exceeded with probability below 1e-6
+    n, rows = 4, 200_000
+    rng = np.random.default_rng(5)
+    taken = rng.random((rows, n)) < 0.5
+    taken[:, 0] &= ~taken[:, 1:].all(axis=1)  # a free port in every row
+    lost = rng.random((rows, n)) < 0.5
+    lost &= np.cumsum(lost, axis=1) <= (~taken).sum(axis=1, keepdims=True)
+    cell = np.flatnonzero(lost)
+    table = np.where(taken, 0, -1).ravel()
+    ports = dfl._deflection_ports(np.arange(cell.size), cell, n, table, np.random.default_rng(12))
+    row = cell // n
+    assert (table[row * n + ports] < 0).all()
+    assert np.unique(row * n + ports).size == cell.size  # no two losers of a row share a port
+    group = (taken @ (1 << np.arange(n)))[row] * n + (np.cumsum(lost, axis=1) - 1)[row, cell % n]
+    tally = np.zeros((2**n * n, n), dtype=np.int64)
+    np.add.at(tally, (group, ports), 1)
+    free = (np.arange(2**n * n)[:, None] // n >> np.arange(n)) & 1 == 0
+    size = tally.sum(axis=1)
+    seen = size > 0
+    assert seen.sum() == 32 and size[seen].min() > 500  # every (free ports k, rank < k) group, each often
+    bound = np.sqrt(np.log(2 * tally.size / 1e-6) / (2 * size[seen]))
+    share = tally[seen] / size[seen, None]
+    expected = free[seen] / free[seen].sum(axis=1, keepdims=True)
+    assert (np.abs(share - expected) <= bound[:, None]).all()
+
 
 # --- the per-module, per-port stage loop that simulate_deflection replaced by
 # row sorting: a test-only reference for the simulator's exit-stage law
