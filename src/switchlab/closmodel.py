@@ -132,8 +132,8 @@ def bsc_capacity(q: float) -> float:
 def random_coding_bound(n: int, a: float, c: float) -> float:
     """Block-error bound a^-n + c^-n for block length n; needs a, c > 1 so
     the bound vanishes with length."""
-    if n < 1:
+    if not is_integer(n) or n < 1:
         raise DomainError("block length must be >= 1")
-    if a <= 1.0 or c <= 1.0:
+    if not (a > 1.0 and c > 1.0):
         raise DomainError("bound constants must exceed 1")
     return a ** (-n) + c ** (-n)

@@ -61,8 +61,9 @@ class CrossbarLoad:
     carried_load: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.carried_load <= self.offered_load <= 1.0:
-            raise PreconditionError("need 0 <= carried <= offered <= 1")
+        # carried <= offered holds only in expectation: a sample may carry more than rho
+        if not (0.0 <= self.offered_load <= 1.0 and 0.0 <= self.carried_load <= 1.0):
+            raise PreconditionError("need offered and carried loads in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,14 @@ class CrossbarSimResult:
     histogram: np.ndarray  # counts of outputs seeing 0..N packets
     slots: int
 
+    def __post_init__(self) -> None:
+        # what every sample obeys, in exact integers: a busy output-slot holds a
+        # packet, and an input-slot at most one
+        hist = self.histogram.tolist()
+        packets = sum(k * c for k, c in enumerate(hist))
+        if not 0 <= sum(hist[1:]) <= packets <= self.load.n_ports * self.slots:
+            raise PreconditionError("need 0 <= busy output-slots <= packets <= input-slots")
+
     def occupancy_pmf(self) -> np.ndarray:
         return self.histogram / self.histogram.sum()
 
@@ -192,6 +201,14 @@ def simulate_crossbar(
     generator gives two draws, low half first, and a half word left over
     at the end of a chunk starts the next, so the draws do not depend on
     the chunk size.
+
+    A chunk of b slots takes one ``bincount`` over its b (N + 1) bins, then
+    copies the counts into a buffer of dtype ``min_scalar_type(N)`` (exact,
+    as no bin holds more than N) and zeroes the idle bins.  Its nonzero
+    cells give level 0 and, times a float32 ones vector, each slot's busy
+    count (at most 2^16, so the sums are exact); ``count_nonzero(levels >
+    k)`` for k = 1, 2, ... gives the higher levels by differences, up to the
+    first level no output reaches.
     """
     if not 0.0 <= rho <= 1.0:
         raise DomainError(f"offered load {rho} outside [0, 1]")
@@ -202,10 +219,11 @@ def simulate_crossbar(
     rows = min(CHUNK_CELLS // n_ports, slots)
     width = n_ports + 1  # the outputs, then the idle bin
     bits = np.random.default_rng(seed).bit_generator
-    # chunk buffer, filled in place; the last chunk uses its leading rows
+    # chunk buffers, filled in place; the last chunk uses their leading rows
     cells = np.empty((rows, n_ports), dtype=np.intp)
+    levels = np.empty((rows, width), dtype=np.min_scalar_type(n_ports))  # a bin holds at most N
     offsets = width * np.arange(rows)[:, None]
-    ones = np.ones(width)
+    ones = np.ones(width, dtype=np.float32)  # busy counts are at most 2^16, exact in float32
     hist = np.zeros(width, dtype=np.int64)
     busy_hist = np.zeros(width, dtype=np.int64)  # slots by their number of busy outputs
     spare = np.empty(0, dtype=np.uint32)
@@ -222,11 +240,21 @@ def simulate_crossbar(
         np.multiply(draws.reshape(b, n_ports), scale, out=cb, casting="unsafe")
         np.minimum(cb, n_ports, out=cb)
         cb += offsets[:b]
-        counts = np.bincount(cb.ravel(), minlength=b * width).reshape(b, width)
-        counts[:, n_ports] = 0  # each idle bin counts as one idle output, taken back from hist[0]
-        hist += np.bincount(counts.ravel(), minlength=width)
-        hist[0] -= b
-        busy_hist += np.bincount(((counts != 0) @ ones).astype(np.intp), minlength=width)
+        lv = levels[:b]
+        # unnamed, the intp counts are freed here, before the next chunk's bincount
+        np.copyto(lv, np.bincount(cb.ravel(), minlength=b * width).reshape(b, width), casting="unsafe")
+        lv[:, n_ports] = 0  # the idle bins
+        nz = lv != 0
+        busy_hist += np.bincount((nz @ ones).astype(np.intp), minlength=width)
+        above = np.count_nonzero(nz)  # outputs holding more than k packets, here k = 0
+        hist[0] += b * n_ports - above
+        for k in range(1, n_ports):
+            if not above:
+                break
+            more = np.count_nonzero(np.greater(lv, k, out=nz))
+            hist[k] += above - more
+            above = more
+        hist[n_ports] += above
         done += b
     s1, s2, s3 = (sum(c * k**p for k, c in enumerate(busy_hist.tolist()) if c) for p in (1, 2, 3))
     mean = s1 / slots

@@ -126,3 +126,16 @@ def test_random_coding_bound():
     assert values[-1] < 1e-3
     with pytest.raises(DomainError):
         cm.random_coding_bound(4, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("args, match", [
+    ((True, 1.5, 4), "block length"),
+    ((1.5, 2, 2), "block length"),
+    ((math.nan, 2, 2), "block length"),
+    ((2, math.nan, 2), "constants"),
+    ((2, 2, math.nan), "constants"),
+], ids=["bool_length", "half_length", "nan_length", "nan_a", "nan_c"])
+def test_random_coding_bound_refusals(args, match):
+    # each returned a number or NaN before n passed is_integer and a, c had to exceed 1
+    with pytest.raises(DomainError, match=match):
+        cm.random_coding_bound(*args)

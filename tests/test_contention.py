@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -124,8 +125,13 @@ class TestSimulateCrossbar:
                 b.busy_mean, b.busy_variance, b.busy_skewness)
 
     @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
-    @pytest.mark.parametrize("n, slots, budget", [(7, (1 << 16) // 7 + 3, None), (9, 2500, 1000), (3, 3000, None)],
-                             ids=["n7_partial_chunk", "n9_odd_chunks", "n3"])
+    @pytest.mark.parametrize("n, slots, budget", [
+        (7, (1 << 16) // 7 + 3, None), (9, 2500, 1000), (3, 3000, None),
+        (1, 1000, None), (2, 1000, None),  # at rho = 1 a level equals N
+        (255, 300, None), (256, 300, None),  # uint8 levels, then uint16
+        (5, 1003, 64),  # 12-slot chunks, the last one of 7 slots
+    ], ids=["n7_partial_chunk", "n9_odd_chunks", "n3", "n1", "n2", "n255_uint8", "n256_uint16",
+            "n5_small_chunks"])
     def test_matches_the_slot_by_slot_reference(self, monkeypatch, n, rho, slots, budget):
         if budget:
             monkeypatch.setattr(ct, "CHUNK_CELLS", budget)
@@ -135,12 +141,32 @@ class TestSimulateCrossbar:
         assert (res.busy_mean, res.busy_variance, res.busy_skewness) == moments
         assert res.load.carried_load == carried
 
+    def test_samples_above_the_offered_load_are_results(self):
+        # carried <= offered holds only in expectation: at N = 1 about half
+        # of these runs carry more than rho, and each must still return
+        carried = [ct.simulate_crossbar(1, 0.5, 1000, seed=s).load.carried_load for s in range(20)]
+        assert sum(c > 0.5 for c in carried) >= 5
+
+    @pytest.mark.parametrize("histogram", [[0, 5, -1], [-1, 6, 0], [1, 1, 2]],
+                             ids=["busy_above_packets", "busy_above_outputs", "packets_above_inputs"])
+    def test_an_impossible_result_is_refused(self, histogram):
+        res = ct.simulate_crossbar(2, 1.0, 2, seed=0)
+        assert res.histogram.sum() == 4
+        with pytest.raises(PreconditionError, match="busy output-slots"):
+            dataclasses.replace(res, histogram=np.array(histogram))
+
+    @pytest.mark.parametrize("offered, carried", [(0.5, 1.5), (0.5, -0.1), (1.5, 0.5), (0.5, math.nan)])
+    def test_a_load_outside_the_unit_interval_is_refused(self, offered, carried):
+        with pytest.raises(PreconditionError, match=r"in \[0, 1\]"):
+            ct.CrossbarLoad(4, offered, carried)
+
     def test_one_slot_beyond_the_chunk_budget_is_refused(self):
         for n_ports in (ct.CHUNK_CELLS + 1, 10**9):
             with pytest.raises(ResourceLimitError):
                 ct.simulate_crossbar(n_ports, 0.5, 10)
         res = ct.simulate_crossbar(ct.CHUNK_CELLS, 1.0, 1, seed=3)
         assert res.histogram.sum() == ct.CHUNK_CELLS
+        assert res.busy_mean == ct.CHUNK_CELLS - res.histogram[0]  # a float32 busy sum past 2^15, exact
 
     def test_run_beyond_the_cell_budget_is_refused(self):
         for n_ports, slots in ((32, ct.MAX_RUN_CELLS // 32 + 1), (8, 10**12)):
