@@ -11,6 +11,7 @@ experiment id; identical manifests yield byte-identical files.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -565,6 +566,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
+@functools.cache  # built on first use, once per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="switchlab",

@@ -235,9 +235,10 @@ def simulate_crossbar(
         need = b * n_ports - spare.size
         words = bits.random_raw((need + 1) // 2).view(np.uint32)
         draws = np.concatenate((spare, words[:need])) if spare.size else words[:need]
-        spare = words[need:]
+        spare = words[need:].copy()  # at most one draw, so the words can go before the next chunk's
         cb = cells[:b]
         np.multiply(draws.reshape(b, n_ports), scale, out=cb, casting="unsafe")
+        del words, draws
         np.minimum(cb, n_ports, out=cb)
         cb += offsets[:b]
         lv = levels[:b]

@@ -33,10 +33,15 @@ __all__ = [
     "simulate_deflection",
 ]
 
+# simulate_deflection and absorption_series refuse more stages than this
+# before allocating their per-stage arrays
+MAX_STAGES = 1 << 16
+
+
 def success_probability(rho: float) -> float:
     """Worst-case contention win probability p = rho'/rho in a large square
     module, rho' the crossbar's asymptotic carried load; 1 as rho -> 0."""
-    if not 0.0 <= rho <= 1.0:
+    if isinstance(rho, (bool, np.bool_)) or not 0.0 <= rho <= 1.0:  # NaN fails the range
         raise DomainError("analysis holds for offered load in [0, 1] only")
     if rho == 0.0:
         return 1.0
@@ -111,8 +116,10 @@ def absorption_series(p: float, q: float, k_max: int) -> AbsorptionSeries:
     """
     if not (0.0 < p < 1.0) or abs(p + q - 1.0) > 1e-12:
         raise DomainError("need 0 < p < 1 with p + q = 1")
-    if k_max < 2:
-        raise DomainError("k_max must be at least 2")
+    if not is_integer(k_max) or k_max < 2:
+        raise DomainError("k_max must be an integer >= 2")
+    if k_max > MAX_STAGES:
+        raise ResourceLimitError(f"k_max = {k_max} exceeds {MAX_STAGES} stages")
     g_q = np.zeros(k_max + 1)
     g_r = np.zeros(k_max + 1)
     for k in range(1, k_max + 1):
@@ -156,8 +163,8 @@ def closed_form_tail(p: float, q: float, length: int) -> TailBounds:
     """
     if q >= 0.5:
         raise DomainError("tail bounds need deflection probability q < 1/2")
-    if length < 1:
-        raise DomainError("network length must be >= 1")
+    if not is_integer(length) or length < 1:
+        raise DomainError("network length must be an integer >= 1")
     params = DeflectionParams.from_pq(p, q)
     return TailBounds(
         explicit=_explicit_tail(params, length),
@@ -173,8 +180,8 @@ def loss_bound(rho: float, length: int) -> float:
         raise DomainError(
             "offered load above 1: deflection capacity exhausted, loss unbounded"
         )
-    if length < 0:
-        raise DomainError("network length must be nonnegative")
+    if not is_integer(length) or length < 0:
+        raise DomainError("network length must be a nonnegative integer")
     if success_probability(rho) == 1.0:  # nothing is deflected, so nothing is lost
         return 0.0
     return DeflectionParams.from_rho(rho).envelope(length)
@@ -216,10 +223,7 @@ class DeflectionSimResult:
         return self.exits_by_stage / total if total else self.exits_by_stage
 
 
-# simulate_deflection refuses more stages than this before allocating its
-# per-stage counters
-MAX_STAGES = 1 << 16
-# a contention key is a random draw above the packet's index in its chunk,
+# a contention key is a random draw above the packet's cell in its chunk,
 # which is below CHUNK_CELLS, and fits a nonnegative int64
 _INDEX_BITS = (CHUNK_CELLS - 1).bit_length()
 _DRAW_BITS = 63 - _INDEX_BITS
@@ -250,12 +254,13 @@ def _deflection_ports(
     then 31 - ceil(log2 n) random bits, then the port index.  Two keys tie
     on their random bits with probability 2^-(31 - ceil(log2 n)), and the
     lower port then comes first."""
-    lrow = cell[lose] // n
+    lcell = cell[lose]
+    lrow = lcell // n
     has_loser = np.zeros(table.size // n, dtype=bool)
     has_loser[lrow] = True
     rows = np.flatnonzero(has_loser)
     lbase = (np.cumsum(has_loser) - 1)[lrow] * n
-    lpos = lbase + cell[lose] % n
+    lpos = lbase + (lcell - lrow * n)  # the loser's port: a remainder by n, without numpy's slower %
     port_bits = (n - 1).bit_length()
     size = rows.size * n
     key = rng.bit_generator.random_raw((size + 1) // 2).view(np.uint32)[:size].reshape(rows.size, n)
@@ -289,11 +294,11 @@ def _stage(
 
     # contention: of the packets sent to one link, the one with the largest
     # key wins it; a key is the top _DRAW_BITS of a raw 64-bit draw above
-    # the packet's index, so keys are unique
+    # the packet's cell, which no other packet in flight holds, so keys are unique
     key = rng.bit_generator.random_raw(m)
     key >>= 64 - _DRAW_BITS
     key <<= _INDEX_BITS
-    key |= np.arange(m, dtype=np.uint64)
+    key |= cell.view(np.uint32)
     key = key.view(np.int64)
     np.maximum.at(table, link, key)
     won = table[link] == key
@@ -311,7 +316,9 @@ def _stage(
 
     # exit tap: a second-digit win on the link matching the destination
     # leaves the cascade here
-    mod = row % n
+    mod = row // n  # then row - (row // n) * n in place: row % n, which numpy computes slower
+    mod *= n
+    np.subtract(row, mod, out=mod)
     exiting = won & need_r
     out = np.flatnonzero(exiting)
     if out.size and not ((mod[out] == hi[out]) & (port[out] == lo[out])).all():  # pragma: no cover

@@ -11,6 +11,7 @@ list), so an edge coloring is well defined even with repeated endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -125,8 +126,9 @@ class _HopcroftKarp:
     runs by layers on neighbour bitmasks built from ``adj``: each new right
     vertex brings in its mate alone, so ``dist`` is the one a search of the
     lists gives.  The augmenting search walks the sorted lists.  :meth:`solve`
-    ends on a search that finds no augmenting path; after it, ``dist[l] !=
-    INF`` holds exactly for the left vertices that search reached by
+    ends on a search that finds no augmenting path, or on a matching that
+    exposes no left vertex, which that search would not reach past; after
+    it, ``dist[l] != INF`` holds exactly for the left vertices reached by
     alternating paths from the exposed ones."""
 
     INF = -1
@@ -191,12 +193,18 @@ class _HopcroftKarp:
         return False
 
     def solve(self) -> int:
+        """Augment to a maximum matching.  With no left vertex exposed the
+        closing search is skipped: it would reach nothing, so ``dist`` is all INF."""
         size = 0
-        while self._bfs():
+        while True:
+            if -1 not in self.pair_l:
+                self.dist = [self.INF] * self.nl
+                return size
+            if not self._bfs():
+                return size
             for l in range(self.nl):
                 if self.pair_l[l] == -1 and self._dfs(l):
                     size += 1
-        return size
 
 
 def complete_matching(g: BipartiteGraph) -> MatchingResult:
@@ -241,33 +249,39 @@ def peel_matchings(counts: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     matching peeled at multiplicity mu (its smallest count) fills mu adjacent
     rows.  One Hopcroft-Karp state re-augments only the rows each peel empties;
     each row's sorted support and residual counts come from one ``np.nonzero``.
-    ``counts`` is checked before any solve and not changed."""
+    A peel reads its matching's counts once, and one ``np.repeat`` expands the
+    matchings at the end.  ``counts`` is checked before any solve and not changed."""
     arr = integer_array(counts, 2)
     ok = arr is not None and 0 < len(arr) == arr.shape[1] and arr.min() >= 0
     if ok and arr.sum(dtype=float) > MAX_COUNT_CELLS:  # the d * k result cells; keeps the sums below exact
         raise ResourceLimitError(f"the matchings of these counts exceed {MAX_COUNT_CELLS} cells")
     if not ok or len({*arr.sum(axis=0).tolist(), *arr.sum(axis=1).tolist()}) != 1:
         raise PreconditionError("counts must be a nonempty square nonnegative integer matrix with equal line sums")
+    k = len(arr)
     i, j = np.nonzero(arr)  # row-major: each row's columns ascend
     left: list[dict[int, int]] = [{} for _ in arr]  # row -> column -> residual count
     for row, col, count in zip(i.tolist(), j.tolist(), arr[i, j].tolist()):
         left[row][col] = count
-    hk = _HopcroftKarp([list(row) for row in left], len(arr))
-    perms = np.empty((sum(left[0].values()), len(arr)), dtype=np.int64)
-    done = 0
-    while done < len(perms):
+    hk = _HopcroftKarp([list(row) for row in left], k)
+    matchings: list[list[int]] = []
+    mults: list[int] = []
+    todo = int(arr[0].sum())
+    while todo:
         hk.solve()
         match = hk.pair_l.copy()
         if -1 in match:  # pragma: no cover - equal line sums keep a perfect matching
             raise PreconditionError("residual lost its perfect matching")
-        mult = min(row[col] for row, col in zip(left, match))
-        perms[done:done + mult] = match
-        done += mult
-        for l, (row, col) in enumerate(zip(left, match)):
-            row[col] -= mult
-            if not row[col]:
+        held = list(map(dict.__getitem__, left, match))
+        mult = min(held)
+        matchings.append(match)
+        mults.append(mult)
+        todo -= mult
+        for l, col, count in zip(range(k), match, held):
+            if count == mult:
                 hk.remove_edge(l, col)
-    return perms
+            else:
+                left[l][col] = count - mult
+    return np.repeat(np.array(matchings, dtype=np.int64).reshape(-1, k), mults, axis=0)
 
 
 def edge_color(g: BipartiteGraph) -> EdgeColoring:
@@ -290,10 +304,12 @@ def edge_color(g: BipartiteGraph) -> EdgeColoring:
 @dataclass(frozen=True)
 class CallRequestSet:
     """Point-to-point requests (source, destination) on a Clos network;
-    sources all distinct and destinations all distinct."""
+    sources all distinct and destinations all distinct.  Row r of the
+    read-only (R, 2) int64 ``ends`` is request r, as checked on construction."""
 
     pairs: tuple[tuple[int, int], ...]
     spec: ClosSpec
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ports = self.spec.ports
@@ -305,9 +321,12 @@ class CallRequestSet:
             bad = [v for pair in self.pairs for v in pair if not (is_integer(v) and 0 <= v < ports)]
             raise PreconditionError(f"port {bad[0]!r} is not an integer in [0, {ports})" if bad
                                     else "each request must be a (source, destination) pair")
-        ends = np.sort(ends, axis=0)  # each side's ports ascending
-        if (ends[1:] == ends[:-1]).any():
+        by_side = np.sort(ends, axis=0)  # each side's ports ascending
+        if (by_side[1:] == by_side[:-1]).any():
             raise PreconditionError("sources and destinations must each be distinct")
+        ends = ends.copy()  # the caller's array is not shared
+        ends.flags.writeable = False
+        object.__setattr__(self, "ends", ends)
 
     @classmethod
     def from_permutation(cls, pi: Sequence[int], spec: ClosSpec) -> "CallRequestSet":
@@ -330,7 +349,7 @@ def clos_route_assignment(reqs: CallRequestSet) -> list[RoutingTag]:
     if not spec.is_rearrangeable():
         raise DomainError("m >= n required for a rearrangeable assignment")
     n = spec.n
-    ports = np.array(reqs.pairs, dtype=np.int64).reshape(-1, 2)
+    ports = reqs.ends
     used = np.zeros((2, spec.ports), dtype=bool)
     used[[0, 1], ports] = True  # column j of the requests marks side j
     padding = np.stack([np.flatnonzero(~side) for side in used], axis=1)
@@ -339,26 +358,30 @@ def clos_route_assignment(reqs: CallRequestSet) -> list[RoutingTag]:
 
 
 def verify_route_assignment(reqs: CallRequestSet, tags: Sequence[RoutingTag]) -> bool:
-    """Independent nonblocking check: within any input module and within any
-    output module, all assigned central modules are distinct, and every tag
-    addresses its request's destination."""
-    if len(tags) != len(reqs.pairs):
+    """Independent nonblocking check: every tag names a central module in
+    [0, m) and its request's output module and port, and within any input
+    module and within any output module all assigned central modules are
+    distinct.  Distinctness is one sort of the (side, module, central) keys
+    of all requests.  A tag field that is not an int64 integer fails."""
+    spec, ends = reqs.spec, reqs.ends
+    if len(tags) != len(ends):
         return False
-    n = reqs.spec.n
-    by_in: dict[int, set[int]] = {}
-    by_out: dict[int, set[int]] = {}
-    for (src, dst), tag in zip(reqs.pairs, tags):
-        if not 0 <= tag.central < reqs.spec.m:
-            return False
-        if tag.destination(n) != dst:
-            return False
-        ins = by_in.setdefault(src // n, set())
-        outs = by_out.setdefault(dst // n, set())
-        if tag.central in ins or tag.central in outs:
-            return False
-        ins.add(tag.central)
-        outs.add(tag.central)
-    return True
+    try:
+        central, module, port = (integer_array(list(map(attrgetter(name), tags)), 1)
+                                 for name in ("central", "out_module", "out_port"))
+    except ResourceLimitError:
+        return False
+    if central is None or module is None or port is None:
+        return False
+    out_module, out_port = np.divmod(ends[:, 1], spec.n)
+    if not (((0 <= central) & (central < spec.m)).all() and (module == out_module).all()
+            and (port == out_port).all()):
+        return False
+    span = spec.m
+    if 2 * spec.k * span > np.iinfo(np.int64).max:  # the keys would pass int64: rank the centrals
+        central, span = np.unique(central, return_inverse=True)[1], len(central)
+    keys = np.sort(((ends // spec.n + [0, spec.k]) * span + central[:, None]).ravel())
+    return not (keys[1:] == keys[:-1]).any()
 
 
 # --- Benes outer-stage assignment ------------------------------------------

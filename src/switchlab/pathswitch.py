@@ -12,7 +12,7 @@ quantized afterwards by :func:`bandlimit_and_round`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -250,21 +250,28 @@ def optimal_delay_2x2(traffic: TrafficMatrix) -> float:
 MAX_PATTERN_CELLS = 1 << 22
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: an array has no single truth value
 class Decomposition:
     """Frame expansion of a capacity matrix.
 
     ``permutations`` is an (m*F, k) array whose row r is the r-th extracted
     matching, giving the output column of each input; consecutive groups of
-    m rows form the per-slot patterns.  ``states`` holds the distinct
-    patterns in order of first occurrence with their rational frequencies,
-    and ``frame`` maps each slot to its state index.
+    m rows form the per-slot patterns.  ``patterns`` is the read-only (K, k, k)
+    int64 array of the distinct slot patterns in order of first occurrence,
+    and ``frame`` maps each slot to its pattern's index.  ``states`` pairs
+    each pattern, a view of ``patterns``, with its rational frequency.
     """
 
     capacity: CapacityMatrix
     permutations: np.ndarray
-    states: tuple[tuple[np.ndarray, Fraction], ...]
+    patterns: np.ndarray
     frame: tuple[int, ...]
+    states: tuple[tuple[np.ndarray, Fraction], ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        f = self.capacity.frame_size
+        uses = np.bincount(self.frame, minlength=len(self.patterns)).tolist()
+        object.__setattr__(self, "states", tuple((p, Fraction(c, f)) for p, c in zip(self.patterns, uses)))
 
     @property
     def state_count(self) -> int:
@@ -272,10 +279,10 @@ class Decomposition:
 
     def reconstruct(self) -> list[list[Fraction]]:
         """Exact weighted sum of the states; equals the capacity matrix."""
-        counts = np.bincount(self.frame, minlength=self.state_count)
-        total = np.tensordot(counts, np.stack([p for p, _ in self.states]), axes=1)
-        f = self.capacity.frame_size
-        return [[Fraction(v, f) for v in row] for row in total.tolist()]
+        k, f = self.capacity.size, self.capacity.frame_size
+        uses = np.bincount(self.frame, minlength=len(self.patterns))
+        total = uses @ self.patterns.reshape(len(uses), k * k)
+        return [[Fraction(v, f) for v in row] for row in total.reshape(k, k).tolist()]
 
 
 def bvn_decompose(capacity: CapacityMatrix) -> Decomposition:
@@ -291,21 +298,16 @@ def bvn_decompose(capacity: CapacityMatrix) -> Decomposition:
         raise ResourceLimitError(f"F * k * max(k, m) = {f * k * max(k, m)} cells exceed {MAX_PATTERN_CELLS}")
     # full-multiplicity peels keep identical slots adjacent: few grouped states
     perms = peel_matchings(capacity.scaled_int())
-    # cell (slot r // m, input i, output perms[r, i]) of the flat pattern array
-    cells = ((np.arange(m * f) // m)[:, None] * k + np.arange(k)) * k + perms
-    patterns = np.bincount(cells.ravel(), minlength=f * k * k).reshape(f, k * k)
+    # row s: the cells (input i, output perms[r, i]) of slot s's m rows r, as i * k + output;
+    # sorted, they are the multiset its summed pattern counts, so equal keys mean equal patterns
+    cells = (np.arange(k) * k + perms).reshape(f, m * k)
     index: dict[bytes, int] = {}  # state ids in order of first occurrence
-    frame = np.array([index.setdefault(p.tobytes(), len(index)) for p in patterns])
+    frame = np.array([index.setdefault(c.tobytes(), len(index)) for c in np.sort(cells, axis=1)])
     _, first = np.unique(frame, return_index=True)
-    states = tuple(
-        (patterns[t].reshape(k, k), Fraction(int(c), f)) for t, c in zip(first, np.bincount(frame))
-    )
-    return Decomposition(
-        capacity=capacity,
-        permutations=perms,
-        states=states,
-        frame=tuple(frame.tolist()),
-    )
+    states = (np.arange(len(first)) * k * k)[:, None] + cells[first]  # cells of each state's first slot
+    patterns = np.bincount(states.ravel(), minlength=len(first) * k * k).reshape(-1, k, k)
+    patterns.flags.writeable = False
+    return Decomposition(capacity=capacity, permutations=perms, patterns=patterns, frame=tuple(frame.tolist()))
 
 
 def _transportation_round(frac: np.ndarray, row_need: np.ndarray, col_need: np.ndarray) -> np.ndarray:

@@ -65,12 +65,13 @@ class WeightSet:
         fracs = [Fraction(w) for w in weights]
         if not fracs:
             raise PreconditionError("need at least one weight")
-        if any(w <= 0 for w in fracs):
+        if any(w.numerator <= 0 for w in fracs):  # a Fraction's denominator is positive
             raise PreconditionError("weights must be positive")
-        if sum(fracs) != 1:
-            raise PreconditionError("weights must sum to one")
         f = math.lcm(*(w.denominator for w in fracs))
-        object.__setattr__(self, "counts", tuple(w.numerator * (f // w.denominator) for w in fracs))
+        counts = tuple(w.numerator * (f // w.denominator) for w in fracs)
+        if sum(counts) != f:
+            raise PreconditionError("weights must sum to one")
+        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "frame_size", f)
 
     @classmethod

@@ -442,3 +442,38 @@ def test_bad_validate_tolerance_is_usage_error(tmp_path, capsys, tolerance):
     code, out, err = _run(capsys, "validate", "--outdir", str(tmp_path), f"--tolerance={tolerance}")
     assert code == cli.EXIT_USAGE
     assert err.startswith("error: tolerance") and out == ""
+
+
+def test_one_parser_per_process_answers_as_fresh_parsers_do(tmp_path, capsys, monkeypatch):
+    calls = [
+        ["schedule", "0.5,0.25,0.25", "--algorithm", "wf2q"],
+        ["schedule", "0.5,0.25,0.25", "--algorithm", "bogus"],  # a usage error
+        ["experiment", "fig6", "--param", "max_m=8", "--param", "n=4", "--outdir", "{root}/a"],
+        ["experiment", "fig6", "--param", "max_m=6", "--outdir", "{root}/b"],  # after a repeated --param
+    ]
+
+    def run_twice_each(root):
+        seen = []
+        for argv in calls:
+            for _ in range(2):
+                code, out, err = _run(capsys, *(a.format(root=root) for a in argv))
+                seen.append((code, out.replace(str(root), "ROOT"), err))
+        csvs = {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*.csv"))}
+        return seen, csvs
+
+    assert cli.build_parser() is cli.build_parser()
+    cached = run_twice_each(tmp_path / "cached")
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # a new parser per call
+    assert cli.build_parser() is not cli.build_parser()
+    fresh = run_twice_each(tmp_path / "fresh")
+    assert cached == fresh
+    assert [code for code, _, _ in cached[0]] == [cli.EXIT_OK] * 2 + [cli.EXIT_USAGE] * 2 + [cli.EXIT_OK] * 4
+    assert set(cached[1]) == {"a/fig6.csv", "b/fig6.csv"} and cached[1]["a/fig6.csv"] != cached[1]["b/fig6.csv"]
+
+
+def test_repeated_param_lists_do_not_leak_between_parses():
+    parser = cli.build_parser()  # the one that main reuses
+    first = parser.parse_args(["experiment", "fig6", "--param", "a=1", "--param", "b=2"])
+    second = parser.parse_args(["experiment", "fig6", "--param", "c=3"])
+    third = parser.parse_args(["experiment", "fig6"])
+    assert (first.param, second.param, third.param) == (["a=1", "b=2"], ["c=3"], None)

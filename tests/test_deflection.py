@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -115,6 +116,32 @@ def test_no_deflection_is_refused_by_both_entry_points():
         assert dfl.loss_bound(rho, 10) == 0.0
 
 
+@pytest.mark.parametrize("call, args, error", [
+    (dfl.absorption_series, (0.6, 0.4, math.nan), DomainError),
+    (dfl.absorption_series, (0.6, 0.4, 2.5), DomainError),
+    (dfl.absorption_series, (0.6, 0.4, 2**70), ResourceLimitError),
+    (dfl.absorption_series, (0.6, 0.4, 10**9), ResourceLimitError),
+    (dfl.absorption_series, (0.6, 0.4, dfl.MAX_STAGES + 1), ResourceLimitError),
+    (dfl.loss_bound, (1.0, 1.5), DomainError),
+    (dfl.loss_bound, (1.0, math.nan), DomainError),
+    (dfl.loss_bound, (1.0, True), DomainError),
+    (dfl.loss_bound, (True, 3), DomainError),
+    (dfl.closed_form_tail, (0.6, 0.4, 1.5), DomainError),
+    (dfl.closed_form_tail, (0.6, 0.4, True), DomainError),
+], ids=["series_nan", "series_fraction", "series_2^70", "series_10^9", "series_past_cap",
+        "bound_fraction", "bound_nan", "bound_bool_length", "bound_bool_load", "tail_fraction", "tail_bool"])
+def test_non_integer_bool_and_oversized_scalars_are_refused(call, args, error):
+    start = time.perf_counter()
+    with pytest.raises(error):
+        call(*args)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_absorption_series_runs_to_the_stage_cap():
+    ser = dfl.absorption_series(0.6, 0.4, dfl.MAX_STAGES)
+    assert len(ser.g_q) == dfl.MAX_STAGES + 1 and ser.g_q.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_loss_bound_values():
     par = dfl.DeflectionParams.from_rho(1.0)
     assert dfl.loss_bound(1.0, 0) == pytest.approx(par.c, rel=1e-12)
@@ -221,6 +248,22 @@ class TestSimulator:
             dfl.simulate_deflection(4, 10**9, 0.5, 10)
         sim = dfl.simulate_deflection(4, dfl.MAX_STAGES, 0.5, 10, seed=7)
         assert sim.exits_by_stage.size == dfl.MAX_STAGES + 1 and sim.lost == 0
+
+    def test_contention_keys_stay_unique_when_every_draw_ties(self, monkeypatch):
+        # all-zero draws: every cell offers a packet for wire 0, and the keys differ in their cell bits alone
+        class ZeroBits:
+            def random_raw(self, size):
+                return np.zeros(size, dtype=np.uint64)
+
+        class ZeroGenerator:
+            bit_generator = ZeroBits()
+
+        monkeypatch.setattr(dfl.np.random, "default_rng", lambda seed: ZeroGenerator())
+        n, slots = 3, 5
+        res = dfl.simulate_deflection(n, 4, 1.0, slots)
+        assert res.offered == n * n * slots
+        # each (slot, module) row sends its n packets to port 0: one winner a row
+        assert res.deflected_by_stage[1] == res.offered - n * slots
 
     def test_two_packets_on_one_link_are_refused(self, monkeypatch):
         # every loser of a row sent to the same free port breaks the

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -485,7 +486,9 @@ class TestBitmaskSearch:
     def test_layers_and_verdict_equal_the_list_search_in_every_phase(self, monkeypatch):
         rng = random.Random(29)
         graphs = [*_seeded_graphs(), _chain_graph(300), *_sparse_graphs(rng)]
-        counts = [_random_regular_counts(rng, rng.randint(1, 40), rng.randint(0, 12)) for _ in range(100)]
+        # a solve that leaves no left vertex exposed skips its closing search, so a peel
+        # runs about one phase a solve: 150 count matrices keep over 1000 peel phases
+        counts = [_random_regular_counts(rng, rng.randint(1, 40), rng.randint(0, 12)) for _ in range(150)]
         phases = []
         monkeypatch.setattr(_BothSearchesHopcroftKarp, "phases", phases)
         monkeypatch.setattr(mt, "_HopcroftKarp", _BothSearchesHopcroftKarp)
@@ -596,6 +599,36 @@ def _independent_validity_check(reqs, tags):
     return True
 
 
+def _set_based_verify(reqs, tags):
+    """The set-based checker that the one-sort ``verify_route_assignment`` replaced."""
+    if len(tags) != len(reqs.pairs):
+        return False
+    n = reqs.spec.n
+    by_in, by_out = {}, {}
+    for (src, dst), tag in zip(reqs.pairs, tags):
+        if not 0 <= tag.central < reqs.spec.m or tag.destination(n) != dst:
+            return False
+        ins = by_in.setdefault(src // n, set())
+        outs = by_out.setdefault(dst // n, set())
+        if tag.central in ins or tag.central in outs:
+            return False
+        ins.add(tag.central)
+        outs.add(tag.central)
+    return True
+
+
+def _corrupt_one_field(rng, tags, spec):
+    """``tags`` with one field of one tag changed: to another tag's value, by one, or out of range."""
+    i = rng.randrange(len(tags))
+    name = rng.choice(("central", "out_module", "out_port"))
+    old = getattr(tags[i], name)
+    limit = {"central": spec.m, "out_module": spec.k, "out_port": spec.n}[name]
+    new = rng.choice([getattr(rng.choice(tags), name), old - 1, old + 1, rng.randrange(limit), -1, limit])
+    bad = list(tags)
+    bad[i] = dataclasses.replace(tags[i], **{name: new})
+    return bad
+
+
 class TestClosRouteAssignment:
     def test_reference_permutation(self):
         reqs = fixtures.eight_port_request_set()
@@ -642,6 +675,7 @@ class TestClosRouteAssignment:
         # partial sets are padded with dummy requests between spare ports, as the
         # set-and-scan padding padded them; the first 50 are empty sets and single requests
         rng = random.Random(23)
+        corrupt, verdicts = random.Random(29), [0, 0]  # its own stream: the request sets stay as they were
         for trial in range(500):
             n, k = rng.randint(1, 6), rng.randint(1, 8)
             spec = ClosSpec(m=rng.randint(n, n + 2), n=n, k=k)
@@ -651,9 +685,46 @@ class TestClosRouteAssignment:
             tags = mt.clos_route_assignment(reqs)
             assert mt.verify_route_assignment(reqs, tags)
             assert _independent_validity_check(reqs, tags)
+            assert _set_based_verify(reqs, tags)
             assert all(t.central < n for t in tags)
             colors = _pool_edge_color(_scan_padded_graph(reqs)).color_of.tolist()
             assert tags == [mt.RoutingTag(c, *divmod(d, n)) for c, (_, d) in zip(colors, reqs.pairs)]
+            for _ in range(4 if tags else 0):  # the checkers agree on single-field corruptions
+                bad = _corrupt_one_field(corrupt, tags, spec)
+                verdict = mt.verify_route_assignment(reqs, bad)
+                in_range = all(0 <= t.central < spec.m for t in bad)  # the pairwise check reads no range
+                assert verdict == _set_based_verify(reqs, bad) == (in_range and _independent_validity_check(reqs, bad))
+                verdicts[verdict] += 1
+        assert min(verdicts) > 200  # both verdicts occur often
+
+    def test_requests_are_kept_as_one_read_only_array(self):
+        spec = ClosSpec(m=2, n=2, k=3)
+        pairs = np.array([[0, 5], [3, 2], [4, 0]])
+        reqs = mt.CallRequestSet(pairs, spec)
+        assert reqs.ends.dtype == np.int64 and (reqs.ends == pairs).all() and not reqs.ends.flags.writeable
+        assert not np.shares_memory(reqs.ends, pairs)  # the caller's array is not shared
+        assert mt.CallRequestSet((), spec).ends.shape == (0, 2)
+        assert mt.CallRequestSet(((0, 5),), spec) == mt.CallRequestSet(((0, 5),), spec)
+
+    def test_checker_refuses_tags_of_other_types_and_lengths(self):
+        reqs = fixtures.eight_port_request_set()
+        tags = mt.clos_route_assignment(reqs)
+        assert not mt.verify_route_assignment(reqs, tags[:-1])
+        for value in (0.0, True, None, 2**70, -2**70):
+            for name in ("central", "out_module", "out_port"):
+                bad = [dataclasses.replace(tags[0], **{name: value}), *tags[1:]]
+                assert not mt.verify_route_assignment(reqs, bad)
+
+    def test_checker_keys_stay_exact_with_a_huge_central_count(self):
+        # 2 k m passes 2^64, where the key of output module 1 would wrap onto input module 0's,
+        # so the centrals are ranked before the one sort
+        spec = ClosSpec(m=2**62, n=2, k=3)
+        reqs = mt.CallRequestSet(((0, 2), (1, 0), (4, 4)), spec)
+        far = 2**62 - 1
+        assert mt.verify_route_assignment(reqs, [mt.RoutingTag(c, *divmod(d, 2)) for c, d in
+                                                 ((far, 2), (0, 0), (far, 4))])
+        assert not mt.verify_route_assignment(reqs, [mt.RoutingTag(c, *divmod(d, 2)) for c, d in
+                                                     ((far, 2), (far, 0), (0, 4))])  # input module 0
 
     @pytest.mark.parametrize("ports", [[1.9, 0.2], [1.0, 0.0], [True, False], np.array([1.0, 0.0]),
                                        np.array([True, False])],

@@ -247,6 +247,34 @@ class TestBvnDecompose:
             # applies to minimal regroupings, not greedy extraction order
             assert dec.state_count <= f
 
+    def test_patterns_are_one_read_only_array_that_reconstruct_sums(self):
+        # m >= 3 slots can sum equal patterns from different permutation rows
+        rng = random.Random(37)
+        for _ in range(120):
+            k, f, m = rng.randint(1, 6), rng.randint(1, 16), rng.randint(1, 4)
+            cap = ps.CapacityMatrix.from_integer_matrix(_random_scaled_doubly_stochastic(rng, k, m * f), f)
+            dec = ps.bvn_decompose(cap)
+            pats = dec.patterns
+            assert pats.dtype == np.int64 and pats.shape == (dec.state_count, k, k) and not pats.flags.writeable
+            assert len({p.tobytes() for p in pats}) == len(pats)  # distinct, in order of first use
+            assert sorted(set(dec.frame), key=dec.frame.index) == list(range(len(pats)))
+            for slot, state in enumerate(dec.frame):  # each slot's pattern sums its m rows
+                dense = np.zeros((k, k), dtype=np.int64)
+                for row in dec.permutations[slot * m:(slot + 1) * m]:
+                    dense[np.arange(k), row] += 1
+                assert (pats[state] == dense).all()
+            for (pattern, weight), uses in zip(dec.states, np.bincount(dec.frame).tolist()):
+                assert np.shares_memory(pattern, pats) and weight == Fraction(uses, f)
+            stacked = [[sum(w * int(p[i, j]) for p, w in dec.states) for j in range(k)] for i in range(k)]
+            assert dec.reconstruct() == stacked == [list(row) for row in cap.entries]
+
+    def test_slots_of_different_rows_with_one_sum_are_one_state(self, monkeypatch):
+        # at k = 3 the three even and the three odd permutations both sum to the all-ones matrix
+        even, odd = [[0, 1, 2], [1, 2, 0], [2, 0, 1]], [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
+        monkeypatch.setattr(ps, "peel_matchings", lambda counts: np.array(even + odd))
+        dec = ps.bvn_decompose(ps.CapacityMatrix.from_integer_matrix([[2] * 3] * 3, 2))
+        assert dec.frame == (0, 0) and dec.states[0][1] == 1 and (dec.patterns == 1).all()
+
     def test_oversized_frame_rejected_before_allocating(self):
         f = ps.MAX_PATTERN_CELLS // 4 + 1  # F * k^2 just above the cap at k = 2
         cap = ps.CapacityMatrix.from_integer_matrix([[f, 0], [0, f]], f)

@@ -40,6 +40,16 @@ class TestWeightSet:
         with pytest.raises(PreconditionError):
             sc.WeightSet.of("1.5", "-0.5")
 
+    @pytest.mark.parametrize("weights", [(Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**30)),
+                                         (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), Fraction(1, 2**70)),
+                                         (1, 0), (Fraction(3, 2), Fraction(-1, 2)), (Fraction(1, 2), Fraction(1, 2), 0),
+                                         (Fraction(-1, 10**30), 1)],
+                             ids=["just_past_one", "past_one_by_2^-70", "zero", "negative", "zero_last",
+                                  "tiny_negative"])
+    def test_refuses_sums_past_one_and_non_positive_weights(self, weights):
+        with pytest.raises(PreconditionError, match="sum to one" if min(weights) > 0 else "positive"):
+            sc.WeightSet(weights)
+
     def test_weights_are_a_view_of_the_counts(self):
         w = sc.WeightSet((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
         assert (w.counts, w.frame_size) == ((3, 2, 1), 6)
