@@ -25,7 +25,7 @@ import numpy as np
 
 from . import closmodel, contention, deflection, fixtures, matching, pathswitch, sched
 from .closmodel import ClosSpec
-from .errors import ConvergenceError, DomainError, PreconditionError, ResourceLimitError
+from .errors import ConvergenceError, DomainError, PreconditionError, ResourceLimitError, check_count, check_real
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -125,8 +125,7 @@ MAX_TABLE_ROWS = 1 << 16
 
 
 def _fig6_rows(n: int, max_m: int) -> list[list]:
-    if n < 1:
-        raise DomainError(f"ports per outer module n={n} must be >= 1")
+    check_count(n, 1, f"ports per outer module n={n} must be >= 1")
     if max_m - n > MAX_TABLE_ROWS:
         raise ResourceLimitError(f"{max_m - n} central-module rows exceed {MAX_TABLE_ROWS}")
     rows = []
@@ -150,6 +149,13 @@ def _load_sweep() -> list[deflection.DeflectionParams]:
     return [deflection.DeflectionParams.from_rho(i / 20) for i in range(1, 21)]
 
 
+def _ln_loss_bound(length: int) -> float:
+    """ln loss_bound(1.0, length) in the log form slope_m (L + 2) + intercept_b,
+    which stays finite where the bound underflows to 0 (from about 2000 stages)."""
+    par = deflection.DeflectionParams.from_rho(1.0)
+    return par.slope_m * (length + 2) + par.intercept_b
+
+
 def _exp_fig10(p: dict, seed: int) -> list[Table]:
     sweep = _load_sweep()
     sim = deflection.simulate_deflection(p["n"], p["stages"], 1.0, p["slots"], seed=seed)
@@ -157,8 +163,7 @@ def _exp_fig10(p: dict, seed: int) -> list[Table]:
         ("fig10a", "fig10a", ["rho", "success_p", "deflect_q"], [[d.rho, d.p, d.q] for d in sweep]),
         ("fig10b", "fig10b", ["rho", "a", "c"], [[d.rho, d.a, d.c] for d in sweep]),
         ("fig10c", "fig10c", ["length", "ln_loss_bound", "empirical_loss"],
-         [[length, math.log(deflection.loss_bound(1.0, length)), sim.loss_after(length)]
-          for length in range(2, p["stages"] + 1)]),
+         [[length, _ln_loss_bound(length), sim.loss_after(length)] for length in range(2, p["stages"] + 1)]),
     ]
 
 
@@ -286,8 +291,9 @@ def _selections_are(expected: str) -> CheckFn:
 
 # re-derive the analytic column: a CSV value 1e-9 relative off it fails (CSVs print 10 digits)
 def _loss_under_bound(r: list[str]) -> bool:  # length, ln_loss_bound, empirical_loss
-    bound = deflection.loss_bound(1.0, int(r[0]))
-    return math.isclose(float(r[1]), math.log(bound), rel_tol=1e-9) and float(r[2]) <= bound + 1e-2
+    length = int(r[0])
+    return (math.isclose(float(r[1]), _ln_loss_bound(length), rel_tol=1e-9)
+            and float(r[2]) <= deflection.loss_bound(1.0, length) + 1e-2)
 
 
 def _carried_load_matches(r: list[str]) -> bool:  # ports, rho, carried_empirical, carried_analytic
@@ -385,6 +391,7 @@ def run_experiment(man: ExperimentManifest) -> list[Path]:
         raise DomainError(f"unknown experiment parameter {' '.join(unknown)}; "
                           f"known: {' '.join(sorted(_KNOWN_PARAMS))}")
     given = {key: _int_param(key, val) for key, val in man.params.items()}
+    check_count(man.seed, 0, "seed must be an integer >= 0")  # before the writer: a refused run writes nothing
     tables = exp.write({key: given.get(key, default) for key, default in exp.params.items()},
                        man.seed)
     man.outdir.mkdir(parents=True, exist_ok=True)
@@ -398,8 +405,7 @@ def validate_outputs(outdir: Path, tolerance: float = 5e-4) -> tuple[list[dict],
     name; a file that cannot be read or parsed, or holds no data rows, fails
     its check.
     """
-    if not 0.0 <= tolerance < math.inf:  # also false for NaN
-        raise DomainError(f"tolerance {tolerance} must be finite and >= 0")
+    check_real(tolerance, 0.0, sys.float_info.max, f"tolerance {tolerance} must be finite and >= 0")
     report: list[dict] = []
     for exp in EXPERIMENTS.values():
         for name, stem, fn in exp.checks:
@@ -459,8 +465,7 @@ def _cmd_assign(args: argparse.Namespace) -> int:
     pi = _parse_permutation(args.permutation)
     n_ports = len(pi)
     n = args.n
-    if n < 1:
-        raise DomainError("module width --n must be >= 1")
+    check_count(n, 1, "module width --n must be >= 1")
     if n_ports % n:
         raise DomainError("permutation size must be a multiple of the module width")
     spec = ClosSpec(m=args.m if args.m else n, n=n, k=n_ports // n)

@@ -9,10 +9,11 @@ natural logarithm; ``shannon_capacity`` and ``bsc_capacity`` are in bits
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .contention import carried_load
-from .errors import DomainError, is_integer
+from .errors import DomainError, check_count, check_real
 
 __all__ = [
     "ClosSpec",
@@ -38,8 +39,8 @@ class ClosSpec:
     k: int
 
     def __post_init__(self) -> None:
-        if not all(is_integer(v) and v >= 1 for v in (self.m, self.n, self.k)):
-            raise DomainError("m, n, k must all be >= 1 and integers")
+        for v in (self.m, self.n, self.k):
+            check_count(v, 1, "m, n, k must all be >= 1 and integers")
 
     @property
     def ports(self) -> int:
@@ -78,10 +79,9 @@ def address_split(addr: int, n: int, k: int | None = None) -> tuple[int, int]:
     The integers ``addr``, ``n`` and ``k`` (if given) are a global port index, the
     module width and count.  Returns ``(addr // n, addr % n)``, so ``n * q + r == addr``.
     """
-    if not all(map(is_integer, (addr, n) if k is None else (addr, n, k))):
-        raise DomainError("address, module width and module count must be integers")
-    if n < 1:
-        raise DomainError("module width must be >= 1")
+    for v in (addr, n) if k is None else (addr, n, k):
+        check_count(v, -math.inf, "address, module width and module count must be integers")
+    check_count(n, 1, "module width must be >= 1")
     if addr < 0 or (k is not None and addr >= n * k):
         raise DomainError(f"address {addr} outside [0, {n * (k or 0)})")
     return addr // n, addr % n
@@ -107,23 +107,22 @@ def random_routing_carried_load(spec: ClosSpec, asymptotic_k: bool = False) -> f
 def max_data_rate(m: float, psnr: float) -> float:
     """Peak per-module data rate m * ln(1 + PSNR) (packets per slot, natural
     log) achievable with random central-stage routing."""
-    if psnr < 0:
-        raise DomainError("psnr must be nonnegative")
+    check_real(m, 0.0, sys.float_info.max, "central module count m must be finite and nonnegative")
+    check_real(psnr, 0.0, sys.float_info.max, "psnr must be finite and nonnegative")
     return m * math.log1p(psnr)
 
 
 def shannon_capacity(bandwidth: float, snr: float) -> float:
     """Capacity W * log2(1 + S/N) of a bandlimited Gaussian channel, in bits."""
-    if bandwidth < 0 or snr < 0:
-        raise DomainError("bandwidth and snr must be nonnegative")
+    for v in (bandwidth, snr):
+        check_real(v, 0.0, sys.float_info.max, "bandwidth and snr must be finite and nonnegative")
     return bandwidth * math.log2(1.0 + snr)
 
 
 def bsc_capacity(q: float) -> float:
     """Capacity 1 - H2(q) of a binary symmetric channel with cross
     probability q, in bits.  Symmetric about q = 1/2."""
-    if not 0.0 <= q <= 1.0:
-        raise DomainError("cross probability must lie in [0, 1]")
+    check_real(q, 0.0, 1.0, "cross probability must lie in [0, 1]")
     if q in (0.0, 1.0):
         return 1.0
     return 1.0 + q * math.log2(q) + (1.0 - q) * math.log2(1.0 - q)
@@ -132,8 +131,7 @@ def bsc_capacity(q: float) -> float:
 def random_coding_bound(n: int, a: float, c: float) -> float:
     """Block-error bound a^-n + c^-n for block length n; needs a, c > 1 so
     the bound vanishes with length."""
-    if not is_integer(n) or n < 1:
-        raise DomainError("block length must be >= 1")
-    if not (a > 1.0 and c > 1.0):
-        raise DomainError("bound constants must exceed 1")
+    check_count(n, 1, "block length must be >= 1")
+    for v in (a, c):
+        check_real(v, math.nextafter(1.0, math.inf), math.inf, "bound constants must exceed 1")
     return a ** (-n) + c ** (-n)

@@ -16,7 +16,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, ResourceLimitError, is_integer
+from .errors import DomainError, PreconditionError, ResourceLimitError, check_count, check_real
 
 __all__ = [
     "CrossbarLoad",
@@ -100,19 +100,16 @@ def carried_load(rho: float, n_ports: int | None = None, *, asymptotic: bool = F
     Finite switch: 1 - (1 - rho/N)^N; ``asymptotic`` gives the N -> infinity
     limit 1 - exp(-rho).  Monotone nondecreasing in rho.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise DomainError(f"offered load {rho} outside [0, 1]")
+    check_real(rho, 0.0, 1.0, f"offered load {rho} outside [0, 1]")
     if asymptotic:
         return -math.expm1(-rho)
-    if not is_integer(n_ports) or n_ports < 1:
-        raise DomainError("need n_ports >= 1 or asymptotic=True")
+    check_count(n_ports, 1, "need n_ports >= 1 or asymptotic=True")
     return 1.0 - (1.0 - rho / n_ports) ** n_ports
 
 
 def psnr(carried: float) -> float:
     """Pseudo signal-to-noise ratio rho'/(1 - rho') of a carried load."""
-    if not 0.0 <= carried < 1.0:
-        raise DomainError("carried load must lie in [0, 1) for a finite PSNR")
+    check_real(carried, 0.0, math.nextafter(1.0, 0.0), "carried load must lie in [0, 1) for a finite PSNR")
     return carried / (1.0 - carried)
 
 
@@ -147,13 +144,12 @@ class CrossbarSimResult:
         if not 0 <= sum(hist[1:]) <= packets <= self.load.n_ports * self.slots:
             raise PreconditionError("need 0 <= busy output-slots <= packets <= input-slots")
 
-    def occupancy_pmf(self) -> np.ndarray:
-        return self.histogram / self.histogram.sum()
-
 
 def check_run_size(slots: int, cells_per_slot: int, unit: str) -> None:
     """Refuse a simulator run before any draw: one slot must fit a chunk,
     and the run may draw at most MAX_RUN_CELLS cells."""
+    check_count(slots, 1, "need slots >= 1")
+    check_count(cells_per_slot, 1, f"need {unit} >= 1")
     if cells_per_slot > CHUNK_CELLS:
         raise ResourceLimitError(
             f"one slot of {cells_per_slot} {unit} exceeds the {CHUNK_CELLS}-cell chunk budget"
@@ -174,6 +170,8 @@ def packet_draws(rho: float, bins: int) -> tuple[int, float]:
     32-bit x: a packet's destination is uniform to within bins / t <=
     bins / (rho 2^32), and every x >= t gives bins or more.  At rho = 0, t
     is 0 and s is infinite."""
+    check_real(rho, 0.0, 1.0, f"offered load {rho} outside [0, 1]")
+    check_count(bins, 1, "need bins >= 1")
     threshold = math.ceil(rho * 2**32)
     if threshold == 0:
         return 0, math.inf
@@ -210,10 +208,10 @@ def simulate_crossbar(
     k)`` for k = 1, 2, ... gives the higher levels by differences, up to the
     first level no output reaches.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise DomainError(f"offered load {rho} outside [0, 1]")
-    if not (is_integer(n_ports) and is_integer(slots)) or n_ports < 1 or slots < 1:
-        raise DomainError("need n_ports >= 1 and slots >= 1")
+    check_real(rho, 0.0, 1.0, f"offered load {rho} outside [0, 1]")
+    for count in (n_ports, slots):
+        check_count(count, 1, "need n_ports >= 1 and slots >= 1")
+    check_count(seed, 0, "seed must be an integer >= 0")
     check_run_size(slots, n_ports, "ports")
     threshold, scale = packet_draws(rho, n_ports)
     rows = min(CHUNK_CELLS // n_ports, slots)
@@ -283,8 +281,7 @@ def boltzmann_pmf(rho: float, model: OccupancyModel = "distinguishable") -> Occu
     the final bucket.  A first term below a normal double (Poisson from rho
     about 708) or a series of over ``PMF_MAX_TERMS`` terms is refused.
     """
-    if not rho >= 0:
-        raise DomainError("offered load must be nonnegative")
+    check_real(rho, 0.0, math.inf, "offered load must be nonnegative")
     if model not in ("distinguishable", "indistinguishable"):
         raise DomainError(f"unknown occupancy model {model!r}")
     poisson = model == "distinguishable"
@@ -311,12 +308,10 @@ def poisson_profile(rho: float, levels: int) -> list[float]:
     is exp(i ln rho - rho - ln i!) instead, which underflows to 0.0 far out
     in the tail.  Like :func:`boltzmann_pmf` it refuses more than
     ``PMF_MAX_TERMS`` levels."""
-    if not 0.0 <= rho < math.inf:
-        raise DomainError("offered load must be finite and nonnegative")
-    if not is_integer(levels) or levels < 0:
-        raise DomainError("need levels >= 0")
-    if levels >= PMF_MAX_TERMS:
+    check_count(levels, 0, "need levels >= 0")
+    if levels >= PMF_MAX_TERMS:  # before the load: too many levels are the cap's refusal whatever the load
         raise ResourceLimitError(f"profile of {levels} levels needs over {PMF_MAX_TERMS} terms")
+    check_real(rho, 0.0, sys.float_info.max, "offered load must be finite and nonnegative")
 
     def level(i: int) -> float:
         if i <= 170:
@@ -411,8 +406,8 @@ def maximize_entropy_bruteforce(
     Also reports the feasible vector closest (L1) to the continuous Poisson
     profile N * exp(-rho) rho^i / i! with rho = M/N, and its state count.
     """
-    if not (is_integer(n_ports) and is_integer(n_packets)) or n_ports < 1 or n_packets < 0:
-        raise DomainError("need n_ports >= 1 and n_packets >= 0")
+    for count, low in ((n_ports, 1), (n_packets, 0)):
+        check_count(count, low, "need n_ports >= 1 and n_packets >= 0")
     if n_ports > BRUTE_FORCE_LIMIT:
         raise ResourceLimitError(
             f"exhaustive search capped at {BRUTE_FORCE_LIMIT} outputs, got {n_ports}"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contention import CHUNK_CELLS, carried_load, check_run_size, packet_draws
-from .errors import DomainError, ResourceLimitError, is_integer
+from .errors import DomainError, ResourceLimitError, check_count, check_real
 
 __all__ = [
     "DeflectionParams",
@@ -41,8 +41,7 @@ MAX_STAGES = 1 << 16
 def success_probability(rho: float) -> float:
     """Worst-case contention win probability p = rho'/rho in a large square
     module, rho' the crossbar's asymptotic carried load; 1 as rho -> 0."""
-    if isinstance(rho, (bool, np.bool_)) or not 0.0 <= rho <= 1.0:  # NaN fails the range
-        raise DomainError("analysis holds for offered load in [0, 1] only")
+    check_real(rho, 0.0, 1.0, "analysis holds for offered load in [0, 1] only")
     if rho == 0.0:
         return 1.0
     return carried_load(rho, asymptotic=True) / rho
@@ -60,8 +59,6 @@ class DeflectionParams:
     rho: float
     p: float
     q: float
-    v: float
-    theta: float
     slope_m: float
     intercept_b: float
     a: float
@@ -77,15 +74,15 @@ class DeflectionParams:
         """Constants at win probability p and deflection probability q.
         Refuses q = 0 (p = 1): with no deflection every packet exits at its
         first chance, and the tail constants a and c would be infinite."""
-        if not (0.0 < p < 1.0 and q > 0.0) or abs(p + q - 1.0) > 1e-12:
-            raise DomainError(f"need 0 < p < 1 and q > 0 with p + q = 1, got p={p} q={q}")
+        message = f"need 0 < p < 1 and q > 0 with p + q = 1, got p={p} q={q}"
+        check_real(p, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0), message)
+        check_real(q, math.nextafter(0.0, 1.0), 1.0, message)
+        if abs(p + q - 1.0) > 1e-12:
+            raise DomainError(message)
         s = math.sqrt(q * q + 4.0 * p * q)
         lam = (q + s) / 2.0  # dominant geometric ratio of the exit law
-        v = s / 2.0
-        theta = 0.5 * math.log((q + s) / max(s - q, 1e-300))
         c = lam * lam / (q * s)
-        return cls(rho=rho, p=p, q=q, v=v, theta=theta, slope_m=math.log(lam),
-                   intercept_b=-math.log(q * s), a=1.0 / lam, c=c)
+        return cls(rho=rho, p=p, q=q, slope_m=math.log(lam), intercept_b=-math.log(q * s), a=1.0 / lam, c=c)
 
     def envelope(self, length: int) -> float:
         """Geometric envelope c * a^-L of the exit-law tail past ``length``."""
@@ -114,10 +111,12 @@ def absorption_series(p: float, q: float, k_max: int) -> AbsorptionSeries:
     g_r(k) = p*[k == 1] + q*g_q(k-1), g_q(k) = p*g_r(k-1) + q*g_q(k-1),
     with g_q(0) = g_q(1) = 0.  The partial sums of g_q increase to 1.
     """
-    if not (0.0 < p < 1.0) or abs(p + q - 1.0) > 1e-12:
-        raise DomainError("need 0 < p < 1 with p + q = 1")
-    if not is_integer(k_max) or k_max < 2:
-        raise DomainError("k_max must be an integer >= 2")
+    message = "need 0 < p < 1 with p + q = 1"
+    check_real(p, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0), message)
+    check_real(q, 0.0, 1.0, message)
+    if abs(p + q - 1.0) > 1e-12:
+        raise DomainError(message)
+    check_count(k_max, 2, "k_max must be an integer >= 2")
     if k_max > MAX_STAGES:
         raise ResourceLimitError(f"k_max = {k_max} exceeds {MAX_STAGES} stages")
     g_q = np.zeros(k_max + 1)
@@ -137,37 +136,32 @@ class TailBounds:
     log_linear: float
 
 
-def _explicit_tail(params: DeflectionParams, length: int) -> float:
-    """Exact tail by partial fractions of the exit-law generating function.
-
-    For even L:  (pq)^{L/2} [sinh(L theta) + sqrt(pq) cosh((L-1) theta)] / v
-    (cosh/sinh swapped for odd L); equals the recursion tail to rounding.
-    """
-    p, q, v, th = params.p, params.q, params.v, params.theta
-    pq = p * q
-    half = pq ** (length / 2.0)
-    if length % 2 == 0:
-        core = math.sinh(length * th) + math.sqrt(pq) * math.cosh((length - 1) * th)
-    else:
-        core = math.cosh(length * th) + math.sqrt(pq) * math.sinh((length - 1) * th)
-    return half * core / v
+def _explicit_tail(p: float, q: float, length: int) -> float:
+    """Exact tail by partial fractions of the exit-law generating function,
+    in powers of its two roots lam = (q + s)/2 and mu = q - lam, s = lam - mu
+    = sqrt(q^2 + 4pq):  [(lam^L - mu^L) + pq (lam^(L-1) - mu^(L-1))] / s.
+    |mu| < lam < 1, so a power underflows to 0 but never overflows; equals
+    the recursion tail to rounding."""
+    s = math.sqrt(q * q + 4.0 * p * q)
+    lam = (q + s) / 2.0
+    mu = q - lam
+    return ((lam**length - mu**length) + p * q * (lam ** (length - 1) - mu ** (length - 1))) / s
 
 
 def closed_form_tail(p: float, q: float, length: int) -> TailBounds:
     """Closed-form tail of the exit law past ``length``.
 
-    ``explicit`` is the exact parity-dependent cosh/sinh expression;
+    ``explicit`` is the exact expression in powers of the exit law's roots;
     ``log_linear`` is the envelope c * a^-L' at the last even L' <= L, which
     stays above the alternating exact tail at every length.  Requires
     q < 1/2 so the envelope decays.
     """
-    if q >= 0.5:
-        raise DomainError("tail bounds need deflection probability q < 1/2")
-    if not is_integer(length) or length < 1:
-        raise DomainError("network length must be an integer >= 1")
+    # only the upper end: from_pq refuses q <= 0 with its own message
+    check_real(q, -math.inf, math.nextafter(0.5, 0.0), "tail bounds need deflection probability q < 1/2")
+    check_count(length, 1, "network length must be an integer >= 1")
     params = DeflectionParams.from_pq(p, q)
     return TailBounds(
-        explicit=_explicit_tail(params, length),
+        explicit=_explicit_tail(p, q, length),
         log_linear=params.envelope(length - length % 2),
     )
 
@@ -176,12 +170,10 @@ def loss_bound(rho: float, length: int) -> float:
     """Geometric loss bound c * a^-L (:meth:`DeflectionParams.envelope`) on
     (rho - rho')/rho.  Only valid for offered load in [0, 1]; above 1 the
     deflected traffic exceeds the spare links and the loss is unbounded."""
-    if rho > 1.0:
-        raise DomainError(
-            "offered load above 1: deflection capacity exhausted, loss unbounded"
-        )
-    if not is_integer(length) or length < 0:
-        raise DomainError("network length must be a nonnegative integer")
+    # NaN and all but a real get success_probability's message, a load above 1 its own
+    check_real(rho, -math.inf, math.inf, "analysis holds for offered load in [0, 1] only")
+    check_real(rho, -math.inf, 1.0, "offered load above 1: deflection capacity exhausted, loss unbounded")
+    check_count(length, 0, "network length must be a nonnegative integer")
     if success_probability(rho) == 1.0:  # nothing is deflected, so nothing is lost
         return 0.0
     return DeflectionParams.from_rho(rho).envelope(length)
@@ -357,12 +349,11 @@ def simulate_deflection(
     (slot, module, port), destination digits and need-second-digit flag, so
     a stage costs time in proportion to the packets in flight.
     """
-    if not (is_integer(module_size) and is_integer(stages)) or module_size < 2 or stages < 2:
-        raise DomainError("need module_size >= 2 and stages >= 2")
-    if not 0.0 <= rho <= 1.0:
-        raise DomainError("simulator offered load must lie in [0, 1]")
-    if not is_integer(slots) or slots < 1:
-        raise DomainError("need slots >= 1")
+    for count in (module_size, stages):
+        check_count(count, 2, "need module_size >= 2 and stages >= 2")
+    check_real(rho, 0.0, 1.0, "simulator offered load must lie in [0, 1]")
+    check_count(slots, 1, "need slots >= 1")
+    check_count(seed, 0, "seed must be an integer >= 0")
     if stages > MAX_STAGES:
         raise ResourceLimitError(f"{stages} stages exceed {MAX_STAGES}")
     n = module_size

@@ -1,4 +1,7 @@
-"""Shared exception types, and the one integer gate of the exact core."""
+"""Shared exception types, the one integer gate of the exact core, and the
+one scalar gate of every count, load and probability argument."""
+
+import numbers
 
 import numpy as np
 
@@ -24,6 +27,20 @@ _INTEGER_TYPES = {int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])} 
 
 def is_integer(v: object) -> bool:
     return type(v) in _INTEGER_TYPES
+
+
+def check_count(value: object, low: float, message: str) -> None:
+    """Refuse with ``DomainError(message)`` all but an integer (never a bool) >= ``low``."""
+    if not is_integer(value) or value < low:
+        raise DomainError(message)
+
+
+def check_real(value: object, low: float, high: float, message: str) -> None:
+    """Refuse with ``DomainError(message)`` all but a real number in [low, high]: never a bool
+    or NaN, and inf only where ``high`` is.  A strict bound is passed as the nearest double
+    inside it: ``math.nextafter(1.0, 0.0)`` for < 1, ``sys.float_info.max`` for finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not low <= value <= high:
+        raise DomainError(message)
 
 
 def integer_array(value: object, ndim: int) -> "np.ndarray | None":

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .closmodel import ClosSpec
-from .errors import ConvergenceError, DomainError, PreconditionError, ResourceLimitError, integer_array, is_integer
+from .errors import ConvergenceError, DomainError, PreconditionError, ResourceLimitError, check_count, integer_array
 from .matching import peel_matchings
 
 __all__ = [
@@ -85,16 +85,14 @@ class CapacityMatrix:
     """
 
     def __init__(self, entries: Sequence[Sequence[Fraction]], frame_size: int):
-        if not is_integer(frame_size) or frame_size < 1:  # before it scales an entry
-            raise DomainError("frame size must be an integer >= 1")
+        check_count(frame_size, 1, "frame size must be an integer >= 1")  # before it scales an entry
         scaled = [[Fraction(v) * frame_size for v in row] for row in entries]
         if any(x.denominator != 1 for row in scaled for x in row):
             raise PreconditionError("entries times frame size must be integers")
         self._set_scaled([[x.numerator for x in row] for row in scaled], frame_size)
 
     def _set_scaled(self, scaled: Sequence[Sequence[int]], frame_size: int) -> None:
-        if not is_integer(frame_size) or frame_size < 1:  # F may exceed int64
-            raise DomainError("frame size must be an integer >= 1")
+        check_count(frame_size, 1, "frame size must be an integer >= 1")  # F may exceed int64
         k = len(scaled)
         if k == 0 or any(len(row) != k for row in scaled):
             raise PreconditionError("capacity matrix must be square")
@@ -371,8 +369,8 @@ def bandlimit_and_round(capacity: np.ndarray, f_target: int, *, modules: int) ->
     round-off error is at most 1/f_target.  Returns ``(rounded
     CapacityMatrix, max_abs_error)``.
     """
-    if f_target < 1:
-        raise DomainError("target frame size must be >= 1")
+    check_count(f_target, 1, "target frame size must be >= 1")
+    check_count(modules, 1, "module count must be >= 1")
     cap = np.asarray(capacity, dtype=float)
     if not np.isfinite(cap).all():  # before the int64 cast below, which NaN and inf would trip
         raise PreconditionError("capacities must be finite")

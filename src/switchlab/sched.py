@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, ResourceLimitError, integer_array
+from .errors import DomainError, PreconditionError, ResourceLimitError, check_count, integer_array
 from .pathswitch import CapacityMatrix
 
 __all__ = [
@@ -229,10 +229,10 @@ SCHEDULERS = {"wfq": schedule_wfq, "wf2q": schedule_wf2q, "hurr": schedule_hurr}
 def schedule_random(weights: WeightSet, slots: int, seed: int = 0) -> np.ndarray:
     """Memoryless scheduling: each slot draws a state i.i.d. with the given
     probabilities, returned as an int64 array.  No frame structure is kept."""
-    if slots < 1:
-        raise DomainError("need at least one slot")
+    check_count(slots, 1, "need at least one slot")
     if slots > MAX_RANDOM_SLOTS:
         raise ResourceLimitError(f"{slots} slots exceed {MAX_RANDOM_SLOTS}")
+    check_count(seed, 0, "seed must be an integer >= 0")
     rng = np.random.default_rng(seed)
     return rng.choice(len(weights), size=slots, p=weights.as_float())
 
@@ -320,10 +320,6 @@ class TokenGrid:
     @property
     def n_inputs(self) -> int:
         return self.tokens.shape[0]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.tokens.shape[1]
 
     @property
     def frame_size(self) -> int:

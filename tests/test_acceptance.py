@@ -74,7 +74,7 @@ def test_criterion_03_montecarlo_crossbar():
     load_err = abs(res.load.carried_load - analytic)
     pois = np.array([math.exp(-1) / math.factorial(i) for i in range(33)])
     pois[-1] += 1.0 - pois.sum()
-    tv = 0.5 * float(np.abs(res.occupancy_pmf() - pois).sum())
+    tv = 0.5 * float(np.abs(res.histogram / res.histogram.sum() - pois).sum())
     _report(3, "1e6-slot crossbar run matches carried load and occupancy law",
             load_err < 0.003 and tv < 0.01,
             f"load_err={load_err:.5f}, tv={tv:.5f}")

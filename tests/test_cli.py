@@ -392,13 +392,20 @@ def test_montecarlo_short_cascade(tmp_path, capsys, stages, lengths):
     (["assign", "[true, false, 2, 3]", "--n", "2"], 2, "permutation is not a list of integers"),
     (["assign", "1_0,0,2,3,4,5,6,7,8,9,1", "--n", "1"], 2, "permutation is not a list of integers"),
     (["assign", "\uff11,0", "--n", "1"], 2, "permutation is not a list of integers"),
+    # numpy's default_rng refused these with a traceback
+    (["deflect", "--slots", "10", "--seed", "-1"], 2, "seed must be an integer >= 0"),
+    (["schedule", "0.5,0.5", "--algorithm", "random", "--seed", "-1"], 2, "seed must be an integer >= 0"),
+    (["experiment", "montecarlo", "--seed", "-1"], 2, "seed must be an integer >= 0"),
+    (["experiment", "fig21", "--seed", "-1"], 2, "seed must be an integer >= 0"),
+    (["experiment", "all", "--seed", "-1"], 2, "seed must be an integer >= 0"),
 ], ids=["assign_n_0", "assign_n_-2", "fig21_k_0", "frame_1e7", "frame_1e7_random",
         "random_1e11", "random_100", "fig10_slots_0", "fig10_slots_-3", "montecarlo_dslots_0",
         "deflect_slots_-5", "deflect_rho_0", "montecarlo_1e12", "fig10_1e12", "fig10_10", "deflect_1e12",
         "fig10_n_100000", "deflect_stages_1e9", "fig10_stages_1e9", "montecarlo_stages_1e9",
         "fig6_n_0", "tradeoff_n_0", "fig6_rows_over_cap", "fig6_max_m_1e8", "tradeoff_max_m_1e8",
         "schedule2d_27_modules", "assign_4098_ports", "assign_json_floats", "assign_json_bools",
-        "assign_underscore", "assign_fullwidth_digit"])
+        "assign_underscore", "assign_fullwidth_digit", "deflect_seed_-1", "random_seed_-1",
+        "montecarlo_seed_-1", "fig21_seed_-1", "all_seed_-1"])
 def test_run_size_table(tmp_path, tmp_path_factory, capsys, argv, code, fragment):
     # a refused command exits 2 at once, before any work, with one error line,
     # no traceback and nothing written
@@ -415,6 +422,17 @@ def test_run_size_table(tmp_path, tmp_path_factory, capsys, argv, code, fragment
     if code == cli.EXIT_USAGE:
         assert err.startswith("error:") and fragment in err and out == ""
         assert not list(tmp_path.iterdir())
+
+
+def test_fig10_runs_past_the_underflow_of_the_loss_bound(tmp_path, capsys):
+    # loss_bound(1.0, L) underflows to 0 from about L = 2000: ln_loss_bound is
+    # written and checked in its log form, which does not
+    code, _, err = _run(capsys, "experiment", "fig10", "--outdir", str(tmp_path), "--param", "stages=3000")
+    assert code == cli.EXIT_OK, err
+    rows = cli._read_csv(tmp_path / "fig10c.csv")
+    assert len(rows) == 2999 and all(float(r[1]) < 0 for r in rows)
+    _, out, _ = _run(capsys, "validate", "--outdir", str(tmp_path))
+    assert "deflection_loss_under_bound,pass," in out.splitlines()
 
 
 def test_outdir_that_is_a_file_is_usage_error(tmp_path, capsys):

@@ -1,12 +1,13 @@
 import dataclasses
 import math
-import time
 
 import numpy as np
 import pytest
 
 from switchlab import contention as ct
 from switchlab.errors import DomainError, PreconditionError, ResourceLimitError
+
+from test_errors import CONTENTION_ROWS, assert_refused
 
 
 def test_carried_load_asymptotic_full_load():
@@ -89,7 +90,7 @@ class TestSimulateCrossbar:
         res = ct.simulate_crossbar(64, 1.0, 400_000, seed=11)
         pois = np.array([math.exp(-1) / math.factorial(i) for i in range(65)])
         pois[-1] += 1.0 - pois.sum()
-        tv = 0.5 * np.abs(res.occupancy_pmf() - pois).sum()
+        tv = 0.5 * np.abs(res.histogram / res.histogram.sum() - pois).sum()
         assert tv < 0.01
 
     def test_busy_mean_matches_and_variance_reported(self):
@@ -271,7 +272,7 @@ class TestCrossbarExactLaw:
     @pytest.mark.parametrize("n, rho, slots", EXACT_LAW_CASES)
     def test_occupancy_is_binomial(self, n, rho, slots):
         res = ct.simulate_crossbar(n, rho, slots, seed=21)
-        tv = 0.5 * np.abs(res.occupancy_pmf() - _binomial_pmf(n, rho / n)).sum()
+        tv = 0.5 * np.abs(res.histogram / res.histogram.sum() - _binomial_pmf(n, rho / n)).sum()
         # E|p_k - p| <= sd_k / sqrt(slots) level by level, so the expected
         # distance is at most half their sum; allow four times that
         bound = 4 * 0.5 * sum(_level_sd(n, rho, k) for k in range(n + 1)) / math.sqrt(slots)
@@ -362,37 +363,10 @@ class TestBoltzmannPmf:
             ct.boltzmann_pmf(rho, model)
 
 
-@pytest.mark.parametrize("call, args, error", [
-    (ct.simulate_crossbar, (True, True, True), DomainError),
-    (ct.simulate_crossbar, (4.0, 0.5, 10), DomainError),
-    (ct.simulate_crossbar, (4, 0.5, 10.0), DomainError),
-    (ct.poisson_profile, (-1, 5), DomainError),
-    (ct.poisson_profile, (math.nan, 3), DomainError),
-    (ct.poisson_profile, (math.inf, 3), DomainError),
-    (ct.poisson_profile, (0.5, 2.5), DomainError),
-    (ct.poisson_profile, (0.5, -1), DomainError),
-    (ct.poisson_profile, (0.5, ct.PMF_MAX_TERMS), ResourceLimitError),
-    (ct.poisson_profile, (0.5, 10**6), ResourceLimitError),
-    (ct.poisson_profile, (True, 2**70), ResourceLimitError),
-    (ct.carried_load, (0.5, 4.5), DomainError),
-    (ct.carried_load, (0.5, True), DomainError),
-    (ct.power_stats, (True, 0.5), DomainError),
-    (ct.maximize_entropy_bruteforce, (0, 0), DomainError),
-    (ct.maximize_entropy_bruteforce, (True, -1), DomainError),
-    (ct.maximize_entropy_bruteforce, (2.5, 1), DomainError),
-], ids=["crossbar_bools", "crossbar_float_ports", "crossbar_float_slots", "profile_negative_load",
-        "profile_nan_load", "profile_infinite_load", "profile_half_level", "profile_negative_levels",
-        "profile_levels_at_cap", "profile_levels_1e6", "profile_levels_2e70", "carried_half_port",
-        "carried_bool_ports", "power_bool_ports", "brute_zero_ports", "brute_bool_ports", "brute_float_ports"])
+# the rows live in the refusal table of test_errors.py; this name keeps their test ids
+@pytest.mark.parametrize("call, args, error", CONTENTION_ROWS.values(), ids=CONTENTION_ROWS.keys())
 def test_scalar_refusals(call, args, error):
-    # before these refusals the crossbar calls, the brute-force calls and a
-    # half level ended in TypeError, ZeroDivisionError or AssertionError; the
-    # profile returned negative, NaN or no levels, or ran for seconds past
-    # the cap; carried_load and power_stats returned numbers
-    start = time.perf_counter()
-    with pytest.raises(error):
-        call(*args)
-    assert time.perf_counter() - start < 1.0
+    assert_refused(call, args, error)
 
 
 class TestPoissonProfile:

@@ -1,7 +1,18 @@
+import inspect
+import math
+import time
+import warnings
+from functools import partial
+
 import numpy as np
 import pytest
 
-from switchlab.errors import ResourceLimitError, integer_array, is_integer
+from switchlab import closmodel as cm
+from switchlab import contention as ct
+from switchlab import deflection as dfl
+from switchlab import pathswitch as ps
+from switchlab import sched
+from switchlab.errors import DomainError, ResourceLimitError, check_count, check_real, integer_array, is_integer
 
 INT_DTYPES = [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64]
 
@@ -77,3 +88,138 @@ def test_gate_does_not_copy_an_int64_array():
 def test_is_integer():
     assert all(is_integer(v) for v in (0, -5, 2**70, np.int8(1), np.uint64(2**64 - 1), np.intc(3)))
     assert not any(is_integer(v) for v in (True, np.bool_(False), 1.0, np.float64(1), None, "1", [1], np.array(1)))
+
+
+def test_count_gate():
+    for value, low in ((0, 0), (3, 1), (2**70, 1), (np.int8(-1), -1), (np.uint64(2**64 - 1), 0), (-5, -math.inf)):
+        check_count(value, low, "refused")
+    for value, low in ((True, 0), (np.bool_(True), 0), (1.0, 0), (math.nan, 0), (-1, 0), ("1", 0), (None, 0)):
+        with pytest.raises(DomainError, match="^refused$"):
+            check_count(value, low, "refused")
+
+
+def test_real_gate():
+    for value, low, high in ((0, 0.0, 1.0), (1.0, 0.0, 1.0), (np.float32(0.5), 0.0, 1.0), (2**70, 1.0, math.inf),
+                             (math.inf, 0.0, math.inf), (-math.inf, -math.inf, 0.0)):
+        check_real(value, low, high, "refused")
+    for value, low, high in ((True, 0.0, 1.0), (np.bool_(False), 0.0, 1.0), (math.nan, -math.inf, math.inf),
+                             (math.inf, 0.0, 1e308), (1.0, 0.0, math.nextafter(1.0, 0.0)), (-0.5, 0.0, 1.0),
+                             ("0.5", 0.0, 1.0), (None, 0.0, 1.0), (1j, 0.0, 1.0), (np.array(0.5), 0.0, 1.0)):
+        with pytest.raises(DomainError, match="^refused$"):
+            check_real(value, low, high, "refused")
+
+
+# --- the refusal table: each public scalar entry point, bad arguments, the expected type ---
+
+# moved unchanged from tests/test_contention.py::test_scalar_refusals; before
+# these refusals the crossbar calls, the brute-force calls and a half level
+# ended in TypeError, ZeroDivisionError or AssertionError; the profile returned
+# negative, NaN or no levels, or ran for seconds past the cap; carried_load
+# and power_stats returned numbers
+CONTENTION_ROWS = {
+    "crossbar_bools": (ct.simulate_crossbar, (True, True, True), DomainError),
+    "crossbar_float_ports": (ct.simulate_crossbar, (4.0, 0.5, 10), DomainError),
+    "crossbar_float_slots": (ct.simulate_crossbar, (4, 0.5, 10.0), DomainError),
+    "profile_negative_load": (ct.poisson_profile, (-1, 5), DomainError),
+    "profile_nan_load": (ct.poisson_profile, (math.nan, 3), DomainError),
+    "profile_infinite_load": (ct.poisson_profile, (math.inf, 3), DomainError),
+    "profile_half_level": (ct.poisson_profile, (0.5, 2.5), DomainError),
+    "profile_negative_levels": (ct.poisson_profile, (0.5, -1), DomainError),
+    "profile_levels_at_cap": (ct.poisson_profile, (0.5, ct.PMF_MAX_TERMS), ResourceLimitError),
+    "profile_levels_1e6": (ct.poisson_profile, (0.5, 10**6), ResourceLimitError),
+    "profile_levels_2e70": (ct.poisson_profile, (True, 2**70), ResourceLimitError),
+    "carried_half_port": (ct.carried_load, (0.5, 4.5), DomainError),
+    "carried_bool_ports": (ct.carried_load, (0.5, True), DomainError),
+    "power_bool_ports": (ct.power_stats, (True, 0.5), DomainError),
+    "brute_zero_ports": (ct.maximize_entropy_bruteforce, (0, 0), DomainError),
+    "brute_bool_ports": (ct.maximize_entropy_bruteforce, (True, -1), DomainError),
+    "brute_float_ports": (ct.maximize_entropy_bruteforce, (2.5, 1), DomainError),
+}
+
+# moved unchanged from tests/test_deflection.py::test_non_integer_bool_and_oversized_scalars_are_refused
+DEFLECTION_ROWS = {
+    "series_nan": (dfl.absorption_series, (0.6, 0.4, math.nan), DomainError),
+    "series_fraction": (dfl.absorption_series, (0.6, 0.4, 2.5), DomainError),
+    "series_2^70": (dfl.absorption_series, (0.6, 0.4, 2**70), ResourceLimitError),
+    "series_10^9": (dfl.absorption_series, (0.6, 0.4, 10**9), ResourceLimitError),
+    "series_past_cap": (dfl.absorption_series, (0.6, 0.4, dfl.MAX_STAGES + 1), ResourceLimitError),
+    "bound_fraction": (dfl.loss_bound, (1.0, 1.5), DomainError),
+    "bound_nan": (dfl.loss_bound, (1.0, math.nan), DomainError),
+    "bound_bool_length": (dfl.loss_bound, (1.0, True), DomainError),
+    "bound_bool_load": (dfl.loss_bound, (True, 3), DomainError),
+    "tail_fraction": (dfl.closed_form_tail, (0.6, 0.4, 1.5), DomainError),
+    "tail_bool": (dfl.closed_form_tail, (0.6, 0.4, True), DomainError),
+}
+
+_HALVES = sched.WeightSet((0.5, 0.5))
+
+# escapes of the parent tree: each of these returned a value, ran, or raised
+# a bare TypeError, ValueError or OverflowError before the scalar gate
+ESCAPE_ROWS = {
+    "crossbar_bool_load": (ct.simulate_crossbar, (4, True, 10), DomainError),
+    "crossbar_half_seed": (partial(ct.simulate_crossbar, seed=1.5), (4, 0.5, 10), DomainError),
+    "crossbar_negative_seed": (partial(ct.simulate_crossbar, seed=-1), (4, 0.5, 10), DomainError),
+    "carried_bool_load": (ct.carried_load, (True, 4), DomainError),
+    "power_bool_load": (ct.power_stats, (4, True), DomainError),
+    "psnr_bool": (ct.psnr, (False,), DomainError),
+    "boltzmann_bool_load": (ct.boltzmann_pmf, (True,), DomainError),
+    "run_size_nan_slots": (ct.check_run_size, (math.nan, 4, "ports"), DomainError),
+    "run_size_half_slot": (ct.check_run_size, (1.5, 4, "ports"), DomainError),
+    "draws_nan_load": (ct.packet_draws, (math.nan, 4), DomainError),
+    "draws_inf_load": (ct.packet_draws, (math.inf, 4), DomainError),
+    "draws_nan_bins": (ct.packet_draws, (0.5, math.nan), DomainError),
+    "success_string_load": (dfl.success_probability, ("0.5",), DomainError),
+    "series_nan_q": (dfl.absorption_series, (0.6, math.nan, 10), DomainError),
+    "tail_string_q": (dfl.closed_form_tail, (0.6, "0.4", 10), DomainError),
+    "bound_string_load": (dfl.loss_bound, ("0.5", 3), DomainError),
+    "deflection_bool_load": (dfl.simulate_deflection, (4, 10, True, 10), DomainError),
+    "deflection_bool_seed": (partial(dfl.simulate_deflection, seed=True), (4, 10, 1.0, 10), DomainError),
+    "deflection_negative_seed": (partial(dfl.simulate_deflection, seed=-1), (4, 10, 1.0, 10), DomainError),
+    "rate_nan_modules": (cm.max_data_rate, (math.nan, 2.0), DomainError),
+    "rate_nan_psnr": (cm.max_data_rate, (5, math.nan), DomainError),
+    "shannon_nan_bandwidth": (cm.shannon_capacity, (math.nan, 1.0), DomainError),
+    "shannon_inf_snr": (cm.shannon_capacity, (1.0, math.inf), DomainError),
+    "bsc_bool": (cm.bsc_capacity, (True,), DomainError),
+    "coding_string_constant": (cm.random_coding_bound, (3, "2", 2.0), DomainError),
+    "random_half_slot": (sched.schedule_random, (_HALVES, 1.5), DomainError),
+    "random_negative_seed": (partial(sched.schedule_random, seed=-1), (_HALVES, 10), DomainError),
+    "round_bool_modules": (partial(ps.bandlimit_and_round, modules=True), (np.full((2, 2), 0.5), 4), DomainError),
+}
+
+# refused at the parent too: rows that give each public function one
+COVERAGE_ROWS = {
+    "split_bool_count": (cm.address_split, (3, 2, True), DomainError),
+}
+
+REFUSALS = {**CONTENTION_ROWS, **DEFLECTION_ROWS, **ESCAPE_ROWS, **COVERAGE_ROWS}
+
+# public functions with no scalar row, and why
+EXEMPT = {
+    "count_states": "takes an occupancy sequence, whose sums fix the port and packet counts",
+    "nonblocking_psnr": "takes a ClosSpec, whose m, n and k pass the count gate when it is built",
+    "random_routing_carried_load": "takes a ClosSpec, whose m, n and k pass the count gate when it is built",
+}
+
+
+def assert_refused(call, args, error):
+    """``call(*args)`` raises exactly ``error``: no other exception, no warning, within 1 s."""
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error) as info:
+            call(*args)
+    assert type(info.value) is error and not caught
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("call, args, error", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_table(call, args, error):
+    assert_refused(call, args, error)
+
+
+def test_every_public_scalar_function_has_a_row():
+    public = {f for mod in (ct, cm, dfl) for f in map(mod.__dict__.get, mod.__all__) if inspect.isfunction(f)}
+    public |= {sched.schedule_random, ps.bandlimit_and_round}
+    covered = {getattr(call, "func", call) for call, _, _ in REFUSALS.values()}
+    assert {f.__name__ for f in public - covered} == set(EXEMPT)
+    assert not {f.__name__ for f in public & covered} & set(EXEMPT)

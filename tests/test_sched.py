@@ -546,7 +546,7 @@ class TestTokenGrid:
     def test_from_text_reads_cells_as_multisets(self):
         grid = sc.TokenGrid.from_text("ba b\n- aab")
         assert grid.cells == (((0, 1), (1,)), ((), (0, 0, 1)))
-        assert grid.n_inputs == 2 and grid.n_outputs == 2 and grid.frame_size == 2
+        assert grid.n_inputs == 2 and grid.tokens.shape[1] == 2 and grid.frame_size == 2
 
 
 class TestSmoothness2d:
@@ -713,9 +713,9 @@ class TestAgainstPerStateScans:
         multi = 0
         for grid in grids:
             rep = sc.smoothness_2d(grid)
-            path = np.zeros((grid.n_inputs, grid.n_outputs))
+            path = np.zeros((grid.n_inputs, grid.tokens.shape[1]))
             for i in range(grid.n_inputs):
-                for j in range(grid.n_outputs):
+                for j in range(grid.tokens.shape[1]):
                     if grid.token_slots(i, j):
                         path[i, j] = _log_rms_of_gaps(grid.token_slots(i, j), grid.frame_size)
             assert rep.path.tolist() == path.tolist()
