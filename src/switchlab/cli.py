@@ -170,7 +170,7 @@ def _exp_fig10(p: dict, seed: int) -> list[Table]:
 def _tag_rows(reqs: matching.CallRequestSet, tags: list) -> list[list[int]]:
     """Per request: source, destination and its routing tag (central module,
     output module, output port)."""
-    return [[s, d, t.central, t.out_module, t.out_port] for (s, d), t in zip(reqs.pairs, tags)]
+    return [[s, d, t.central, t.out_module, t.out_port] for (s, d), t in zip(reqs.pairs.tolist(), tags)]
 
 
 def _exp_table2(p: dict, seed: int) -> list[Table]:
@@ -235,7 +235,7 @@ def _exp_fig21(p: dict, seed: int) -> list[Table]:
     rng = np.random.default_rng(seed)
     lam = rng.uniform(0.2, 1.0, size=(k, k))
     lam *= 0.8 * m / max(lam.sum(axis=0).max(), lam.sum(axis=1).max())
-    cap = pathswitch.allocate_capacity(pathswitch.TrafficMatrix(tuple(map(tuple, lam)), spec))
+    cap = pathswitch.allocate_capacity(pathswitch.TrafficMatrix(lam, spec))
     return [("fig21", "fig21", ["frame_size", "max_roundoff", "one_over_f"],
              [[f, pathswitch.bandlimit_and_round(cap, f, modules=m)[1], 1.0 / f]
               for f in (16, 32, 64, 128)])]
@@ -502,7 +502,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         print(f"state {idx} weight {weight}:")
         for row in pattern:
             print("  " + " ".join(str(int(v)) for v in row))
-    print("frame: " + " ".join(str(i) for i in dec.frame))
+    print("frame: " + " ".join(map(str, dec.frame.tolist())))
     return EXIT_OK
 
 

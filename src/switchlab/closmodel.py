@@ -69,9 +69,6 @@ class RoutingTag:
     out_module: int
     out_port: int
 
-    def destination(self, n: int) -> int:
-        return n * self.out_module + self.out_port
-
 
 def address_split(addr: int, n: int, k: int | None = None) -> tuple[int, int]:
     """Split a port address into (module quotient, port remainder).
@@ -109,14 +106,18 @@ def max_data_rate(m: float, psnr: float) -> float:
     log) achievable with random central-stage routing."""
     check_real(m, 0.0, sys.float_info.max, "central module count m must be finite and nonnegative")
     check_real(psnr, 0.0, sys.float_info.max, "psnr must be finite and nonnegative")
-    return m * math.log1p(psnr)
+    rate = m * math.log1p(psnr)
+    check_real(rate, 0.0, sys.float_info.max, "data rate m * ln(1 + PSNR) exceeds the double range")
+    return rate
 
 
 def shannon_capacity(bandwidth: float, snr: float) -> float:
     """Capacity W * log2(1 + S/N) of a bandlimited Gaussian channel, in bits."""
     for v in (bandwidth, snr):
         check_real(v, 0.0, sys.float_info.max, "bandwidth and snr must be finite and nonnegative")
-    return bandwidth * math.log2(1.0 + snr)
+    capacity = bandwidth * math.log2(1.0 + snr)
+    check_real(capacity, 0.0, sys.float_info.max, "capacity W * log2(1 + S/N) exceeds the double range")
+    return capacity
 
 
 def bsc_capacity(q: float) -> float:
@@ -132,6 +133,7 @@ def random_coding_bound(n: int, a: float, c: float) -> float:
     """Block-error bound a^-n + c^-n for block length n; needs a, c > 1 so
     the bound vanishes with length."""
     check_count(n, 1, "block length must be >= 1")
+    check_real(n, 1, sys.float_info.max, "block length exceeds the double range")
     for v in (a, c):
         check_real(v, math.nextafter(1.0, math.inf), math.inf, "bound constants must exceed 1")
     return a ** (-n) + c ** (-n)

@@ -78,20 +78,18 @@ class PowerStats:
 
 @dataclass(frozen=True)
 class OccupancyDistribution:
-    """Truncated pmf of packets-per-output, tail mass folded into the last
-    bucket so the probabilities sum to one exactly."""
+    """Truncated pmf of packets-per-output: ``pmf[i]`` is the probability
+    of level i, tail mass folded into the last bucket so the probabilities
+    sum to one exactly."""
 
-    pmf: tuple[tuple[int, float], ...]
+    pmf: tuple[float, ...]
     model: OccupancyModel
 
     def probability(self, level: int) -> float:
-        for i, p in self.pmf:
-            if i == level:
-                return p
-        return 0.0
+        return self.pmf[level] if 0 <= level < len(self.pmf) else 0.0
 
     def total(self) -> float:
-        return sum(p for _, p in self.pmf)
+        return sum(self.pmf)
 
 
 def carried_load(rho: float, n_ports: int | None = None, *, asymptotic: bool = False) -> float:
@@ -104,6 +102,7 @@ def carried_load(rho: float, n_ports: int | None = None, *, asymptotic: bool = F
     if asymptotic:
         return -math.expm1(-rho)
     check_count(n_ports, 1, "need n_ports >= 1 or asymptotic=True")
+    check_real(n_ports, 1, sys.float_info.max, "n_ports exceeds the double range")
     return 1.0 - (1.0 - rho / n_ports) ** n_ports
 
 
@@ -124,7 +123,7 @@ def power_stats(n_ports: int, rho: float) -> PowerStats:
     return PowerStats(signal_mean=signal, noise_mean=noise, variance=var, psnr=ratio)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: an array has no single truth value
 class CrossbarSimResult:
     """Empirical counterpart of :func:`power_stats` plus the per-output
     packet-count histogram aggregated over all slots."""
@@ -297,7 +296,7 @@ def boltzmann_pmf(rho: float, model: OccupancyModel = "distinguishable") -> Occu
         cum += p
         p *= rho / len(probs) if poisson else rho / (1.0 + rho)
     probs[-1] += 1.0 - cum
-    return OccupancyDistribution(pmf=tuple(enumerate(probs)), model=model)
+    return OccupancyDistribution(pmf=tuple(probs), model=model)
 
 
 def poisson_profile(rho: float, levels: int) -> list[float]:

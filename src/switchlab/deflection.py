@@ -14,6 +14,7 @@ closed forms are validated against it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +90,7 @@ class DeflectionParams:
         return self.c * self.a ** (-length)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: an array has no single truth value
 class AbsorptionSeries:
     """Exact exit-time probabilities from the two-state absorbing chain:
     ``g_q[k]`` is the chance a fresh packet exits in exactly k module
@@ -159,6 +160,7 @@ def closed_form_tail(p: float, q: float, length: int) -> TailBounds:
     # only the upper end: from_pq refuses q <= 0 with its own message
     check_real(q, -math.inf, math.nextafter(0.5, 0.0), "tail bounds need deflection probability q < 1/2")
     check_count(length, 1, "network length must be an integer >= 1")
+    check_real(length, 1, sys.float_info.max, "network length exceeds the double range")
     params = DeflectionParams.from_pq(p, q)
     return TailBounds(
         explicit=_explicit_tail(p, q, length),
@@ -174,12 +176,13 @@ def loss_bound(rho: float, length: int) -> float:
     check_real(rho, -math.inf, math.inf, "analysis holds for offered load in [0, 1] only")
     check_real(rho, -math.inf, 1.0, "offered load above 1: deflection capacity exhausted, loss unbounded")
     check_count(length, 0, "network length must be a nonnegative integer")
+    check_real(length, 0, sys.float_info.max, "network length exceeds the double range")
     if success_probability(rho) == 1.0:  # nothing is deflected, so nothing is lost
         return 0.0
     return DeflectionParams.from_rho(rho).envelope(length)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: an array has no single truth value
 class DeflectionSimResult:
     """Aggregate outcome of a slot-level deflection run."""
 

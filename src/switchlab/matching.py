@@ -301,32 +301,31 @@ def edge_color(g: BipartiteGraph) -> EdgeColoring:
     return EdgeColoring(graph=g, color_of=color_of, colors=len(rows))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: an array has no single truth value
 class CallRequestSet:
     """Point-to-point requests (source, destination) on a Clos network;
     sources all distinct and destinations all distinct.  Row r of the
-    read-only (R, 2) int64 ``ends`` is request r, as checked on construction."""
+    read-only (R, 2) int64 ``pairs`` is request r, as checked on construction."""
 
-    pairs: tuple[tuple[int, int], ...]
+    pairs: np.ndarray
     spec: ClosSpec
-    ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ports = self.spec.ports
         try:
-            ends = _pair_array(self.pairs, (ports, ports))
+            pairs = _pair_array(self.pairs, (ports, ports))
         except ResourceLimitError:  # a port past int64 is out of range too
-            ends = None
-        if ends is None:  # name the first bad port
+            pairs = None
+        if pairs is None:  # name the first bad port of the caller's input
             bad = [v for pair in self.pairs for v in pair if not (is_integer(v) and 0 <= v < ports)]
             raise PreconditionError(f"port {bad[0]!r} is not an integer in [0, {ports})" if bad
                                     else "each request must be a (source, destination) pair")
-        by_side = np.sort(ends, axis=0)  # each side's ports ascending
+        by_side = np.sort(pairs, axis=0)  # each side's ports ascending
         if (by_side[1:] == by_side[:-1]).any():
             raise PreconditionError("sources and destinations must each be distinct")
-        ends = ends.copy()  # the caller's array is not shared
-        ends.flags.writeable = False
-        object.__setattr__(self, "ends", ends)
+        pairs = pairs.copy()  # the caller's array is not shared
+        pairs.flags.writeable = False
+        object.__setattr__(self, "pairs", pairs)
 
     @classmethod
     def from_permutation(cls, pi: Sequence[int], spec: ClosSpec) -> "CallRequestSet":
@@ -349,7 +348,7 @@ def clos_route_assignment(reqs: CallRequestSet) -> list[RoutingTag]:
     if not spec.is_rearrangeable():
         raise DomainError("m >= n required for a rearrangeable assignment")
     n = spec.n
-    ports = reqs.ends
+    ports = reqs.pairs
     used = np.zeros((2, spec.ports), dtype=bool)
     used[[0, 1], ports] = True  # column j of the requests marks side j
     padding = np.stack([np.flatnonzero(~side) for side in used], axis=1)
@@ -363,8 +362,8 @@ def verify_route_assignment(reqs: CallRequestSet, tags: Sequence[RoutingTag]) ->
     module and within any output module all assigned central modules are
     distinct.  Distinctness is one sort of the (side, module, central) keys
     of all requests.  A tag field that is not an int64 integer fails."""
-    spec, ends = reqs.spec, reqs.ends
-    if len(tags) != len(ends):
+    spec, pairs = reqs.spec, reqs.pairs
+    if len(tags) != len(pairs):
         return False
     try:
         central, module, port = (integer_array(list(map(attrgetter(name), tags)), 1)
@@ -373,14 +372,14 @@ def verify_route_assignment(reqs: CallRequestSet, tags: Sequence[RoutingTag]) ->
         return False
     if central is None or module is None or port is None:
         return False
-    out_module, out_port = np.divmod(ends[:, 1], spec.n)
+    out_module, out_port = np.divmod(pairs[:, 1], spec.n)
     if not (((0 <= central) & (central < spec.m)).all() and (module == out_module).all()
             and (port == out_port).all()):
         return False
     span = spec.m
     if 2 * spec.k * span > np.iinfo(np.int64).max:  # the keys would pass int64: rank the centrals
         central, span = np.unique(central, return_inverse=True)[1], len(central)
-    keys = np.sort(((ends // spec.n + [0, spec.k]) * span + central[:, None]).ravel())
+    keys = np.sort(((pairs // spec.n + [0, spec.k]) * span + central[:, None]).ravel())
     return not (keys[1:] == keys[:-1]).any()
 
 

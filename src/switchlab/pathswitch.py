@@ -11,6 +11,7 @@ quantized afterwards by :func:`bandlimit_and_round`.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,11 +46,13 @@ MAX_ALLOCATION_ITERATIONS = 1_000_000
 GOLDEN_SECTION_STEPS = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: an array has no single truth value
 class TrafficMatrix:
-    """Arrival rates (packets/slot) between input and output modules."""
+    """Arrival rates (packets/slot) between input and output modules: the
+    read-only (k, k) float64 ``rates``, checked on construction.  Nested
+    sequences and arrays of real numbers are accepted."""
 
-    rates: tuple[tuple[float, ...], ...]
+    rates: np.ndarray
     spec: ClosSpec
 
     @staticmethod
@@ -61,19 +64,25 @@ class TrafficMatrix:
     def __post_init__(self) -> None:
         k = self.spec.k
         self.check_size(k)
-        if len(self.rates) != k or any(len(row) != k for row in self.rates):
+        try:
+            rates = np.array(self.rates)  # a copy: the caller's array is not shared
+        except ValueError:  # ragged
+            rates = None
+        if rates is None or rates.shape != (k, k):
             raise PreconditionError(f"traffic matrix must be {k}x{k}")
-        if any(not 0 <= v < np.inf for row in self.rates for v in row):  # NaN fails too
+        kind = rates.dtype.kind  # real numbers only: no string, None or complex rate
+        ok = kind in "biuf" or kind == "O" and all(isinstance(v, numbers.Number) for v in rates.flat)
+        try:
+            rates = rates.astype(np.float64, copy=False) if ok else rates
+        except (TypeError, ValueError, OverflowError):  # a complex object or an int past the double range
+            ok = False
+        if not ok or not ((0 <= rates) & (rates < np.inf)).all():  # NaN fails too
             raise PreconditionError("arrival rates must be finite and nonnegative")
-        arr = np.asarray(self.rates)
         limit = min(self.spec.n, self.spec.m)
-        if arr.sum(axis=1).max() >= limit or arr.sum(axis=0).max() >= limit:
-            raise PreconditionError(
-                "row and column sums must stay below the module port count"
-            )
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.rates, dtype=float)
+        if rates.sum(axis=1).max() >= limit or rates.sum(axis=0).max() >= limit:
+            raise PreconditionError("row and column sums must stay below the module port count")
+        rates.flags.writeable = False
+        object.__setattr__(self, "rates", rates)
 
 
 class CapacityMatrix:
@@ -153,7 +162,7 @@ def allocate_capacity(traffic: TrafficMatrix) -> np.ndarray:
     Zero rates stall the iteration, so they are rejected: a caller floors
     them in the :class:`TrafficMatrix`.  Returns the float matrix.
     """
-    lam = traffic.as_array()
+    lam = traffic.rates
     if (lam <= 0).any():
         raise DomainError("zero rates stall the allocation: floor them to a small positive rate")
     m = traffic.spec.m
@@ -200,7 +209,7 @@ def weighted_delay(capacity: np.ndarray, traffic: TrafficMatrix) -> float:
     cap = np.asarray(capacity, dtype=float)
     if not np.isfinite(cap).all():
         raise PreconditionError("capacities must be finite")
-    lam = traffic.as_array()
+    lam = traffic.rates
     gap = cap - lam
     loaded = lam > 0
     if (gap[loaded] <= 0).any() or (gap < 0).any():
@@ -211,7 +220,7 @@ def weighted_delay(capacity: np.ndarray, traffic: TrafficMatrix) -> float:
 def optimal_delay_2x2(traffic: TrafficMatrix) -> float:
     """Numeric oracle: optimal weighted delay over all 2x2 allocations with
     line sums m, by golden-section search on the single free parameter."""
-    lam = traffic.as_array()
+    lam = traffic.rates
     if lam.shape != (2, 2):
         raise DomainError("oracle is for 2x2 instances only")
     m = traffic.spec.m
@@ -256,14 +265,15 @@ class Decomposition:
     matching, giving the output column of each input; consecutive groups of
     m rows form the per-slot patterns.  ``patterns`` is the read-only (K, k, k)
     int64 array of the distinct slot patterns in order of first occurrence,
-    and ``frame`` maps each slot to its pattern's index.  ``states`` pairs
-    each pattern, a view of ``patterns``, with its rational frequency.
+    and the read-only (F,) int64 ``frame`` maps each slot to its pattern's
+    index.  ``states`` pairs each pattern, a view of ``patterns``, with its
+    rational frequency.
     """
 
     capacity: CapacityMatrix
     permutations: np.ndarray
     patterns: np.ndarray
-    frame: tuple[int, ...]
+    frame: np.ndarray
     states: tuple[tuple[np.ndarray, Fraction], ...] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -300,12 +310,12 @@ def bvn_decompose(capacity: CapacityMatrix) -> Decomposition:
     # sorted, they are the multiset its summed pattern counts, so equal keys mean equal patterns
     cells = (np.arange(k) * k + perms).reshape(f, m * k)
     index: dict[bytes, int] = {}  # state ids in order of first occurrence
-    frame = np.array([index.setdefault(c.tobytes(), len(index)) for c in np.sort(cells, axis=1)])
+    frame = np.array([index.setdefault(c.tobytes(), len(index)) for c in np.sort(cells, axis=1)], dtype=np.int64)
     _, first = np.unique(frame, return_index=True)
     states = (np.arange(len(first)) * k * k)[:, None] + cells[first]  # cells of each state's first slot
     patterns = np.bincount(states.ravel(), minlength=len(first) * k * k).reshape(-1, k, k)
-    patterns.flags.writeable = False
-    return Decomposition(capacity=capacity, permutations=perms, patterns=patterns, frame=tuple(frame.tolist()))
+    patterns.flags.writeable = frame.flags.writeable = False
+    return Decomposition(capacity=capacity, permutations=perms, patterns=patterns, frame=frame)
 
 
 def _transportation_round(frac: np.ndarray, row_need: np.ndarray, col_need: np.ndarray) -> np.ndarray:

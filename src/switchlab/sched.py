@@ -325,28 +325,14 @@ class TokenGrid:
     def frame_size(self) -> int:
         return self.tokens.shape[2]
 
-    @property
-    def cells(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """[output][slot] -> the inputs holding a token there, ascending and
-        repeated per token."""
-        inputs = np.arange(self.n_inputs)
-        return tuple(
-            tuple(tuple(np.repeat(inputs, slot).tolist()) for slot in out.T)
-            for out in self.tokens.transpose(1, 0, 2)
-        )
-
-    def token_slots(self, inp: int, out: int) -> list[int]:
-        """Slots holding a token of path (inp, out), with multiplicity."""
-        return np.repeat(np.arange(self.frame_size), self.tokens[inp, out]).tolist()
-
     def token_counts(self) -> np.ndarray:
         return self.tokens.sum(axis=2)
 
     def to_text(self) -> str:
         if self.n_inputs > len(GRID_SYMBOLS):
             raise DomainError(f"{self.n_inputs} input modules exceed the {len(GRID_SYMBOLS)} grid symbols")
-        return "\n".join(" ".join("".join(GRID_SYMBOLS[i] for i in cell) or "-" for cell in row)
-                         for row in self.cells)
+        return "\n".join(" ".join("".join(GRID_SYMBOLS[i] * c for i, c in enumerate(counts)) or "-" for counts in row)
+                         for row in self.tokens.transpose(1, 2, 0).tolist())
 
     @classmethod
     def from_text(cls, text: str) -> "TokenGrid":
@@ -383,7 +369,7 @@ def grid_from_schedule(patterns: Iterable[np.ndarray]) -> TokenGrid:
     return TokenGrid(np.ascontiguousarray(frame.transpose(1, 2, 0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: an array has no single truth value
 class TwoDimReport:
     """Per-path, per-module and total smoothness of a token grid."""
 

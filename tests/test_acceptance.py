@@ -196,7 +196,7 @@ def test_criterion_09_capacity_allocation():
         m = rng.choice((2, 4, 8))
         lam = np.array([[rng.uniform(0.05, 1.0) for _ in range(k)] for _ in range(k)])
         lam *= rng.uniform(0.3, 0.95) * m / max(lam.sum(axis=0).max(), lam.sum(axis=1).max())
-        traffic = ps.TrafficMatrix(tuple(map(tuple, lam)), ClosSpec(m=m, n=m, k=k))
+        traffic = ps.TrafficMatrix(lam, ClosSpec(m=m, n=m, k=k))
         cap = ps.allocate_capacity(traffic)
         ok &= bool(np.allclose(cap.sum(axis=0), m, atol=1e-9))
         ok &= bool(np.allclose(cap.sum(axis=1), m, atol=1e-9))
@@ -206,7 +206,7 @@ def test_criterion_09_capacity_allocation():
         m = rng.choice((1, 2, 4))
         lam = np.array([[rng.uniform(0.05, 1.0) for _ in range(2)] for _ in range(2)])
         lam *= rng.uniform(0.3, 0.9) * m / max(lam.sum(axis=0).max(), lam.sum(axis=1).max())
-        traffic = ps.TrafficMatrix(tuple(map(tuple, lam)), ClosSpec(m=m, n=m, k=2))
+        traffic = ps.TrafficMatrix(lam, ClosSpec(m=m, n=m, k=2))
         heur = ps.weighted_delay(ps.allocate_capacity(traffic), traffic)
         opt = ps.optimal_delay_2x2(traffic)
         worst_ratio = max(worst_ratio, heur / opt)

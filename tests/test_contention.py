@@ -319,7 +319,8 @@ class TestBoltzmannPmf:
     def test_zero_load(self):
         for model in ("distinguishable", "indistinguishable"):
             dist = ct.boltzmann_pmf(0.0, model)
-            assert dist.pmf == ((0, 1.0),)
+            assert dist.pmf == (1.0,)
+            assert dist.probability(1) == dist.probability(-1) == 0.0  # no level past the pmf
 
     def test_geometric_head(self):
         dist = ct.boltzmann_pmf(1.0, "indistinguishable")
@@ -350,7 +351,7 @@ class TestBoltzmannPmf:
         ):
             dist = ct.boltzmann_pmf(rho, model)
             assert dist.total() == pytest.approx(1.0, abs=1e-12)
-            for i, p in dist.pmf[:-1]:  # the last bucket holds the folded tail
+            for i, p in enumerate(dist.pmf[:-1]):  # the last bucket holds the folded tail
                 assert p == pytest.approx(math.exp(log_term(i)), rel=1e-9)
 
     @pytest.mark.parametrize("rho, model, match", [

@@ -1,5 +1,8 @@
+import dataclasses
+import importlib
 import inspect
 import math
+import pkgutil
 import time
 import warnings
 from functools import partial
@@ -7,6 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import switchlab
 from switchlab import closmodel as cm
 from switchlab import contention as ct
 from switchlab import deflection as dfl
@@ -186,12 +190,24 @@ ESCAPE_ROWS = {
     "round_bool_modules": (partial(ps.bandlimit_and_round, modules=True), (np.full((2, 2), 0.5), 4), DomainError),
 }
 
+# counts past the double range raised a bare OverflowError, and the two
+# capacities returned inf for finite arguments
+OVERFLOW_ROWS = {
+    "carried_ports_past_double": (ct.carried_load, (0.5, 10**400), DomainError),
+    "power_ports_past_double": (ct.power_stats, (10**400, 0.5), DomainError),
+    "coding_length_past_double": (cm.random_coding_bound, (10**400, 2.0, 2.0), DomainError),
+    "bound_length_past_double": (dfl.loss_bound, (1.0, 10**400), DomainError),
+    "tail_length_past_double": (dfl.closed_form_tail, (0.6, 0.4, 10**400), DomainError),
+    "shannon_overflows": (cm.shannon_capacity, (1e308, 1e308), DomainError),
+    "rate_overflows": (cm.max_data_rate, (1e308, 1e308), DomainError),
+}
+
 # refused at the parent too: rows that give each public function one
 COVERAGE_ROWS = {
     "split_bool_count": (cm.address_split, (3, 2, True), DomainError),
 }
 
-REFUSALS = {**CONTENTION_ROWS, **DEFLECTION_ROWS, **ESCAPE_ROWS, **COVERAGE_ROWS}
+REFUSALS = {**CONTENTION_ROWS, **DEFLECTION_ROWS, **ESCAPE_ROWS, **OVERFLOW_ROWS, **COVERAGE_ROWS}
 
 # public functions with no scalar row, and why
 EXEMPT = {
@@ -223,3 +239,15 @@ def test_every_public_scalar_function_has_a_row():
     covered = {getattr(call, "func", call) for call, _, _ in REFUSALS.values()}
     assert {f.__name__ for f in public - covered} == set(EXEMPT)
     assert not {f.__name__ for f in public & covered} & set(EXEMPT)
+
+
+def test_array_holders_compare_by_identity():
+    """A dataclass with generated equality compares its fields as tuples, and an
+    array field has no single truth value: such a field must be ``compare=False``."""
+    modules = [importlib.import_module(f"switchlab.{m.name}") for m in pkgutil.iter_modules(switchlab.__path__)]
+    classes = {c for mod in modules for c in vars(mod).values()
+               if dataclasses.is_dataclass(c) and c.__module__ == mod.__name__ and not c.__name__.startswith("_")}
+    assert len(classes) > 20
+    compared = {(c.__name__, f.name) for c in classes if c.__dataclass_params__.eq
+                for f in dataclasses.fields(c) if f.compare and "ndarray" in str(f.type)}
+    assert not compared

@@ -14,7 +14,7 @@ from switchlab.errors import DomainError, PreconditionError, ResourceLimitError
 def _random_traffic(rng, k, m, fill=0.8):
     lam = np.array([[rng.uniform(0.05, 1.0) for _ in range(k)] for _ in range(k)])
     lam *= fill * m / max(lam.sum(axis=0).max(), lam.sum(axis=1).max())
-    return ps.TrafficMatrix(tuple(map(tuple, lam)), ClosSpec(m=m, n=m, k=k))
+    return ps.TrafficMatrix(lam, ClosSpec(m=m, n=m, k=k))
 
 
 def _random_scaled_doubly_stochastic(rng, k, total):
@@ -50,13 +50,29 @@ class TestTrafficMatrix:
         with pytest.raises(PreconditionError):
             ps.TrafficMatrix(((0.1, 0.1, 0.1), (0.1, 0.1, 0.1)), spec)
 
+    @pytest.mark.parametrize("rates", [((0.2, "0.1"), (0.4, 0.5)), ((0.2, None), (0.4, 0.5)), 0.5],
+                             ids=["string_rate", "none_rate", "bare_number"])
+    def test_non_numeric_rates_are_preconditions(self, rates):
+        with pytest.raises(PreconditionError):
+            ps.TrafficMatrix(rates, ClosSpec(m=2, n=2, k=2))
+
+    def test_rates_are_kept_as_one_read_only_array(self):
+        spec = ClosSpec(m=2, n=2, k=2)
+        lam = np.array([[0.2, 0.1], [0.4, 0.5]])
+        traffic = ps.TrafficMatrix(lam, spec)
+        assert traffic.rates.dtype == np.float64 and (traffic.rates == lam).all() and not traffic.rates.flags.writeable
+        assert not np.shares_memory(traffic.rates, lam)  # the caller's array is not shared
+        for same in (lam.tolist(), ((Fraction(1, 5), 0.1), (0.4, 0.5)), np.array([[1, 0], [0, 1]], dtype=np.int8)):
+            assert ps.TrafficMatrix(same, spec).rates.dtype == np.float64  # nested sequences and number arrays
+        assert traffic == traffic and traffic != ps.TrafficMatrix(lam, spec)  # identity equality
+
     def test_oversized_matrix_is_refused_before_its_rates_are_read(self):
         side = math.isqrt(ps.MAX_TRAFFIC_CELLS)
         for k in (side + 1, 100_000):
             with pytest.raises(ResourceLimitError, match="exceeds"):
                 ps.TrafficMatrix((), ClosSpec(m=2, n=2, k=k))
         zeros = ((0.0,) * side,) * side
-        assert ps.TrafficMatrix(zeros, ClosSpec(m=2, n=2, k=side)).as_array().shape == (side, side)
+        assert ps.TrafficMatrix(zeros, ClosSpec(m=2, n=2, k=side)).rates.shape == (side, side)
 
 
 class TestCapacityMatrix:
@@ -93,7 +109,7 @@ class TestAllocateCapacity:
             cap = ps.allocate_capacity(traffic)
             assert np.allclose(cap.sum(axis=0), m, atol=1e-9)
             assert np.allclose(cap.sum(axis=1), m, atol=1e-9)
-            assert (cap > traffic.as_array()).all()
+            assert (cap > traffic.rates).all()
 
     def test_zero_rate_needs_floor(self):
         spec = ClosSpec(m=2, n=2, k=2)
@@ -257,7 +273,8 @@ class TestBvnDecompose:
             pats = dec.patterns
             assert pats.dtype == np.int64 and pats.shape == (dec.state_count, k, k) and not pats.flags.writeable
             assert len({p.tobytes() for p in pats}) == len(pats)  # distinct, in order of first use
-            assert sorted(set(dec.frame), key=dec.frame.index) == list(range(len(pats)))
+            assert dec.frame.dtype == np.int64 and dec.frame.shape == (f,) and not dec.frame.flags.writeable
+            assert list(dict.fromkeys(dec.frame.tolist())) == list(range(len(pats)))
             for slot, state in enumerate(dec.frame):  # each slot's pattern sums its m rows
                 dense = np.zeros((k, k), dtype=np.int64)
                 for row in dec.permutations[slot * m:(slot + 1) * m]:
@@ -273,7 +290,7 @@ class TestBvnDecompose:
         even, odd = [[0, 1, 2], [1, 2, 0], [2, 0, 1]], [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
         monkeypatch.setattr(ps, "peel_matchings", lambda counts: np.array(even + odd))
         dec = ps.bvn_decompose(ps.CapacityMatrix.from_integer_matrix([[2] * 3] * 3, 2))
-        assert dec.frame == (0, 0) and dec.states[0][1] == 1 and (dec.patterns == 1).all()
+        assert dec.frame.tolist() == [0, 0] and dec.states[0][1] == 1 and (dec.patterns == 1).all()
 
     def test_oversized_frame_rejected_before_allocating(self):
         f = ps.MAX_PATTERN_CELLS // 4 + 1  # F * k^2 just above the cap at k = 2
@@ -397,7 +414,7 @@ class TestTransportationRound:
             lam = rng.uniform(0.2, 1.0, size=(k, k))
             lam *= 0.8 * m / max(lam.sum(axis=0).max(), lam.sum(axis=1).max())
             spec = ClosSpec(m=m, n=m, k=k)
-            target = ps.allocate_capacity(ps.TrafficMatrix(tuple(map(tuple, lam)), spec)) * f
+            target = ps.allocate_capacity(ps.TrafficMatrix(lam, spec)) * f
             base = np.floor(target + 1e-9).astype(np.int64)
             frac = target - base
             row_need, col_need = m * f - base.sum(axis=1), m * f - base.sum(axis=0)

@@ -276,7 +276,7 @@ def _exact_workload_weights(seed=0, k=32, m=4, frame=256):
     rng = np.random.default_rng(seed)
     lam = rng.uniform(0.2, 1.0, size=(k, k))
     lam *= 0.8 * m / max(lam.sum(axis=0).max(), lam.sum(axis=1).max())
-    traffic = ps.TrafficMatrix(tuple(map(tuple, lam)), ClosSpec(m=m, n=m, k=k))
+    traffic = ps.TrafficMatrix(lam, ClosSpec(m=m, n=m, k=k))
     rounded, _ = ps.bandlimit_and_round(ps.allocate_capacity(traffic), frame, modules=m)
     return sc.WeightSet(tuple(w for _, w in ps.bvn_decompose(rounded).states))
 
@@ -450,13 +450,13 @@ class TestTokenGrid:
             with pytest.raises(PreconditionError, match="3-D array of nonnegative integer counts"):
                 sc.smoothness_2d(sc.TokenGrid(bad))
         grid = sc.TokenGrid([[[1, 0]]])
-        assert grid.tokens.dtype == np.int64 and grid.token_slots(0, 0) == [0]
+        assert grid.tokens.dtype == np.int64 and grid.tokens.tolist() == [[[1, 0]]]
         with pytest.raises(ResourceLimitError):
             sc.TokenGrid([[[2**70]]])
 
     def test_roundtrip_text(self):
         grid = fixtures.reference_grid("wfq")
-        assert sc.TokenGrid.from_text(grid.to_text()).cells == grid.cells
+        assert np.array_equal(sc.TokenGrid.from_text(grid.to_text()).tokens, grid.tokens)
 
     def test_text_form_refuses_more_inputs_than_symbols(self):
         limit = len(sc.GRID_SYMBOLS)
@@ -469,23 +469,23 @@ class TestTokenGrid:
         weights = sc.WeightSet(tuple(w for _, w in states))
         wfq = sc.schedule_wfq(weights)
         grid = sc.grid_from_schedule([states[i][0] for i in wfq.slots])
-        assert grid.cells == fixtures.reference_grid("wfq").cells
+        assert np.array_equal(grid.tokens, fixtures.reference_grid("wfq").tokens)
         hurr = sc.schedule_hurr(weights)
         grid2 = sc.grid_from_schedule([states[i][0] for i in hurr.slots])
-        assert grid2.cells == fixtures.reference_grid("hurr").cells
+        assert np.array_equal(grid2.tokens, fixtures.reference_grid("hurr").tokens)
 
     def test_alternate_decomposition_grid(self):
         states = fixtures.capacity_4x4_alt_states()
         weights = sc.WeightSet(tuple(w for _, w in states))
         hurr = sc.schedule_hurr(weights)
         grid = sc.grid_from_schedule([states[i][0] for i in hurr.slots])
-        assert grid.cells == fixtures.reference_grid("hurr_alt").cells
+        assert np.array_equal(grid.tokens, fixtures.reference_grid("hurr_alt").tokens)
 
     def test_identity_every_slot(self):
         patterns = [np.eye(3, dtype=np.int64)] * 4
         grid = sc.grid_from_schedule(patterns)
-        assert grid.token_slots(0, 0) == [0, 1, 2, 3]
-        assert grid.token_slots(0, 1) == []
+        assert np.repeat(np.arange(4), grid.tokens[0, 0]).tolist() == [0, 1, 2, 3]
+        assert np.repeat(np.arange(4), grid.tokens[0, 1]).tolist() == []
 
     def test_malformed_pattern_rejected(self):
         # unequal line sums; non-integer patterns, refused rather than cast; ragged and empty ones
@@ -497,7 +497,7 @@ class TestTokenGrid:
         with pytest.raises(PreconditionError):
             sc.grid_from_schedule([np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)])
         small = sc.grid_from_schedule([np.eye(2, dtype=np.int8), [[0, 1], [1, 0]]])
-        assert small.tokens.dtype == np.int64 and small.token_slots(0, 1) == [1]
+        assert small.tokens.dtype == np.int64 and small.tokens[0, 1].tolist() == [0, 1]
 
     def test_from_text_refuses_unknown_symbols(self):
         for text, symbol in (("A", "'A'"), ("a1 b", "'1'"), ("ab- b", "'-'"), ("a\nb?", "'?'")):
@@ -512,8 +512,8 @@ class TestTokenGrid:
     def test_multitoken_cells(self):
         doubled = np.eye(2, dtype=np.int64) * 2
         grid = sc.grid_from_schedule([doubled, np.ones((2, 2), dtype=np.int64)])
-        assert grid.cells[0][0] == (0, 0)
-        assert grid.cells[0][1] == (0, 1)
+        assert grid.tokens[:, 0].tolist() == [[2, 1], [0, 1]]  # output 0: input 0 twice, then inputs 0 and 1
+        assert grid.to_text() == "aa ab\nbb ab"
 
     def test_random_decomposition_grids_match_slot_scan(self):
         rng = random.Random(404)
@@ -528,24 +528,26 @@ class TestTokenGrid:
             dec = ps.bvn_decompose(ps.CapacityMatrix.from_integer_matrix(mat, f))
             patterns = [dec.states[i][0] for i in dec.frame]
             grid = sc.grid_from_schedule(patterns)
-            # cells by scanning each slot's pattern: [output][slot] -> inputs
-            scan = tuple(
-                tuple(tuple(i for i in range(k) for _ in range(int(p[i, j]))) for p in patterns)
-                for j in range(k)
-            )
-            assert grid.cells == scan
+            # tokens by scanning each slot's pattern: [input, output, slot] -> count
+            scan = np.zeros((k, k, f), dtype=np.int64)
+            for t, p in enumerate(patterns):
+                for i in range(k):
+                    for j in range(k):
+                        scan[i, j, t] = int(p[i, j])
+            assert np.array_equal(grid.tokens, scan)
             assert (grid.token_counts() == mat).all()
             for i in range(k):
                 for j in range(k):
-                    assert grid.token_slots(i, j) == [t for t, p in enumerate(patterns)
-                                                      for _ in range(int(p[i, j]))]
-            assert sc.TokenGrid.from_text(grid.to_text()).cells == grid.cells
-            multi_token_grids += any(len(cell) > 1 for row in grid.cells for cell in row)
+                    assert np.repeat(np.arange(f), grid.tokens[i, j]).tolist() == [
+                        t for t, p in enumerate(patterns) for _ in range(int(p[i, j]))]
+            assert np.array_equal(sc.TokenGrid.from_text(grid.to_text()).tokens, grid.tokens)
+            multi_token_grids += bool((grid.tokens.sum(axis=0) > 1).any())  # an (output, slot) of two tokens
         assert multi_token_grids > 0
 
     def test_from_text_reads_cells_as_multisets(self):
         grid = sc.TokenGrid.from_text("ba b\n- aab")
-        assert grid.cells == (((0, 1), (1,)), ((), (0, 0, 1)))
+        assert grid.tokens.tolist() == [[[1, 0], [0, 2]], [[1, 1], [0, 1]]]
+        assert grid.to_text() == "ab b\n- aab"
         assert grid.n_inputs == 2 and grid.tokens.shape[1] == 2 and grid.frame_size == 2
 
 
@@ -598,7 +600,7 @@ class TestSmoothness2d:
         doubled = np.eye(2, dtype=np.int64) * 2
         grid = sc.grid_from_schedule([doubled, doubled])
         # two tokens per slot over two slots: circular gaps (0, 1, 0, 1)
-        assert grid.token_slots(0, 0) == [0, 0, 1, 1]
+        assert np.repeat(np.arange(2), grid.tokens[0, 0]).tolist() == [0, 0, 1, 1]
         rep = sc.smoothness_2d(grid)
         assert rep.path[0, 0] == pytest.approx(0.5 * math.log2(0.5))
 
@@ -716,8 +718,9 @@ class TestAgainstPerStateScans:
             path = np.zeros((grid.n_inputs, grid.tokens.shape[1]))
             for i in range(grid.n_inputs):
                 for j in range(grid.tokens.shape[1]):
-                    if grid.token_slots(i, j):
-                        path[i, j] = _log_rms_of_gaps(grid.token_slots(i, j), grid.frame_size)
+                    slots = np.repeat(np.arange(grid.frame_size), grid.tokens[i, j]).tolist()
+                    if slots:
+                        path[i, j] = _log_rms_of_gaps(slots, grid.frame_size)
             assert rep.path.tolist() == path.tolist()
             multi += int((grid.tokens > 1).any())
         assert multi > 30
