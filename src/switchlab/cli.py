@@ -167,10 +167,10 @@ def _exp_fig10(p: dict, seed: int) -> list[Table]:
     ]
 
 
-def _tag_rows(reqs: matching.CallRequestSet, tags: list) -> list[list[int]]:
+def _tag_rows(reqs: matching.CallRequestSet, tags: matching.RouteSet) -> list[list[int]]:
     """Per request: source, destination and its routing tag (central module,
     output module, output port)."""
-    return [[s, d, t.central, t.out_module, t.out_port] for (s, d), t in zip(reqs.pairs.tolist(), tags)]
+    return np.column_stack([reqs.pairs, tags.central, tags.out_module, tags.out_port]).tolist()
 
 
 def _exp_table2(p: dict, seed: int) -> list[Table]:

@@ -63,7 +63,8 @@ class ClosSpec:
 
 @dataclass(frozen=True)
 class RoutingTag:
-    """Route of one request: central module, output module, output port."""
+    """Route of one request: central module, output module, output port.
+    An item of :class:`matching.RouteSet` is one, built when it is read."""
 
     central: int
     out_module: int

@@ -51,14 +51,23 @@ def integer_array(value: object, ndim: int) -> "np.ndarray | None":
     value = value.tolist() if isinstance(value, np.ndarray) else value
     if not isinstance(value, (list, tuple, range)):
         return None
+    types = set(map(type, value))
     if ndim == 1:  # by the entries' types, as np.asarray reads True as 1
         try:
-            return np.array(value, dtype=np.int64) if set(map(type, value)) <= _INTEGER_TYPES else None
+            return np.array(value, dtype=np.int64) if types <= _INTEGER_TYPES else None
         except OverflowError:
             raise ResourceLimitError("an integer entry exceeds the int64 range") from None
-    if set(map(type, value)) <= {list, tuple} and len(set(map(len, value))) == 1:  # equal rows: one flat pass
+    if types == {np.ndarray} and _stackable(value, ndim - 1):  # one stack, no call per array
+        return np.stack(value, dtype=np.int64)
+    if types <= {list, tuple} and len(set(map(len, value))) == 1:  # equal rows: one flat pass
         flat = integer_array([x for row in value for x in row], ndim - 1)
         return None if flat is None else flat.reshape(len(value), -1, *flat.shape[1:])
     rows = [integer_array(v, ndim - 1) for v in value]
     shapes = {None if r is None else r.shape for r in rows}  # more than one when ragged
     return np.array(rows) if len(shapes) == 1 and None not in shapes else None
+
+
+def _stackable(arrays: "list | tuple", ndim: int) -> bool:
+    """``arrays`` share one ``ndim``-dimensional shape, and each has an integer dtype other than uint64."""
+    shapes, dtypes = {a.shape for a in arrays}, {a.dtype for a in arrays}
+    return len(shapes) == 1 and len(shapes.pop()) == ndim and all(d.kind in "iu" and d != np.uint64 for d in dtypes)

@@ -10,9 +10,9 @@ list), so an edge coloring is well defined even with repeated endpoints.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Iterable, Sequence
+from operator import attrgetter, index
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "MatchingResult",
     "EdgeColoring",
     "CallRequestSet",
+    "RouteSet",
     "BenesConstraintSystem",
     "BenesAssignment",
     "hall_check",
@@ -45,9 +46,17 @@ __all__ = [
 # and peel_matchings a (d, k) result of more cells than this
 MAX_COUNT_CELLS = 1 << 22
 
+
+def _is_sequence(value: object) -> bool:
+    """A list, tuple, range or array of at least one dimension: ``len`` and iteration work on it."""
+    return isinstance(value, (list, tuple, range)) or isinstance(value, np.ndarray) and value.ndim > 0
+
+
 def _pair_array(pairs: Sequence[Sequence[int]], bounds: tuple[int, int]) -> np.ndarray | None:
     """``pairs`` as an (E, 2) int64 array with column j in [0, bounds[j]), or None."""
-    ends = integer_array(pairs, 2) if len(pairs) else np.empty((0, 2), dtype=np.int64)
+    ends = integer_array(pairs, 2)
+    if ends is None and _is_sequence(pairs) and not len(pairs):  # no row to take a width from
+        ends = np.empty((0, 2), dtype=np.int64)
     ok = ends is not None and ends.shape[1] == 2 and ((0 <= ends) & (ends < bounds)).all()
     return ends if ok else None
 
@@ -140,6 +149,7 @@ class _HopcroftKarp:
         self.pair_l = [-1] * self.nl
         self.pair_r = [-1] * right_count
         self.dist = [0] * self.nl
+        self.exposed: list[int] = []  # the left vertices unmatched when the phase began
 
     def remove_edge(self, l: int, r: int) -> None:  # from the list and the mask; unmatches both ends
         self.adj[l].remove(r)
@@ -149,7 +159,7 @@ class _HopcroftKarp:
     def _bfs(self) -> bool:
         masks, pair_r = self.masks, self.pair_r
         self.dist = dist = [self.INF] * self.nl
-        layer = [l for l, r in enumerate(self.pair_l) if r == -1]
+        layer = self.exposed
         for l in layer:
             dist[l] = 0
         seen, found, depth = 0, False, 0
@@ -193,18 +203,21 @@ class _HopcroftKarp:
         return False
 
     def solve(self) -> int:
-        """Augment to a maximum matching.  With no left vertex exposed the
-        closing search is skipped: it would reach nothing, so ``dist`` is all INF."""
+        """Augment to a maximum matching.  Each phase lists the exposed left
+        vertices once: the breadth-first search starts from them and the
+        augmenting searches from each in turn, as an augmentation matches
+        only its own root.  With no left vertex exposed the closing search
+        is skipped: it would reach nothing, so ``dist`` is all INF."""
         size = 0
         while True:
-            if -1 not in self.pair_l:
+            self.exposed = [l for l, r in enumerate(self.pair_l) if r == -1]
+            if not self.exposed:
                 self.dist = [self.INF] * self.nl
                 return size
             if not self._bfs():
                 return size
-            for l in range(self.nl):
-                if self.pair_l[l] == -1 and self._dfs(l):
-                    size += 1
+            for l in self.exposed:
+                size += self._dfs(l)
 
 
 def complete_matching(g: BipartiteGraph) -> MatchingResult:
@@ -317,7 +330,8 @@ class CallRequestSet:
         except ResourceLimitError:  # a port past int64 is out of range too
             pairs = None
         if pairs is None:  # name the first bad port of the caller's input
-            bad = [v for pair in self.pairs for v in pair if not (is_integer(v) and 0 <= v < ports)]
+            rows = self.pairs if _is_sequence(self.pairs) else ()
+            bad = [v for pair in rows if _is_sequence(pair) for v in pair if not (is_integer(v) and 0 <= v < ports)]
             raise PreconditionError(f"port {bad[0]!r} is not an integer in [0, {ports})" if bad
                                     else "each request must be a (source, destination) pair")
         by_side = np.sort(pairs, axis=0)  # each side's ports ascending
@@ -332,7 +346,44 @@ class CallRequestSet:
         return cls(tuple(enumerate(pi)), spec)
 
 
-def clos_route_assignment(reqs: CallRequestSet) -> list[RoutingTag]:
+_ROUTE_FIELDS = ("central", "out_module", "out_port")
+
+
+@dataclass(frozen=True, eq=False)  # identity equality: an array has no single truth value
+class RouteSet(Sequence):
+    """Routes of R requests as three read-only (R,) int64 arrays: the central
+    module, output module and output port of each, checked by the integer
+    gate and copied from the caller on construction.  It is a sequence of
+    :class:`closmodel.RoutingTag`: item r is built from the arrays when it
+    is read, and a slice is a route set."""
+
+    central: np.ndarray
+    out_module: np.ndarray
+    out_port: np.ndarray
+
+    def __post_init__(self) -> None:
+        cols = [integer_array(getattr(self, name), 1) for name in _ROUTE_FIELDS]
+        if any(col is None for col in cols) or len({len(col) for col in cols}) != 1:
+            raise PreconditionError("central, out_module and out_port must be integer arrays of one length")
+        for name, col in zip(_ROUTE_FIELDS, cols):
+            col = col.copy()  # the caller's array is not shared
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    def __len__(self) -> int:
+        return len(self.central)
+
+    def __getitem__(self, r: int | slice) -> RoutingTag | RouteSet:
+        if isinstance(r, slice):
+            return RouteSet(self.central[r], self.out_module[r], self.out_port[r])
+        r = index(r)
+        return RoutingTag(int(self.central[r]), int(self.out_module[r]), int(self.out_port[r]))
+
+    def __iter__(self) -> Iterator[RoutingTag]:
+        return map(RoutingTag, self.central.tolist(), self.out_module.tolist(), self.out_port.tolist())
+
+
+def clos_route_assignment(reqs: CallRequestSet) -> RouteSet:
     """Assign a central module to every request so no two requests sharing an
     input module or an output module use the same one.
 
@@ -353,7 +404,20 @@ def clos_route_assignment(reqs: CallRequestSet) -> list[RoutingTag]:
     used[[0, 1], ports] = True  # column j of the requests marks side j
     padding = np.stack([np.flatnonzero(~side) for side in used], axis=1)
     color_of = edge_color(BipartiteGraph(spec.k, spec.k, np.concatenate([ports, padding]) // n)).color_of
-    return list(map(RoutingTag, *np.stack([color_of[:len(ports)], *np.divmod(ports[:, 1], n)]).tolist()))
+    return RouteSet(color_of[:len(ports)], *np.divmod(ports[:, 1], n))
+
+
+def _route_arrays(tags: Sequence[RoutingTag]) -> tuple[np.ndarray, ...] | None:
+    """The central, output module and output port arrays of ``tags``: a
+    route set's own, or each field of any other sequence of tags read through
+    the integer gate; None if such a field is not an int64 integer."""
+    if isinstance(tags, RouteSet):
+        return tags.central, tags.out_module, tags.out_port
+    try:
+        cols = tuple(integer_array(list(map(attrgetter(name), tags)), 1) for name in _ROUTE_FIELDS)
+    except ResourceLimitError:
+        return None
+    return None if any(col is None for col in cols) else cols
 
 
 def verify_route_assignment(reqs: CallRequestSet, tags: Sequence[RoutingTag]) -> bool:
@@ -361,17 +425,15 @@ def verify_route_assignment(reqs: CallRequestSet, tags: Sequence[RoutingTag]) ->
     [0, m) and its request's output module and port, and within any input
     module and within any output module all assigned central modules are
     distinct.  Distinctness is one sort of the (side, module, central) keys
-    of all requests.  A tag field that is not an int64 integer fails."""
+    of all requests.  ``tags`` is a :class:`RouteSet` or any sequence of
+    tags; a tag field that is not an int64 integer fails."""
     spec, pairs = reqs.spec, reqs.pairs
     if len(tags) != len(pairs):
         return False
-    try:
-        central, module, port = (integer_array(list(map(attrgetter(name), tags)), 1)
-                                 for name in ("central", "out_module", "out_port"))
-    except ResourceLimitError:
+    cols = _route_arrays(tags)
+    if cols is None:
         return False
-    if central is None or module is None or port is None:
-        return False
+    central, module, port = cols
     out_module, out_port = np.divmod(pairs[:, 1], spec.n)
     if not (((0 <= central) & (central < spec.m)).all() and (module == out_module).all()
             and (port == out_port).all()):

@@ -286,11 +286,13 @@ class Decomposition:
         return len(self.states)
 
     def reconstruct(self) -> list[list[Fraction]]:
-        """Exact weighted sum of the states; equals the capacity matrix."""
+        """Exact weighted sum of the states; equals the capacity matrix.  One
+        Fraction is built per distinct cell value and shared by its cells."""
         k, f = self.capacity.size, self.capacity.frame_size
         uses = np.bincount(self.frame, minlength=len(self.patterns))
-        total = uses @ self.patterns.reshape(len(uses), k * k)
-        return [[Fraction(v, f) for v in row] for row in total.reshape(k, k).tolist()]
+        total = (uses @ self.patterns.reshape(len(uses), k * k)).reshape(k, k).tolist()
+        frac = {v: Fraction(v, f) for v in set().union(*total)}
+        return [list(map(frac.__getitem__, row)) for row in total]
 
 
 def bvn_decompose(capacity: CapacityMatrix) -> Decomposition:

@@ -47,6 +47,8 @@ __all__ = [
 
 # the frame schedulers refuse K * F above this: wfq_trace and wf2q_trace hold K finish times a slot
 MAX_FRAME_CELLS = 1 << 20
+# grid_from_schedule gates and transposes this many slots at a time
+_SLOT_BLOCK = 32
 # schedule_random refuses more slots than this before any draw: a call holds
 # about 16 bytes a slot, and the CLI's smoothness estimate 32 more
 MAX_RANDOM_SLOTS = 1 << 22
@@ -350,6 +352,22 @@ class TokenGrid:
         return cls(np.array(counts, dtype=np.int64).transpose(2, 0, 1))
 
 
+def _slot_last(mats: list) -> np.ndarray | None:
+    """The (rows, columns, slots) int64 array of a list of integer matrices
+    of one shape, or None.  Each block of ``_SLOT_BLOCK`` slots passes the
+    integer gate and is copied in as one 2-D transpose, so no slot-major copy
+    of the whole frame is held."""
+    tokens = None
+    for start in range(0, len(mats), _SLOT_BLOCK):
+        block = integer_array(mats[start:start + _SLOT_BLOCK], 3)  # (slots, rows, columns)
+        if block is None or tokens is not None and block.shape[1:] != tokens.shape[:2]:
+            return None
+        if tokens is None:
+            tokens = np.empty((*block.shape[1:], len(mats)), dtype=np.int64)
+        tokens.reshape(-1, len(mats))[:, start:start + len(block)] = block.reshape(len(block), -1).T
+    return tokens
+
+
 def grid_from_schedule(patterns: Iterable[np.ndarray]) -> TokenGrid:
     """Token grid of a frame of connection patterns.
 
@@ -360,13 +378,13 @@ def grid_from_schedule(patterns: Iterable[np.ndarray]) -> TokenGrid:
     mats = list(patterns)
     if not mats:
         raise DomainError("schedule holds no slots")
-    frame = integer_array(mats, 3)  # (slots, inputs, outputs)
-    if frame is None or not 0 < frame.shape[1] == frame.shape[2]:
+    tokens = _slot_last(mats)
+    if tokens is None or not 0 < tokens.shape[0] == tokens.shape[1]:
         raise PreconditionError("patterns must be nonempty square integer matrices of one shape")
-    m = frame[0, :, 0].sum()
-    if (frame < 0).any() or (frame.sum(axis=1) != m).any() or (frame.sum(axis=2) != m).any():
+    m = tokens[:, 0, 0].sum()
+    if (tokens < 0).any() or (tokens.sum(axis=0) != m).any() or (tokens.sum(axis=1) != m).any():
         raise PreconditionError("patterns must be nonnegative with every line sum equal to the module count")
-    return TokenGrid(np.ascontiguousarray(frame.transpose(1, 2, 0)))
+    return TokenGrid(tokens)
 
 
 @dataclass(frozen=True, eq=False)  # identity equality: an array has no single truth value

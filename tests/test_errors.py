@@ -14,9 +14,11 @@ import switchlab
 from switchlab import closmodel as cm
 from switchlab import contention as ct
 from switchlab import deflection as dfl
+from switchlab import matching as mt
 from switchlab import pathswitch as ps
 from switchlab import sched
-from switchlab.errors import DomainError, ResourceLimitError, check_count, check_real, integer_array, is_integer
+from switchlab.errors import (DomainError, PreconditionError, ResourceLimitError, check_count, check_real,
+                             integer_array, is_integer)
 
 INT_DTYPES = [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64]
 
@@ -26,6 +28,7 @@ INT_DTYPES = [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.in
     ([1, np.int8(2), np.uint64(3)], 1, [1, 2, 3]),
     ([[np.int32(1), 0], (0, np.uint16(1))], 2, [[1, 0], [0, 1]]),
     ([np.eye(2, dtype=np.int8), [[0, 1], [1, 0]]], 3, [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]),
+    ([np.eye(2, dtype=np.int8), np.eye(2, dtype=np.uint32)[::-1]], 3, [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]),
     (np.array([[1, 2]], dtype=object), 2, [[1, 2]]),
     (np.array([2**63 - 1], dtype=np.uint64), 1, [2**63 - 1]),
     ([2**63 - 1, -2**63], 1, [2**63 - 1, -2**63]),
@@ -35,8 +38,8 @@ INT_DTYPES = [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.in
     ([[]], 2, [[]]),
     (np.zeros((0, 3), dtype=np.int64), 2, np.zeros((0, 3)).tolist()),
 ], ids=[*[f"{t.__name__}_array" for t in INT_DTYPES], "numpy_scalars_in_list", "numpy_scalars_in_rows",
-        "list_of_arrays_and_lists", "object_array", "uint64_at_int64_max", "int64_extremes", "empty_list",
-        "empty_tuple", "range", "empty_row", "empty_array"])
+        "list_of_arrays_and_lists", "arrays_of_two_integer_dtypes", "object_array", "uint64_at_int64_max",
+        "int64_extremes", "empty_list", "empty_tuple", "range", "empty_row", "empty_array"])
 def test_gate_accepts_integers(value, ndim, expected):
     arr = integer_array(value, ndim)
     assert arr is not None and arr.dtype == np.int64 and arr.ndim == ndim
@@ -207,7 +210,18 @@ COVERAGE_ROWS = {
     "split_bool_count": (cm.address_split, (3, 2, True), DomainError),
 }
 
-REFUSALS = {**CONTENTION_ROWS, **DEFLECTION_ROWS, **ESCAPE_ROWS, **OVERFLOW_ROWS, **COVERAGE_ROWS}
+_SPEC = cm.ClosSpec(m=1, n=1, k=2)
+
+# requests or edges that are no sequence of pairs raised a bare TypeError, from
+# len() or from the message that names the first bad port
+PAIR_ROWS = {
+    "requests_scalar": (mt.CallRequestSet, (5, _SPEC), PreconditionError),
+    "requests_none": (mt.CallRequestSet, (None, _SPEC), PreconditionError),
+    "requests_pair_and_scalar": (mt.CallRequestSet, ([[0, 1], 5], _SPEC), PreconditionError),
+    "graph_edges_none": (mt.BipartiteGraph, (2, 2, None), PreconditionError),
+}
+
+REFUSALS = {**CONTENTION_ROWS, **DEFLECTION_ROWS, **ESCAPE_ROWS, **OVERFLOW_ROWS, **COVERAGE_ROWS, **PAIR_ROWS}
 
 # public functions with no scalar row, and why
 EXEMPT = {

@@ -387,7 +387,7 @@ class TestRowPeelAgainstPairPeel:
         reqs = mt.CallRequestSet.from_permutation(pi, spec)
         tags = mt.clos_route_assignment(reqs)
         monkeypatch.setattr(mt, "edge_color", _pool_edge_color)
-        assert tags == mt.clos_route_assignment(reqs)
+        assert list(tags) == list(mt.clos_route_assignment(reqs))  # route sets compare by identity
         assert mt.verify_route_assignment(reqs, tags)
 
 
@@ -618,7 +618,8 @@ def _set_based_verify(reqs, tags):
 
 
 def _corrupt_one_field(rng, tags, spec):
-    """``tags`` with one field of one tag changed: to another tag's value, by one, or out of range."""
+    """The route set ``tags`` with one field of one tag changed: to another tag's value, by one, or
+    out of range.  Returned as a list of tags and as a route set rebuilt from copied arrays."""
     i = rng.randrange(len(tags))
     name = rng.choice(("central", "out_module", "out_port"))
     old = getattr(tags[i], name)
@@ -626,7 +627,9 @@ def _corrupt_one_field(rng, tags, spec):
     new = rng.choice([getattr(rng.choice(tags), name), old - 1, old + 1, rng.randrange(limit), -1, limit])
     bad = list(tags)
     bad[i] = dataclasses.replace(tags[i], **{name: new})
-    return bad
+    cols = {field: getattr(tags, field).copy() for field in ("central", "out_module", "out_port")}
+    cols[name][i] = new
+    return bad, mt.RouteSet(**cols)
 
 
 class TestClosRouteAssignment:
@@ -683,15 +686,17 @@ class TestClosRouteAssignment:
             pairs = zip(rng.sample(range(spec.ports), count), rng.sample(range(spec.ports), count))
             reqs = mt.CallRequestSet(tuple(pairs), spec)
             tags = mt.clos_route_assignment(reqs)
-            assert mt.verify_route_assignment(reqs, tags)
+            assert mt.verify_route_assignment(reqs, tags) and mt.verify_route_assignment(reqs, list(tags))
             assert _independent_validity_check(reqs, tags)
             assert _set_based_verify(reqs, tags)
             assert all(t.central < n for t in tags)
             colors = _pool_edge_color(_scan_padded_graph(reqs)).color_of.tolist()
-            assert tags == [mt.RoutingTag(c, *divmod(d, n)) for c, (_, d) in zip(colors, reqs.pairs.tolist())]
+            oracle = [mt.RoutingTag(c, *divmod(d, n)) for c, (_, d) in zip(colors, reqs.pairs.tolist())]
+            assert list(tags) == oracle and [tags[r] for r in range(len(tags))] == oracle
             for _ in range(4 if tags else 0):  # the checkers agree on single-field corruptions
-                bad = _corrupt_one_field(corrupt, tags, spec)
+                bad, bad_set = _corrupt_one_field(corrupt, tags, spec)
                 verdict = mt.verify_route_assignment(reqs, bad)
+                assert mt.verify_route_assignment(reqs, bad_set) == verdict  # the route set and its list
                 in_range = all(0 <= t.central < spec.m for t in bad)  # the pairwise check reads no range
                 assert verdict == _set_based_verify(reqs, bad) == (in_range and _independent_validity_check(reqs, bad))
                 verdicts[verdict] += 1
@@ -705,6 +710,35 @@ class TestClosRouteAssignment:
         assert not np.shares_memory(reqs.pairs, pairs)  # the caller's array is not shared
         assert mt.CallRequestSet((), spec).pairs.shape == (0, 2)
         assert reqs == reqs and reqs != mt.CallRequestSet(pairs, spec)  # identity equality
+
+    def test_routes_are_read_only_arrays_read_as_tags(self):
+        reqs = fixtures.eight_port_request_set()
+        tags = mt.clos_route_assignment(reqs)
+        assert isinstance(tags, mt.RouteSet) and len(tags) == 8
+        for name in ("central", "out_module", "out_port"):
+            col = getattr(tags, name)
+            assert col.dtype == np.int64 and col.shape == (8,) and not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = 1
+        assert tags[-1] == tags[7] == mt.RoutingTag(*(int(getattr(tags, name)[7]) for name in
+                                                      ("central", "out_module", "out_port")))
+        assert type(tags[0].central) is int and tags[np.int64(2)] == tags[2]
+        assert isinstance(tags[2:5], mt.RouteSet) and list(tags[2:5]) == list(tags)[2:5]
+        with pytest.raises(IndexError):
+            tags[8]
+        moved = dataclasses.replace(tags[0], central=tags[1].central)
+        assert moved.central == tags[1].central and moved.out_port == tags[0].out_port
+        assert tags == tags and tags != mt.clos_route_assignment(reqs)  # identity equality
+
+    def test_route_set_is_built_from_a_copy_of_checked_arrays(self):
+        central = np.array([0, 1])
+        routes = mt.RouteSet(central, [0, 1], np.array([1, 0], dtype=np.int8))
+        central[0] = 5
+        assert list(routes) == [mt.RoutingTag(0, 0, 1), mt.RoutingTag(1, 1, 0)]
+        for bad in ((np.array([0.0, 1.0]), [0, 1], [0, 1]), ([0, 1], [0], [0, 1]), ([True, 0], [0, 1], [0, 1]),
+                    (np.zeros((2, 1), dtype=np.int64), [0, 1], [0, 1])):
+            with pytest.raises(PreconditionError):
+                mt.RouteSet(*bad)
 
     def test_checker_refuses_tags_of_other_types_and_lengths(self):
         reqs = fixtures.eight_port_request_set()
