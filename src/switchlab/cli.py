@@ -283,9 +283,9 @@ def _every_row(pred: Callable[[list[str]], bool]) -> CheckFn:
     return lambda rows, tol: (all(pred(r) for r in rows), "")
 
 
-def _selections_are(expected: str) -> CheckFn:
-    """A check that the last column of a scheduler trace reads ``expected``."""
-    return lambda rows, tol: ([r[-1] for r in rows] == expected.split(),
+def _selections_are(states: tuple[int, ...]) -> CheckFn:
+    """A check that the last column of a scheduler trace serves ``states``, as P1, P2, ..."""
+    return lambda rows, tol: ([r[-1] for r in rows] == [f"P{i + 1}" for i in states],
                               " ".join(r[-1] for r in rows))
 
 
@@ -359,9 +359,9 @@ EXPERIMENTS: dict[str, Experiment] = {
     "table2": Experiment({}, _exp_table2, [
         ("route_assignment_valid", "table2", _every_row(lambda r: r[5] == "1" and r[6] == "1"))]),
     "table4": Experiment({}, _exp_table4, [
-        ("wfq_trace", "table4", _selections_are("P1 P1 P1 P1 P2 P3 P4 P5"))]),
+        ("wfq_trace", "table4", _selections_are(fixtures.WFQ_SELECTIONS))]),
     "table5": Experiment({}, _exp_table5, [
-        ("wf2q_trace", "table5", _selections_are("P1 P2 P1 P3 P1 P4 P1 P5"))]),
+        ("wf2q_trace", "table5", _selections_are(fixtures.WF2Q_SELECTIONS))]),
     "table6": Experiment({}, _exp_table6, [
         ("scheduler_entropy_column", "table6", _check_scheduler_entropies)]),
     "sec6c": Experiment({}, _exp_sec6c, [("grid_smoothness_totals", "sec6c", _check_grid_totals)]),

@@ -95,15 +95,18 @@ class OccupancyDistribution:
 def carried_load(rho: float, n_ports: int | None = None, *, asymptotic: bool = False) -> float:
     """Probability that an output is busy in a slot.
 
-    Finite switch: 1 - (1 - rho/N)^N; ``asymptotic`` gives the N -> infinity
-    limit 1 - exp(-rho).  Monotone nondecreasing in rho.
+    Finite switch: 1 - (1 - rho/N)^N, as -expm1(N log1p(-rho/N)), which keeps
+    its accuracy at any N; ``asymptotic`` gives the N -> infinity limit
+    1 - exp(-rho).  Monotone nondecreasing in rho.
     """
     check_real(rho, 0.0, 1.0, f"offered load {rho} outside [0, 1]")
     if asymptotic:
         return -math.expm1(-rho)
     check_count(n_ports, 1, "need n_ports >= 1 or asymptotic=True")
     check_real(n_ports, 1, sys.float_info.max, "n_ports exceeds the double range")
-    return 1.0 - (1.0 - rho / n_ports) ** n_ports
+    if rho == n_ports:  # rho = N = 1, where log1p(-1) has its pole: every packet is carried
+        return 1.0
+    return -math.expm1(n_ports * math.log1p(-(rho / n_ports)))
 
 
 def psnr(carried: float) -> float:

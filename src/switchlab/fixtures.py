@@ -21,6 +21,8 @@ __all__ = [
     "DEFLECTION_C",
     "CAPACITY_ENTROPY",
     "GRID_TOTALS",
+    "WFQ_SELECTIONS",
+    "WF2Q_SELECTIONS",
     "parity_check_8x4",
     "eight_port_request_set",
     "eight_port_reference_tags",
@@ -42,6 +44,9 @@ DEFLECTION_A = 1.4285
 DEFLECTION_C = 1.2906
 CAPACITY_ENTROPY = 5.1714
 GRID_TOTALS = {"wfq": 6.2522, "hurr": 5.3794, "hurr_alt": 5.3392}
+# the worked WFQ and WF2Q frames of five_state_weights: the state served in each slot
+WFQ_SELECTIONS = (0, 0, 0, 0, 1, 2, 3, 4)
+WF2Q_SELECTIONS = (0, 1, 0, 2, 0, 3, 0, 4)
 
 
 def load_text(name: str) -> str:
@@ -108,13 +113,7 @@ def capacity_4x4_states() -> tuple[tuple[np.ndarray, Fraction], ...]:
     p4 = _mat([[0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0]])
     p5 = _mat([[0, 0, 0, 1], [0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0]])
     eighth = Fraction(1, 8)
-    return (
-        (identity, Fraction(1, 2)),
-        (p2, eighth),
-        (p3, eighth),
-        (p4, eighth),
-        (p5, eighth),
-    )
+    return (identity, Fraction(1, 2)), (p2, eighth), (p3, eighth), (p4, eighth), (p5, eighth)
 
 
 def capacity_4x4_alt_states() -> tuple[tuple[np.ndarray, Fraction], ...]:
@@ -123,12 +122,7 @@ def capacity_4x4_alt_states() -> tuple[tuple[np.ndarray, Fraction], ...]:
     q2 = _mat([[0, 0, 0, 1], [0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0]])
     q3 = _mat([[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0]])
     q4 = np.eye(4, dtype=np.int64)
-    return (
-        (q1, Fraction(1, 8)),
-        (q2, Fraction(1, 8)),
-        (q3, Fraction(1, 4)),
-        (q4, Fraction(1, 2)),
-    )
+    return (q1, Fraction(1, 8)), (q2, Fraction(1, 8)), (q3, Fraction(1, 4)), (q4, Fraction(1, 2))
 
 
 def five_state_weights() -> WeightSet:
@@ -156,14 +150,5 @@ def scheduler_table() -> list[dict]:
         ((0.1, 0.3, 0.3, 0.3), 2.286, 1.908, 1.908, 1.908, 1.896),
         ((0.2, 0.2, 0.3, 0.3), 2.370, 2.016, 2.016, 1.980, 1.971),
     ]
-    return [
-        {
-            "weights": WeightSet.of(*(str(w) for w in ws)),
-            "random": rnd,
-            "wfq": wfq,
-            "wf2q": wf2q,
-            "hurr": hurr,
-            "entropy": ent,
-        }
-        for ws, rnd, wfq, wf2q, hurr, ent in raw
-    ]
+    columns = ("random", "wfq", "wf2q", "hurr", "entropy")
+    return [{"weights": WeightSet.of(*map(str, ws)), **dict(zip(columns, values))} for ws, *values in raw]

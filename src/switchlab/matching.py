@@ -11,7 +11,7 @@ list), so an edge coloring is well defined even with repeated endpoints.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter, index
 
 import numpy as np
@@ -237,12 +237,13 @@ def complete_matching(g: BipartiteGraph) -> MatchingResult:
     return MatchingResult(matching, not reached, reached or None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: an array has no single truth value
 class EdgeColoring:
-    """Proper coloring of edge instances (int64 ``color_of[e]`` for instance e): no color repeats at any vertex."""
+    """Proper coloring of edge instances (``color_of[e]`` for instance e, read-only int64 from
+    :func:`edge_color`): no color repeats at any vertex."""
 
     graph: BipartiteGraph
-    color_of: np.ndarray = field(compare=False)
+    color_of: np.ndarray
     colors: int = 0
 
     def is_proper(self) -> bool:
@@ -311,6 +312,7 @@ def edge_color(g: BipartiteGraph) -> EdgeColoring:
     slots = np.argsort((rows + np.arange(k) * k).ravel(), kind="stable")  # (color, left) slots by pair
     color_of = np.empty(len(pair), dtype=np.int64)
     color_of[len(pair) - 1 - np.argsort(pair[::-1], kind="stable")] = slots // k
+    color_of.flags.writeable = False
     return EdgeColoring(graph=g, color_of=color_of, colors=len(rows))
 
 

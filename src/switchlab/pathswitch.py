@@ -85,30 +85,42 @@ class TrafficMatrix:
         object.__setattr__(self, "rates", rates)
 
 
+@dataclass(frozen=True, init=False, eq=False)  # equal rates, by __eq__
 class CapacityMatrix:
     """k x k rate matrix C with exact rational entries over denominator F.
 
-    Held as the read-only int64 matrix F * C, whose every row and column
-    sums to m * F, i.e. C is doubly stochastic scaled by the central module
-    count m.  ``entries`` is the Fraction view of the same matrix.
+    Held as the read-only (k, k) int64 ``scaled`` = F * C, copied from the
+    caller, whose every row and column sums to m * F: C is doubly stochastic
+    scaled by the central module count m, ``modules``.  ``entries`` is the
+    Fraction view of the same matrix.  Two capacity matrices are equal when
+    their rates are, whatever their frame sizes.
     """
 
-    def __init__(self, entries: Sequence[Sequence[Fraction]], frame_size: int):
-        check_count(frame_size, 1, "frame size must be an integer >= 1")  # before it scales an entry
-        scaled = [[Fraction(v) * frame_size for v in row] for row in entries]
-        if any(x.denominator != 1 for row in scaled for x in row):
-            raise PreconditionError("entries times frame size must be integers")
-        self._set_scaled([[x.numerator for x in row] for row in scaled], frame_size)
+    scaled: np.ndarray
+    frame_size: int
+    modules: int
 
-    def _set_scaled(self, scaled: Sequence[Sequence[int]], frame_size: int) -> None:
+    def __init__(self, entries: Sequence[Sequence[Fraction]], frame_size: int):
+        self._hold(entries, frame_size, rational=True)
+
+    @classmethod
+    def from_integer_matrix(cls, scaled: Sequence[Sequence[int]], frame_size: int) -> "CapacityMatrix":
+        cap = cls.__new__(cls)
+        cap._hold(scaled, frame_size, rational=False)
+        return cap
+
+    def _hold(self, rows: Sequence[Sequence], frame_size: int, rational: bool) -> None:
+        """The one gate of both constructors: F, then F * C (``rows`` times F when ``rational``)."""
         check_count(frame_size, 1, "frame size must be an integer >= 1")  # F may exceed int64
-        k = len(scaled)
-        if k == 0 or any(len(row) != k for row in scaled):
-            raise PreconditionError("capacity matrix must be square")
-        arr = integer_array(scaled, 2)
-        if arr is None:
-            raise PreconditionError("entries of F * C must be integers")
-        if (abs(arr) > np.iinfo(np.int64).max // k).any():
+        if rational:
+            scaled = [[Fraction(v) * frame_size for v in row] for row in rows]
+            if any(x.denominator != 1 for row in scaled for x in row):
+                raise PreconditionError("entries times frame size must be integers")
+            rows = [[x.numerator for x in row] for row in scaled]
+        arr = integer_array(rows, 2)
+        if arr is None or not 0 < len(arr) == arr.shape[1]:
+            raise PreconditionError("F * C must be a nonempty square matrix of integers")
+        if (abs(arr) > np.iinfo(np.int64).max // len(arr)).any():
             raise ResourceLimitError("line sums of F * C exceed the int64 range")
         if (arr < 0).any():
             raise PreconditionError("capacities must be nonnegative")
@@ -117,34 +129,30 @@ class CapacityMatrix:
             raise PreconditionError("row and column sums must all be equal")
         if total % frame_size:
             raise PreconditionError("line sums must be an integer multiple of F")
-        self._scaled = arr.copy()  # the caller's array is not shared
-        self._scaled.flags.writeable = False
-        self.frame_size = frame_size
-        self.modules = total // frame_size
-
-    @classmethod
-    def from_integer_matrix(cls, scaled: Sequence[Sequence[int]], frame_size: int) -> "CapacityMatrix":
-        cap = cls.__new__(cls)
-        cap._set_scaled(scaled, frame_size)
-        return cap
+        arr = arr.copy()  # the caller's array is not shared
+        arr.flags.writeable = False
+        object.__setattr__(self, "scaled", arr)
+        object.__setattr__(self, "frame_size", frame_size)
+        object.__setattr__(self, "modules", total // frame_size)
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        f = self.frame_size
-        return tuple(tuple(Fraction(v, f) for v in row) for row in self._scaled.tolist())
+        return tuple(tuple(Fraction(v, self.frame_size) for v in row) for row in self.scaled.tolist())
 
     @property
     def size(self) -> int:
-        return len(self._scaled)
-
-    def scaled_int(self) -> np.ndarray:
-        return self._scaled.copy()
+        return len(self.scaled)
 
     def as_float(self) -> np.ndarray:
-        return self._scaled / self.frame_size
+        return self.scaled / self.frame_size
+
+    def has_rates(self, counts: np.ndarray, frame_size: int) -> bool:
+        """Whether counts / frame_size == C, cross-multiplied in Python ints: F may exceed int64."""
+        return counts.shape == self.scaled.shape and bool(
+            (counts.astype(object) * self.frame_size == self.scaled.astype(object) * frame_size).all())
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, CapacityMatrix) and self.entries == other.entries
+        return isinstance(other, CapacityMatrix) and self.has_rates(other.scaled, other.frame_size)
 
     def __repr__(self) -> str:
         return f"CapacityMatrix(F={self.frame_size}, m={self.modules}, k={self.size})"
@@ -261,13 +269,13 @@ MAX_PATTERN_CELLS = 1 << 22
 class Decomposition:
     """Frame expansion of a capacity matrix.
 
-    ``permutations`` is an (m*F, k) array whose row r is the r-th extracted
-    matching, giving the output column of each input; consecutive groups of
-    m rows form the per-slot patterns.  ``patterns`` is the read-only (K, k, k)
-    int64 array of the distinct slot patterns in order of first occurrence,
-    and the read-only (F,) int64 ``frame`` maps each slot to its pattern's
-    index.  ``states`` pairs each pattern, a view of ``patterns``, with its
-    rational frequency.
+    ``permutations`` is the read-only (m*F, k) int64 array whose row r is
+    the r-th extracted matching, giving the output column of each input;
+    consecutive groups of m rows form the per-slot patterns.  ``patterns`` is
+    the read-only (K, k, k) int64 array of the distinct slot patterns in order
+    of first occurrence, and the read-only (F,) int64 ``frame`` maps each slot
+    to its pattern's index.  ``states`` pairs each pattern, a view of
+    ``patterns``, with its rational frequency.
     """
 
     capacity: CapacityMatrix
@@ -307,7 +315,7 @@ def bvn_decompose(capacity: CapacityMatrix) -> Decomposition:
     if f * k * max(k, m) > MAX_PATTERN_CELLS:
         raise ResourceLimitError(f"F * k * max(k, m) = {f * k * max(k, m)} cells exceed {MAX_PATTERN_CELLS}")
     # full-multiplicity peels keep identical slots adjacent: few grouped states
-    perms = peel_matchings(capacity.scaled_int())
+    perms = peel_matchings(capacity.scaled)
     # row s: the cells (input i, output perms[r, i]) of slot s's m rows r, as i * k + output;
     # sorted, they are the multiset its summed pattern counts, so equal keys mean equal patterns
     cells = (np.arange(k) * k + perms).reshape(f, m * k)
@@ -316,7 +324,7 @@ def bvn_decompose(capacity: CapacityMatrix) -> Decomposition:
     _, first = np.unique(frame, return_index=True)
     states = (np.arange(len(first)) * k * k)[:, None] + cells[first]  # cells of each state's first slot
     patterns = np.bincount(states.ravel(), minlength=len(first) * k * k).reshape(-1, k, k)
-    patterns.flags.writeable = frame.flags.writeable = False
+    perms.flags.writeable = patterns.flags.writeable = frame.flags.writeable = False
     return Decomposition(capacity=capacity, permutations=perms, patterns=patterns, frame=frame)
 
 

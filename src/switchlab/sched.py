@@ -273,9 +273,7 @@ def smoothness(seq: FrameSequence, weights: WeightSet) -> SmoothnessReport:
     _, per = _circular_log_rms(slots[order], order, np.array(seen), f)
     avg = sum(w * l for w, l in zip(weights.as_float(), per))
     kraft = sum(2.0 ** (-l) for l in per)
-    return SmoothnessReport(
-        per_state=tuple(per), average=avg, entropy=entropy(weights), kraft_sum=kraft
-    )
+    return SmoothnessReport(per_state=tuple(per), average=avg, entropy=entropy(weights), kraft_sum=kraft)
 
 
 def random_sequence_smoothness(seq: Sequence[int] | np.ndarray, weights: WeightSet) -> float:
@@ -310,14 +308,21 @@ GRID_SYMBOLS = "abcdefghijklmnopqrstuvwxyz"
 class TokenGrid:
     """Frame of granted connections: ``tokens[i, j, t]`` counts the tokens
     of path (input module i, output module j) in slot t (more than one when
-    several central modules serve the same virtual path in one slot)."""
+    several central modules serve the same virtual path in one slot).
+    ``tokens`` is a read-only int64 array, checked here to hold nonnegative
+    integer counts; a caller's array that is writable, or a view of another
+    array, is copied."""
 
     tokens: np.ndarray  # (inputs, outputs, slots)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", integer_array(self.tokens, 3))
-        if self.tokens is None or (self.tokens < 0).any():
+        tokens = integer_array(self.tokens, 3)
+        if tokens is None or (tokens < 0).any():
             raise PreconditionError("tokens must be a 3-D array of nonnegative integer counts")
+        if tokens.flags.writeable or tokens.base is not None:  # the caller could still change it
+            tokens = tokens.copy()
+        tokens.flags.writeable = False
+        object.__setattr__(self, "tokens", tokens)
 
     @property
     def n_inputs(self) -> int:
@@ -382,8 +387,9 @@ def grid_from_schedule(patterns: Iterable[np.ndarray]) -> TokenGrid:
     if tokens is None or not 0 < tokens.shape[0] == tokens.shape[1]:
         raise PreconditionError("patterns must be nonempty square integer matrices of one shape")
     m = tokens[:, 0, 0].sum()
-    if (tokens < 0).any() or (tokens.sum(axis=0) != m).any() or (tokens.sum(axis=1) != m).any():
-        raise PreconditionError("patterns must be nonnegative with every line sum equal to the module count")
+    if (tokens.sum(axis=0) != m).any() or (tokens.sum(axis=1) != m).any():
+        raise PreconditionError("patterns must have every line sum equal to the module count")
+    tokens.flags.writeable = False  # a fresh array: the grid keeps it without a copy, and checks its sign
     return TokenGrid(tokens)
 
 
@@ -409,26 +415,16 @@ def smoothness_2d(grid: TokenGrid, capacity: CapacityMatrix | None = None) -> Tw
     """
     f = grid.frame_size
     counts = grid.token_counts()
-    if capacity is not None:
-        # equal rates n_ij / f == C_ij, cross-multiplied in Python ints so no product wraps
-        scaled = capacity.scaled_int().astype(object)
-        if counts.shape != scaled.shape or (counts.astype(object) * capacity.frame_size != scaled * f).any():
-            raise DomainError("token counts disagree with the capacity matrix")
+    if capacity is not None and not capacity.has_rates(counts, f):
+        raise DomainError("token counts disagree with the capacity matrix")
     path, slot = np.divmod(np.flatnonzero(grid.tokens > 0), f)
     paths, per = _circular_log_rms(path, slot, counts.ravel(), f)
     d = np.zeros(counts.shape)
     d.flat[paths] = per
     kraft = np.where(counts > 0, np.exp2(-d), 0.0)
-    rates = counts / f
-    input_s = (rates * d).sum(axis=1)
-    output_s = (rates * d).sum(axis=0)
-    return TwoDimReport(
-        path=d,
-        input_smoothness=input_s,
-        output_smoothness=output_s,
-        total=float((rates * d).sum()),
-        kraft_matrix=kraft,
-    )
+    weighted = counts / f * d  # d_ij times its path's rate
+    return TwoDimReport(path=d, input_smoothness=weighted.sum(axis=1), output_smoothness=weighted.sum(axis=0),
+                        total=float(weighted.sum()), kraft_matrix=kraft)
 
 
 def entropy_2d(capacity) -> tuple[np.ndarray, np.ndarray, float]:

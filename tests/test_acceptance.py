@@ -217,9 +217,9 @@ def test_criterion_09_capacity_allocation():
 
 def test_criterion_10_scheduler_traces():
     w5 = fixtures.five_state_weights()
-    ok = sc.schedule_wfq(w5).slots == (0, 0, 0, 0, 1, 2, 3, 4)
+    ok = sc.schedule_wfq(w5).slots == fixtures.WFQ_SELECTIONS
     trace = sc.wf2q_trace(w5)
-    ok &= [t.selection for t in trace] == [0, 1, 0, 2, 0, 3, 0, 4]
+    ok &= tuple(t.selection for t in trace) == fixtures.WF2Q_SELECTIONS
     ok &= [t.qualified for t in trace] == [
         (0, 1, 2, 3, 4), (1, 2, 3, 4), (0, 2, 3, 4), (2, 3, 4),
         (0, 3, 4), (3, 4), (0, 4), (4,),

@@ -44,7 +44,7 @@ def test_assign_reference_permutation(capsys):
 def test_schedule_wfq(capsys):
     code, out, _ = _run(capsys, "schedule", "0.5,0.125,0.125,0.125,0.125")
     assert code == cli.EXIT_OK
-    assert out.splitlines()[0] == "P1 P1 P1 P1 P2 P3 P4 P5"
+    assert out.splitlines()[0] == " ".join(f"P{i + 1}" for i in fixtures.WFQ_SELECTIONS)
 
 
 def test_decompose_and_schedule2d(tmp_path, capsys):
@@ -129,6 +129,39 @@ def test_experiment_all_csvs_are_byte_identical(tmp_path, capsys, seed):
     assert code == cli.EXIT_OK
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
     assert got == {name: pair[seed] for name, pair in EXPERIMENT_ALL_SHA256.items()}
+
+
+# the 4x4 fixture capacity matrix on disk: F * C with --frame 8, which builds it by
+# CapacityMatrix.from_integer_matrix, and C itself, which builds it from Fractions
+CAPACITY_FILES = {"integer": ("6 0 1 1\n1 4 3 0\n1 1 4 2\n0 3 0 5\n", ["--frame", "8"]),
+                  "fraction": ("3/4 0 1/8 1/8\n1/8 1/2 3/8 0\n1/8 1/8 1/2 1/4\n0 3/8 0 5/8\n", [])}
+
+# sha256 of the stdout of the commands that read a capacity matrix, the same for
+# both files, and of the worked 8-port assignment
+STDOUT_SHA256 = {
+    ("decompose",): "2a0540eb45df05d68e66106f97fbc1a5edbd95f548a12b26a132f063ff5f76bf",
+    ("schedule2d", "--algorithm", "wfq"): "83fe7498affe387aca208c64186510c39ab431128feac7ee8fd6defca73b7df1",
+    ("schedule2d", "--algorithm", "wf2q"): "3b8674e1702478b3bb4c61cf9baae737080aba6fccc333ec9b62355044412985",
+    ("schedule2d", "--algorithm", "hurr"): "ed94bccf60457f46358921ac374caa65c2a75df078407b0afa816431b234291d",
+}
+ASSIGN_SHA256 = "48f3afd37f992b56d10147aee32ad2e8dfae42ee6fed542c25225c5559c1222d"
+
+
+@pytest.mark.parametrize("form", CAPACITY_FILES)
+@pytest.mark.parametrize("command", STDOUT_SHA256, ids=" ".join)
+def test_capacity_command_stdout_is_byte_identical(tmp_path, capsys, form, command):
+    text, frame = CAPACITY_FILES[form]
+    matrix = tmp_path / "cap.txt"
+    matrix.write_text(text)
+    code, out, _ = _run(capsys, command[0], str(matrix), *frame, *command[1:])
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
+
+
+def test_assign_stdout_is_byte_identical(capsys):
+    code, out, _ = _run(capsys, "assign", "1,3,2,0,6,4,7,5", "--n", "2")
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == ASSIGN_SHA256
 
 
 def test_validate_full_run(tmp_path, capsys):

@@ -221,6 +221,29 @@ PAIR_ROWS = {
     "graph_edges_none": (mt.BipartiteGraph, (2, 2, None), PreconditionError),
 }
 
+
+def _near_limit(carried: float) -> bool:
+    """Within 1e-12 relative of the N -> infinity value 1 - exp(-0.5) = 0.3934693..., which the
+    finite-N value at rho = 0.5 approaches to within 1e-12 from about N = 10^12."""
+    return math.isclose(carried, -math.expm1(-0.5), rel_tol=1e-12)
+
+
+# values that lost their accuracy at large counts: 1 - (1 - rho/N)^N rounded
+# 1 - rho/N, so the N = 10^12 value was off in the fifth digit and the
+# N = 10^16 value was 0.0
+ACCURACY_ROWS = {
+    "carried_ports_1e16": (ct.carried_load, (0.5, 10**16), _near_limit),
+    "carried_ports_1e12": (ct.carried_load, (0.5, 10**12), _near_limit),
+    "power_ports_1e16": (ct.power_stats, (10**16, 0.5), lambda v: v.psnr > 0),
+    "carried_one_port_full_load": (ct.carried_load, (1.0, 1), lambda v: v == 1.0),
+}
+
+
+@pytest.mark.parametrize("call, args, holds", ACCURACY_ROWS.values(), ids=ACCURACY_ROWS.keys())
+def test_accuracy_table(call, args, holds):
+    assert holds(call(*args))
+
+
 REFUSALS = {**CONTENTION_ROWS, **DEFLECTION_ROWS, **ESCAPE_ROWS, **OVERFLOW_ROWS, **COVERAGE_ROWS, **PAIR_ROWS}
 
 # public functions with no scalar row, and why
@@ -257,11 +280,46 @@ def test_every_public_scalar_function_has_a_row():
 
 def test_array_holders_compare_by_identity():
     """A dataclass with generated equality compares its fields as tuples, and an
-    array field has no single truth value: such a field must be ``compare=False``."""
+    array field has no single truth value; marking the field ``compare=False``
+    instead makes two holders with different arrays equal.  So a dataclass with
+    an array field has no generated equality at all (``eq=False``)."""
     modules = [importlib.import_module(f"switchlab.{m.name}") for m in pkgutil.iter_modules(switchlab.__path__)]
     classes = {c for mod in modules for c in vars(mod).values()
                if dataclasses.is_dataclass(c) and c.__module__ == mod.__name__ and not c.__name__.startswith("_")}
     assert len(classes) > 20
-    compared = {(c.__name__, f.name) for c in classes if c.__dataclass_params__.eq
-                for f in dataclasses.fields(c) if f.compare and "ndarray" in str(f.type)}
+    compared = {c.__name__ for c in classes if c.__dataclass_params__.eq
+                and any("ndarray" in str(f.type) for f in dataclasses.fields(c))}
     assert not compared
+
+
+_HOLDER_SPEC = cm.ClosSpec(m=2, n=1, k=2)
+
+# input holders: (build from a writable caller array, that array, the names of the holder's arrays)
+INPUT_HOLDERS = {
+    "BipartiteGraph": (lambda a: mt.BipartiteGraph(2, 2, a), [[0, 0], [1, 1]], ("edges",)),
+    "CallRequestSet": (lambda a: mt.CallRequestSet(a, _HOLDER_SPEC), [[0, 1], [1, 0]], ("pairs",)),
+    "RouteSet": (lambda a: mt.RouteSet(a, a, a), [0, 1], ("central", "out_module", "out_port")),
+    "TrafficMatrix": (lambda a: ps.TrafficMatrix(a, _HOLDER_SPEC), [[0.5, 0.25], [0.25, 0.5]], ("rates",)),
+    "CapacityMatrix": (lambda a: ps.CapacityMatrix.from_integer_matrix(a, 4), [[3, 1], [1, 3]], ("scaled",)),
+    "TokenGrid": (sched.TokenGrid, [[[1, 0]], [[0, 1]]], ("tokens",)),
+}
+
+
+@pytest.mark.parametrize("build, rows, names", INPUT_HOLDERS.values(), ids=INPUT_HOLDERS.keys())
+def test_input_holders_own_read_only_arrays(build, rows, names):
+    caller = np.array(rows)
+    holder = build(caller)
+    caller[(0,) * caller.ndim] = 0  # a write after construction does not reach the holder
+    for name in names:
+        arr = getattr(holder, name)
+        assert arr.tolist() == rows and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 0
+
+
+def test_exact_core_results_are_read_only():
+    dec = ps.bvn_decompose(ps.CapacityMatrix.from_integer_matrix([[3, 1], [1, 3]], 4))
+    coloring = mt.edge_color(mt.BipartiteGraph(2, 2, [[0, 0], [0, 1], [1, 0], [1, 1]]))
+    assignment = mt.benes_full_assign([1, 0, 3, 2])
+    for arr in (dec.permutations, dec.patterns, dec.frame, coloring.color_of, assignment.crosses):
+        assert not arr.flags.writeable

@@ -509,6 +509,14 @@ class TestEdgeColoring:
         assert coloring.colors == 1
         assert coloring.is_proper()
 
+    def test_colorings_compare_by_identity_and_hold_a_read_only_array(self):
+        # the generated == skipped color_of, so two colorings of one graph compared equal
+        g = mt.BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        coloring = mt.edge_color(g)
+        other = mt.EdgeColoring(graph=g, color_of=1 - coloring.color_of, colors=2)
+        assert other.is_proper() and coloring != other and coloring == coloring
+        assert not coloring.color_of.flags.writeable
+
     def test_color_classes_are_perfect_matchings(self):
         rng = random.Random(11)
         for _ in range(40):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -80,7 +81,7 @@ class TestCapacityMatrix:
         cap = fixtures.capacity_4x4()
         assert cap.frame_size == 8
         assert cap.modules == 1
-        assert (cap.scaled_int().sum(axis=0) == 8).all()
+        assert (cap.scaled.sum(axis=0) == 8).all()
 
     def test_rejects_uneven_sums(self):
         with pytest.raises(PreconditionError):
@@ -163,21 +164,38 @@ class TestWeightedDelay:
 
 
 class TestCapacityStorage:
-    def test_stored_matrix_is_read_only_and_scaled_int_copies(self):
+    def test_scaled_is_a_read_only_copy_of_the_callers_matrix(self):
         source = np.array([[6, 0, 1, 1], [1, 4, 3, 0], [1, 1, 4, 2], [0, 3, 0, 5]])
         cap = ps.CapacityMatrix.from_integer_matrix(source, 8)
+        assert cap.scaled.dtype == np.int64 and not np.shares_memory(cap.scaled, source)
         source[0, 0] = 99  # the caller's array is not shared
         with pytest.raises(ValueError):
-            cap._scaled[0, 0] = 7
-        copy = cap.scaled_int()
-        copy[0, 0] = 7
-        assert cap.scaled_int()[0, 0] == 6
+            cap.scaled[0, 0] = 7
+        assert cap.scaled[0, 0] == 6
         assert cap == fixtures.capacity_4x4()
+        assert not ps.CapacityMatrix(cap.entries, 8).scaled.flags.writeable
+
+    def test_fields_are_frozen(self):
+        # frame_size = 16 was accepted, and bvn_decompose then died in a bare numpy reshape
+        cap = fixtures.capacity_4x4()
+        for name, value in (("frame_size", 16), ("modules", 2), ("scaled", cap.scaled * 2)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cap, name, value)
+        assert cap.frame_size == 8 and ps.bvn_decompose(cap).state_count == 4
 
     def test_equality_ignores_the_frame_size(self):
         cap = fixtures.capacity_4x4()
-        assert ps.CapacityMatrix.from_integer_matrix(cap.scaled_int() * 3, 24) == cap
-        assert ps.CapacityMatrix.from_integer_matrix(cap.scaled_int() * 2, 8) != cap
+        assert ps.CapacityMatrix.from_integer_matrix(cap.scaled * 3, 24) == cap
+        assert ps.CapacityMatrix.from_integer_matrix(cap.scaled * 2, 8) != cap
+
+    def test_equality_compares_rates_in_python_ints(self):
+        cap = fixtures.capacity_4x4()
+        assert ps.CapacityMatrix(cap.entries, 16) == cap  # the Fraction constructor at another F
+        assert cap != ps.CapacityMatrix.from_integer_matrix(np.eye(2, dtype=np.int64), 1) and cap != cap.entries
+        zero = ps.CapacityMatrix.from_integer_matrix([[0, 0], [0, 0]], 2**64)
+        assert zero == ps.CapacityMatrix.from_integer_matrix(zero.scaled, 3)
+        # 1 * 2**64 is 0 modulo 2**64, so an int64 cross-product would call these equal
+        assert zero != ps.CapacityMatrix.from_integer_matrix(zero.scaled + np.eye(2, dtype=np.int64), 1)
 
     def test_line_sums_beyond_int64_rejected(self):
         big = 2**62
@@ -213,6 +231,11 @@ class TestCapacityStorage:
 
 
 class TestBvnDecompose:
+    def test_result_arrays_are_read_only(self):
+        dec = ps.bvn_decompose(fixtures.capacity_4x4())
+        for arr in (dec.permutations, dec.patterns, dec.frame):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+
     def test_permutation_matrix_is_single_state(self):
         perm = [[0, 1], [1, 0]]
         cap = ps.CapacityMatrix.from_integer_matrix(perm, 1)
@@ -310,7 +333,7 @@ class TestBandlimitAndRound:
             rounded, err = ps.bandlimit_and_round(cap.as_float(), f, modules=1)
             assert err == 0.0
             assert rounded == cap
-            assert (rounded.scaled_int() == cap.scaled_int() * (f // 8)).all()
+            assert (rounded.scaled == cap.scaled * (f // 8)).all()
 
     def test_line_sums_preserved_and_error_bounded(self):
         rng = random.Random(33)
@@ -321,7 +344,7 @@ class TestBandlimitAndRound:
             cap = ps.allocate_capacity(traffic)
             for f in (16, 32, 64, 128):
                 rounded, err = ps.bandlimit_and_round(cap, f, modules=m)
-                scaled = rounded.scaled_int()
+                scaled = rounded.scaled
                 assert (scaled.sum(axis=0) == m * f).all()
                 assert (scaled.sum(axis=1) == m * f).all()
                 assert err <= 1.0 / f + 1e-12
@@ -347,7 +370,7 @@ class TestBandlimitAndRound:
             for i in range(k):
                 mat[i, (i + shift) % k] += b  # each cyclic shift used b times
         cap = ps.CapacityMatrix.from_integer_matrix(mat.tolist(), f)
-        assert int(cap.scaled_int().max()) <= b
+        assert int(cap.scaled.max()) <= b
         assert f <= b * k / m
         dec = ps.bvn_decompose(cap)
         assert dec.state_count <= f

@@ -509,6 +509,28 @@ class TestTokenGrid:
             with pytest.raises(PreconditionError, match="nonnegative"):
                 sc.TokenGrid(np.array(tokens))
 
+    def test_grid_holds_a_read_only_array_the_caller_cannot_change(self):
+        # the grid kept the caller's writable array, so a write after construction reached it
+        arr = np.ones((2, 2, 3), dtype=np.int64)
+        grid = sc.TokenGrid(arr)
+        arr[0, 0, 0] = -5
+        assert grid.tokens[0, 0, 0] == 1 and not grid.tokens.flags.writeable
+        fixed = np.ones((2, 2, 3), dtype=np.int64)
+        fixed.flags.writeable = False
+        assert sc.TokenGrid(fixed).tokens is fixed  # a read-only array that owns its data is kept as it is
+        source = np.ones((2, 2, 3), dtype=np.int64)
+        view = source.view()
+        view.flags.writeable = False
+        grid = sc.TokenGrid(view)
+        source[0, 0, 0] = 7  # a read-only view of a writable array is copied
+        assert grid.tokens[0, 0, 0] == 1 and grid.tokens.base is None
+        assert not sc.grid_from_schedule([np.eye(2, dtype=np.int64)] * 3).tokens.flags.writeable
+
+    def test_grid_is_the_only_sign_gate_of_a_schedule(self):
+        # line sums of one: grid_from_schedule checks them, and the grid refuses the negative counts
+        with pytest.raises(PreconditionError, match="3-D array of nonnegative integer counts"):
+            sc.grid_from_schedule([[[2, -1], [-1, 2]]])
+
     def test_multitoken_cells(self):
         doubled = np.eye(2, dtype=np.int64) * 2
         grid = sc.grid_from_schedule([doubled, np.ones((2, 2), dtype=np.int64)])
