@@ -488,6 +488,8 @@ def _fraction(token: str) -> Fraction:
 def _parse_matrix(path: Path, frame: int | None) -> pathswitch.CapacityMatrix:
     rows = [[_fraction(tok) for tok in line.replace(",", " ").split()]
             for line in _content_lines(path.read_text())]
+    if rows and not any(map(any, rows)):  # m = 0: nothing downstream has a slot to grant
+        raise DomainError("the capacity matrix is all zero")
     if frame and all(v.denominator == 1 for row in rows for v in row):
         # the usual on-disk form: an integer matrix already scaled by F
         return pathswitch.CapacityMatrix.from_integer_matrix([[int(v) for v in row] for row in rows], frame)

@@ -22,11 +22,11 @@ class ConvergenceError(RuntimeError):
     """Iterative routine exhausted its budget without converging."""
 
 
-_INTEGER_TYPES = {int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])}  # no bool, no np.bool_
+INTEGER_TYPES = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})  # no bool, no np.bool_
 
 
 def is_integer(v: object) -> bool:
-    return type(v) in _INTEGER_TYPES
+    return type(v) in INTEGER_TYPES
 
 
 def check_count(value: object, low: float, message: str) -> None:
@@ -54,7 +54,7 @@ def integer_array(value: object, ndim: int) -> "np.ndarray | None":
     types = set(map(type, value))
     if ndim == 1:  # by the entries' types, as np.asarray reads True as 1
         try:
-            return np.array(value, dtype=np.int64) if types <= _INTEGER_TYPES else None
+            return np.array(value, dtype=np.int64) if types <= INTEGER_TYPES else None
         except OverflowError:
             raise ResourceLimitError("an integer entry exceeds the int64 range") from None
     if types == {np.ndarray} and _stackable(value, ndim - 1):  # one stack, no call per array

@@ -10,11 +10,14 @@ terminates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import xor
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, ResourceLimitError, integer_array, is_integer
+from .errors import INTEGER_TYPES, DomainError, PreconditionError, ResourceLimitError, integer_array
 from .matching import BipartiteGraph
 
 __all__ = [
@@ -102,11 +105,16 @@ class TannerCode:
         return [_mask_word(w, n) for w in sorted(words)]
 
 
+def _bits(word: Sequence[int]) -> list[int]:
+    """``word`` as a list of Python ints, refused unless its entries' types are integer ones and their values 0 or 1."""
+    if not set(map(type, word)) <= INTEGER_TYPES or not set(word) <= {0, 1}:
+        raise DomainError("word entries must be integers 0 or 1")
+    return list(map(int, word))
+
+
 def _word_mask(word: Sequence[int]) -> int:
     """Bitmask of a binary word: bit v is word[v], which must be an integer 0 or 1."""
-    if not all(is_integer(x) and 0 <= x <= 1 for x in word):
-        raise DomainError("word entries must be integers 0 or 1")
-    return sum(1 << v for v, x in enumerate(word) if x)
+    return sum(1 << v for v, x in enumerate(_bits(word)) if x)
 
 
 def _mask_word(mask: int, n: int) -> tuple[int, ...]:
@@ -135,9 +143,9 @@ def flip_decode(code: TannerCode, received: Sequence[int]) -> DecodeResult:
     """
     if len(received) != code.n_variables:
         raise DomainError("received length does not match the code")
-    word = _word_mask(received)
-    unsat = sum(((row & word).bit_count() & 1) << c for c, row in enumerate(code.rows))  # the syndrome
+    word = _bits(received)
     neighbours = code.columns  # variable -> bitmask of its constraints
+    unsat = reduce(xor, compress(neighbours, word), 0)  # the syndrome: XOR of the ones' constraints
     flips: list[int] = []
     trace = [unsat.bit_count()]
     while unsat:
@@ -145,18 +153,13 @@ def flip_decode(code: TannerCode, received: Sequence[int]) -> DecodeResult:
                           if 2 * (unsat & nb).bit_count() > nb.bit_count()), -1)
         if candidate < 0:
             break
-        word ^= 1 << candidate
+        word[candidate] ^= 1
         unsat ^= neighbours[candidate]
         flips.append(candidate)
         if unsat.bit_count() >= trace[-1]:  # pragma: no cover - excluded by flip rule
             raise AssertionError("flip failed to reduce unsatisfied count")
         trace.append(unsat.bit_count())
-    return DecodeResult(
-        word=_mask_word(word, code.n_variables),
-        success=not unsat,
-        flips=tuple(flips),
-        unsatisfied_trace=tuple(trace),
-    )
+    return DecodeResult(tuple(word), not unsat, tuple(flips), tuple(trace))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from operator import attrgetter, index
+from itertools import compress, repeat
+from operator import attrgetter, eq, index, ne
 
 import numpy as np
 
@@ -138,7 +139,9 @@ class _HopcroftKarp:
     ends on a search that finds no augmenting path, or on a matching that
     exposes no left vertex, which that search would not reach past; after
     it, ``dist[l] != INF`` holds exactly for the left vertices reached by
-    alternating paths from the exposed ones."""
+    alternating paths from the exposed ones.  Every left vertex starts in
+    ``exposed``; :meth:`remove_edge` is the only way to unmatch one and
+    appends it there, in ascending order, and a solve filters that list."""
 
     INF = -1
 
@@ -149,12 +152,13 @@ class _HopcroftKarp:
         self.pair_l = [-1] * self.nl
         self.pair_r = [-1] * right_count
         self.dist = [0] * self.nl
-        self.exposed: list[int] = []  # the left vertices unmatched when the phase began
+        self.exposed = list(range(self.nl))  # ascending; holds every unmatched left vertex
 
     def remove_edge(self, l: int, r: int) -> None:  # from the list and the mask; unmatches both ends
         self.adj[l].remove(r)
         self.masks[l] &= ~(1 << r)
         self.pair_l[l] = self.pair_r[r] = -1
+        self.exposed.append(l)
 
     def _bfs(self) -> bool:
         masks, pair_r = self.masks, self.pair_r
@@ -208,9 +212,9 @@ class _HopcroftKarp:
         augmenting searches from each in turn, as an augmentation matches
         only its own root.  With no left vertex exposed the closing search
         is skipped: it would reach nothing, so ``dist`` is all INF."""
-        size = 0
+        size, pair_l = 0, self.pair_l
         while True:
-            self.exposed = [l for l, r in enumerate(self.pair_l) if r == -1]
+            self.exposed = [l for l in self.exposed if pair_l[l] == -1]
             if not self.exposed:
                 self.dist = [self.INF] * self.nl
                 return size
@@ -261,10 +265,10 @@ def peel_matchings(counts: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     """Split a square nonnegative integer matrix with equal line sums d into
     perfect matchings: row c of the (d, k) int64 result is the c-th, and a
     matching peeled at multiplicity mu (its smallest count) fills mu adjacent
-    rows.  One Hopcroft-Karp state re-augments only the rows each peel empties;
-    each row's sorted support and residual counts come from one ``np.nonzero``.
-    A peel reads its matching's counts once, and one ``np.repeat`` expands the
-    matchings at the end.  ``counts`` is checked before any solve and not changed."""
+    rows.  One Hopcroft-Karp state re-augments only the rows each peel empties,
+    and each matched row keeps the peeled total that empties its edge, so a peel
+    writes back only the residuals of the rows its solve moved.  One ``np.repeat``
+    expands the matchings at the end.  ``counts`` is checked before any solve and not changed."""
     arr = integer_array(counts, 2)
     ok = arr is not None and 0 < len(arr) == arr.shape[1] and arr.min() >= 0
     if ok and arr.sum(dtype=float) > MAX_COUNT_CELLS:  # the d * k result cells; keeps the sums below exact
@@ -272,29 +276,26 @@ def peel_matchings(counts: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     if not ok or len({*arr.sum(axis=0).tolist(), *arr.sum(axis=1).tolist()}) != 1:
         raise PreconditionError("counts must be a nonempty square nonnegative integer matrix with equal line sums")
     k = len(arr)
-    i, j = np.nonzero(arr)  # row-major: each row's columns ascend
-    left: list[dict[int, int]] = [{} for _ in arr]  # row -> column -> residual count
-    for row, col, count in zip(i.tolist(), j.tolist(), arr[i, j].tolist()):
-        left[row][col] = count
-    hk = _HopcroftKarp([list(row) for row in left], k)
-    matchings: list[list[int]] = []
-    mults: list[int] = []
-    todo = int(arr[0].sum())
-    while todo:
+    left = arr.tolist()  # residual counts, current except at each row's matched column
+    hk = _HopcroftKarp([list(compress(range(k), row)) for row in left], k)
+    matchings, mults = [], []  # the peeled matchings and their multiplicities
+    match, ends = [-1] * k, [0] * k  # each row's column and the peeled total that empties it
+    peeled, total = 0, sum(left[0])
+    while peeled < total:
         hk.solve()
-        match = hk.pair_l.copy()
-        if -1 in match:  # pragma: no cover - equal line sums keep a perfect matching
+        new = hk.pair_l.copy()
+        if -1 in new:  # pragma: no cover - equal line sums keep a perfect matching
             raise PreconditionError("residual lost its perfect matching")
-        held = list(map(dict.__getitem__, left, match))
-        mult = min(held)
-        matchings.append(match)
-        mults.append(mult)
-        todo -= mult
-        for l, col, count in zip(range(k), match, held):
-            if count == mult:
-                hk.remove_edge(l, col)
-            else:
-                left[l][col] = count - mult
+        for l in compress(range(k), map(ne, match, new)):
+            if match[l] >= 0:
+                left[l][match[l]] = ends[l] - peeled
+            ends[l] = peeled + left[l][new[l]]
+        match, low = new, min(ends)
+        matchings.append(new)
+        mults.append(low - peeled)
+        peeled = low
+        for l in compress(range(k), map(eq, ends, repeat(low))):
+            hk.remove_edge(l, new[l])
     return np.repeat(np.array(matchings, dtype=np.int64).reshape(-1, k), mults, axis=0)
 
 
@@ -479,15 +480,15 @@ def benes_constraints(pi: Sequence[int]) -> BenesConstraintSystem:
     return BenesConstraintSystem(size=len(p), constraints=tuple(map(tuple, pairs.tolist())))
 
 
-def _outer_stage(p: np.ndarray) -> np.ndarray:
-    """:func:`benes_flip_assign` of a checked permutation array ``p``."""
+def _outer_stage(p: np.ndarray, block: int) -> np.ndarray:
+    """:func:`benes_flip_assign` of a checked permutation array ``p`` that keeps blocks of ``block`` ports."""
     n = len(p)
     ports = np.arange(n)
     pinv = np.empty_like(p)
     pinv[p] = ports
     partner = pinv[p ^ 1]  # the input sharing each input's output module
-    low, nxt = ports, partner ^ 1  # nxt = g; an orbit of g holds at most N/2 ports
-    for _ in range((n // 2 - 1).bit_length()):
+    low, nxt = ports, partner ^ 1  # nxt = g; an orbit of g holds at most block/2 ports
+    for _ in range((block // 2 - 1).bit_length()):
         low, nxt = np.minimum(low, low[nxt]), nxt[nxt]
     # b: parity of the cycle's least key 2 * output module + parity over its equal-parity
     # output pairs (both ports give it); other ports key past the even fill n (b = 0 if none)
@@ -509,7 +510,7 @@ def benes_flip_assign(pi: Sequence[int]) -> list[int]:
     after the anchor (0 without one).  The array kernel finds the least ports
     by pointer jumping and every b by one keyed minimum.
     """
-    return _outer_stage(_check_permutation(pi)).tolist()
+    return _outer_stage(_check_permutation(pi), len(pi)).tolist()
 
 
 def count_components(sys: BenesConstraintSystem) -> int:
@@ -584,11 +585,11 @@ def benes_full_assign(pi: Sequence[int]) -> BenesAssignment:
     """Configure a Benes network for permutation ``pi``, level by level.
 
     The outer stages of level l are the outer stage of one block-diagonal
-    permutation p of blocks of N / 2^l ports (cycles never cross blocks):
-    one :func:`benes_flip_assign` of p sets input row l and output row
-    2t - 2 - l of :class:`BenesAssignment` and yields the next level's p,
-    and the last level's 2-port blocks set the centre.  Each level checks
-    that the subnetworks receive exactly one signal per link.
+    permutation p of blocks of N / 2^l ports (cycles never cross blocks, so
+    pointer jumping stops at the block size): one :func:`benes_flip_assign` of p
+    sets input row l and output row 2t - 2 - l of :class:`BenesAssignment` and
+    yields the next level's p, and the last level's 2-port blocks set the centre.
+    Each level checks that the subnetworks receive exactly one signal per link.
     """
     n = len(pi)
     if n < 2 or n & (n - 1):
@@ -599,7 +600,7 @@ def benes_full_assign(pi: Sequence[int]) -> BenesAssignment:
     elements = np.arange(n // 2)
     for level in range(levels):
         half = n >> level + 1  # elements per block
-        crosses[level] = _outer_stage(p)[::2]
+        crosses[level] = _outer_stage(p, 2 * half)[::2]
         up = 2 * elements + crosses[level]  # the input of each element sent up
         up_out, low_out = p[up] // 2, p[up ^ 1] // 2  # their output elements
         if np.bincount(up_out, minlength=n // 2).max() > 1:

@@ -252,7 +252,7 @@ class SmoothnessReport:
 
 def entropy(weights: WeightSet) -> float:
     """Base-2 entropy of the weight distribution."""
-    return -sum(w * math.log2(w) for w in weights.as_float())
+    return 0.0 - sum(w * math.log2(w) for w in weights.as_float())  # 0.0, not -0.0, for one weight
 
 
 def smoothness(seq: FrameSequence, weights: WeightSet) -> SmoothnessReport:

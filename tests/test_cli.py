@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,25 @@ def test_schedule_wfq(capsys):
     code, out, _ = _run(capsys, "schedule", "0.5,0.125,0.125,0.125,0.125")
     assert code == cli.EXIT_OK
     assert out.splitlines()[0] == " ".join(f"P{i + 1}" for i in fixtures.WFQ_SELECTIONS)
+
+
+@pytest.mark.parametrize("algorithm", ["wfq", "random"])
+def test_one_weight_has_unsigned_zero_entropy(capsys, algorithm):
+    code, out, _ = _run(capsys, "schedule", "1", "--algorithm", algorithm)
+    assert code == cli.EXIT_OK
+    assert "entropy=0.0000" in out.splitlines()[1] and "-0.0" not in out
+
+
+@pytest.mark.parametrize("frame", [[], ["--frame", "4"]], ids=["fraction", "integer"])
+@pytest.mark.parametrize("command", ["decompose", "schedule2d"])
+def test_zero_capacity_matrix_is_refused_once(tmp_path, capsys, command, frame):
+    matrix = tmp_path / "cap.txt"
+    matrix.write_text("0 0\n0 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, command, str(matrix), *frame)
+    assert code == cli.EXIT_USAGE
+    assert out == "" and err == "error: the capacity matrix is all zero\n"
 
 
 def test_decompose_and_schedule2d(tmp_path, capsys):

@@ -14,6 +14,7 @@ import switchlab
 from switchlab import closmodel as cm
 from switchlab import contention as ct
 from switchlab import deflection as dfl
+from switchlab import graphcode as gc
 from switchlab import matching as mt
 from switchlab import pathswitch as ps
 from switchlab import sched
@@ -221,6 +222,24 @@ PAIR_ROWS = {
     "graph_edges_none": (mt.BipartiteGraph, (2, 2, None), PreconditionError),
 }
 
+_CODE = gc.TannerCode.from_rows([[1, 1, 0], [0, 1, 1]])
+
+# received words whose entries are not integers 0 or 1, checked by one test of
+# the entries' types and one of their values; a bool among integer ones has
+# the value of one of them, so only the type test refuses it
+WORD_ROWS = {
+    "word_bool": (gc.flip_decode, (_CODE, [True, False, False]), DomainError),
+    "word_bool_among_ints": (gc.flip_decode, (_CODE, [0, 1, True]), DomainError),
+    "word_np_bool": (gc.flip_decode, (_CODE, [np.bool_(True), 0, 0]), DomainError),
+    "word_float": (gc.flip_decode, (_CODE, [1.0, 0, 0]), DomainError),
+    "word_np_float": (gc.flip_decode, (_CODE, [np.float64(0), 0, 0]), DomainError),
+    "word_str": (gc.flip_decode, (_CODE, ["1", 0, 0]), DomainError),
+    "word_two": (gc.flip_decode, (_CODE, [2, 0, 0]), DomainError),
+    "word_minus_one": (gc.flip_decode, (_CODE, [-1, 0, 0]), DomainError),
+    "word_np_two": (gc.flip_decode, (_CODE, [np.int64(2), 0, 0]), DomainError),
+    "word_unhashable": (gc.flip_decode, (_CODE, [[1], 0, 0]), DomainError),
+}
+
 
 def _near_limit(carried: float) -> bool:
     """Within 1e-12 relative of the N -> infinity value 1 - exp(-0.5) = 0.3934693..., which the
@@ -244,7 +263,8 @@ def test_accuracy_table(call, args, holds):
     assert holds(call(*args))
 
 
-REFUSALS = {**CONTENTION_ROWS, **DEFLECTION_ROWS, **ESCAPE_ROWS, **OVERFLOW_ROWS, **COVERAGE_ROWS, **PAIR_ROWS}
+REFUSALS = {**CONTENTION_ROWS, **DEFLECTION_ROWS, **ESCAPE_ROWS, **OVERFLOW_ROWS, **COVERAGE_ROWS, **PAIR_ROWS,
+            **WORD_ROWS}
 
 # public functions with no scalar row, and why
 EXEMPT = {

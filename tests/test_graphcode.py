@@ -6,7 +6,7 @@ import pytest
 
 from switchlab import fixtures
 from switchlab import graphcode as gc
-from switchlab.errors import DomainError, PreconditionError, ResourceLimitError
+from switchlab.errors import DomainError, PreconditionError, ResourceLimitError, is_integer
 
 
 def _grid_rows(order):
@@ -226,6 +226,50 @@ class TestFlipDecode:
         assert res.success and res.word == (0,) * n
         assert res.flips == tuple(range(n))
         assert res.unsatisfied_trace == tuple(range(n, -1, -1))
+
+
+def _reference_flip_decode(code, received):
+    """The decoder before the syndrome was taken by XOR: the received word as
+    a bitmask, the syndrome as one parity per row, the result word read off
+    the mask."""
+    if len(received) != code.n_variables:
+        raise DomainError("received length does not match the code")
+    if not all(is_integer(x) and 0 <= x <= 1 for x in received):
+        raise DomainError("word entries must be integers 0 or 1")
+    word = sum(1 << v for v, x in enumerate(received) if x)
+    unsat = sum(((row & word).bit_count() & 1) << c for c, row in enumerate(code.rows))
+    neighbours = code.columns
+    flips = []
+    trace = [unsat.bit_count()]
+    while unsat:
+        candidate = next((v for v, nb in enumerate(neighbours)
+                          if 2 * (unsat & nb).bit_count() > nb.bit_count()), -1)
+        if candidate < 0:
+            break
+        word ^= 1 << candidate
+        unsat ^= neighbours[candidate]
+        flips.append(candidate)
+        trace.append(unsat.bit_count())
+    return gc.DecodeResult(word=tuple(word >> v & 1 for v in range(code.n_variables)), success=not unsat,
+                           flips=tuple(flips), unsatisfied_trace=tuple(trace))
+
+
+class TestFlipDecodeAgainstTheReference:
+    def test_every_word_of_the_order_3_grid_code(self):
+        code = gc.TannerCode.from_rows(_grid_rows(3))
+        for received in itertools.product((0, 1), repeat=9):
+            assert gc.flip_decode(code, received) == _reference_flip_decode(code, received)
+
+    def test_seeded_words_of_the_order_4_grid_code(self):
+        code = _grid16_code()
+        rng = random.Random(32)
+        words = [[rng.randint(0, 1) for _ in range(16)] for _ in range(2000)]
+        results = [gc.flip_decode(code, w) for w in words]
+        assert results == [_reference_flip_decode(code, w) for w in words]
+        assert all(type(x) is int for res in results for x in res.word)
+        assert 0.1 < sum(res.success for res in results) / len(results) < 0.9
+        numpy_words = [np.array(w, dtype=np.uint8) for w in words[:100]]
+        assert [gc.flip_decode(code, w) for w in numpy_words] == results[:100]
 
 
 class TestExpansionCheck:

@@ -332,7 +332,8 @@ def _pair_peel(counts):
     """The generator the row-array peel replaced: yields (cols, mult) and
     consumes ``counts`` in place.  It deletes edges from the lists behind the
     solver's back, so it runs the list search: the bitmask search would keep
-    seeing a deleted edge to an exposed right vertex and never end."""
+    seeing a deleted edge to an exposed right vertex and never end.  It hands
+    each unmatched row to the solver's ``exposed`` list, as ``remove_edge`` does."""
     adj = [list(itertools.compress(range(len(row)), row)) for row in counts]
     hk = _ListBfsHopcroftKarp(adj, len(counts))
     while any(adj):
@@ -344,6 +345,7 @@ def _pair_peel(counts):
             if not counts[i][j]:
                 adj[i].remove(j)
                 hk.pair_l[i] = hk.pair_r[j] = -1
+                hk.exposed.append(i)
         yield cols, mult
 
 
@@ -1046,3 +1048,15 @@ class TestBenesAgainstTaggedCycles:
             assert np.array_equal(got.crosses, _ref_full_assign(pi))
             # level 0's input column is the outer stage; at N = 2 row 0 is the centre
             assert n == 2 or np.array_equal(got.crosses[0], mt.benes_flip_assign(pi)[::2])
+
+
+class TestBenesBlockRounds:
+    @pytest.mark.parametrize("n", [2 << t for t in range(12)])
+    def test_crosses_equal_those_of_full_round_outer_stages(self, n, monkeypatch):
+        # each level's outer stage jumps pointers only as far as its block's longest orbit
+        rng = random.Random(3000 + n)
+        draws = list(_draws(rng, n, 20 if n <= 64 else 3 if n <= 1024 else 1))
+        got = [mt.benes_full_assign(pi).crosses for pi in draws]
+        full = mt._outer_stage
+        monkeypatch.setattr(mt, "_outer_stage", lambda p, block: full(p, len(p)))
+        assert all(np.array_equal(g, mt.benes_full_assign(pi).crosses) for g, pi in zip(got, draws))
