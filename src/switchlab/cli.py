@@ -113,8 +113,10 @@ class ExperimentManifest:
         if exp is None:
             raise DomainError("manifest misses the experiment id")
         seed = _int_param("seed", raw.pop("seed", 0))
-        outdir = Path(raw.pop("outdir", "out"))
-        return cls(experiment=str(exp), seed=seed, outdir=outdir, params=raw)
+        outdir = raw.pop("outdir", "out")
+        if not isinstance(outdir, str):  # Path() of a JSON number, list or null raised a bare TypeError
+            raise DomainError(f"manifest outdir {outdir!r} is not a path")
+        return cls(experiment=str(exp), seed=seed, outdir=Path(outdir), params=raw)
 
 
 # --- experiment writers -------------------------------------------------------
@@ -516,8 +518,8 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     weights = _weights_from_arg(args.weights)
     if args.algorithm == "random":
         draws = sched.schedule_random(weights, args.slots, seed=args.seed)
+        gap = sched.random_sequence_smoothness(draws, weights)  # before printing, so a refused run prints nothing
         print(" ".join(f"P{i + 1}" for i in draws[:64].tolist()))
-        gap = sched.random_sequence_smoothness(draws, weights)
         print(f"empirical_smoothness={gap:.4f} entropy={sched.entropy(weights):.4f}")
         return EXIT_OK
     seq = sched.SCHEDULERS[args.algorithm](weights)
@@ -551,8 +553,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         man = ExperimentManifest.from_file(Path(args.manifest))
     else:
         if not args.id:
-            print("experiment id or --manifest required", file=sys.stderr)
-            return EXIT_USAGE
+            raise DomainError("experiment id or --manifest required")
         man = ExperimentManifest(experiment=args.id, seed=args.seed, outdir=Path(args.outdir),
                                  params=_key_values(args.param or [], "--param"))
     for exp in EXPERIMENT_IDS if man.experiment == "all" else (man.experiment,):
@@ -563,9 +564,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     outdir = Path(args.outdir)
-    if not outdir.exists():
-        print(f"output directory {outdir} does not exist", file=sys.stderr)
-        return EXIT_USAGE
+    if not outdir.is_dir():
+        raise DomainError(f"no output directory {outdir}")
     report, all_ok = validate_outputs(outdir, tolerance=args.tolerance)
     print("check,status,detail")
     for row in report:
@@ -646,7 +646,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (DomainError, PreconditionError, ResourceLimitError, ConvergenceError,
-            OSError) as exc:
+            OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -272,10 +272,11 @@ class Decomposition:
     ``permutations`` is the read-only (m*F, k) int64 array whose row r is
     the r-th extracted matching, giving the output column of each input;
     consecutive groups of m rows form the per-slot patterns.  ``patterns`` is
-    the read-only (K, k, k) int64 array of the distinct slot patterns in order
-    of first occurrence, and the read-only (F,) int64 ``frame`` maps each slot
-    to its pattern's index.  ``states`` pairs each pattern, a view of
-    ``patterns``, with its rational frequency.
+    the read-only (K, k, k) array of the distinct slot patterns in order of
+    first occurrence, held in ``np.min_scalar_type(m)`` as no entry exceeds
+    m, and the read-only (F,) int64 ``frame`` maps each slot to its
+    pattern's index.  ``states`` pairs each pattern, a view of ``patterns``,
+    with its rational frequency.
     """
 
     capacity: CapacityMatrix
@@ -298,7 +299,8 @@ class Decomposition:
         Fraction is built per distinct cell value and shared by its cells."""
         k, f = self.capacity.size, self.capacity.frame_size
         uses = np.bincount(self.frame, minlength=len(self.patterns))
-        total = (uses @ self.patterns.reshape(len(uses), k * k)).reshape(k, k).tolist()
+        # einsum casts the narrow patterns a buffer at a time: no int64 copy of them
+        total = np.einsum("s,sc->c", uses, self.patterns.reshape(len(uses), k * k)).reshape(k, k).tolist()
         frac = {v: Fraction(v, f) for v in set().union(*total)}
         return [list(map(frac.__getitem__, row)) for row in total]
 
@@ -318,12 +320,15 @@ def bvn_decompose(capacity: CapacityMatrix) -> Decomposition:
     perms = peel_matchings(capacity.scaled)
     # row s: the cells (input i, output perms[r, i]) of slot s's m rows r, as i * k + output;
     # sorted, they are the multiset its summed pattern counts, so equal keys mean equal patterns
-    cells = (np.arange(k) * k + perms).reshape(f, m * k)
+    keys = (np.arange(k) * k + perms).reshape(f, m * k)
+    keys.sort(axis=1)  # in place: one (F, m * k) array, not two
     index: dict[bytes, int] = {}  # state ids in order of first occurrence
-    frame = np.array([index.setdefault(c.tobytes(), len(index)) for c in np.sort(cells, axis=1)], dtype=np.int64)
+    frame = np.array([index.setdefault(c.tobytes(), len(index)) for c in keys], dtype=np.int64)
     _, first = np.unique(frame, return_index=True)
-    states = (np.arange(len(first)) * k * k)[:, None] + cells[first]  # cells of each state's first slot
-    patterns = np.bincount(states.ravel(), minlength=len(first) * k * k).reshape(-1, k, k)
+    cells = ((np.arange(len(first)) * k * k)[:, None] + keys[first]).ravel()  # ascending: each state's first slot
+    ends = np.flatnonzero(np.diff(cells, append=-1))  # the last cell of each run of equal cells
+    patterns = np.zeros((len(first), k, k), dtype=np.min_scalar_type(m))
+    patterns.flat[cells[ends]] = np.diff(ends, prepend=-1)  # a run's length, at most m
     perms.flags.writeable = patterns.flags.writeable = frame.flags.writeable = False
     return Decomposition(capacity=capacity, permutations=perms, patterns=patterns, frame=frame)
 

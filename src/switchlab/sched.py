@@ -47,7 +47,7 @@ __all__ = [
 
 # the frame schedulers refuse K * F above this: wfq_trace and wf2q_trace hold K finish times a slot
 MAX_FRAME_CELLS = 1 << 20
-# grid_from_schedule gates and transposes this many slots at a time
+# grid_from_schedule gates, checks and transposes this many slots at a time
 _SLOT_BLOCK = 32
 # schedule_random refuses more slots than this before any draw: a call holds
 # about 16 bytes a slot, and the CLI's smoothness estimate 32 more
@@ -309,18 +309,23 @@ class TokenGrid:
     """Frame of granted connections: ``tokens[i, j, t]`` counts the tokens
     of path (input module i, output module j) in slot t (more than one when
     several central modules serve the same virtual path in one slot).
-    ``tokens`` is a read-only int64 array, checked here to hold nonnegative
-    integer counts; a caller's array that is writable, or a view of another
-    array, is copied."""
+    ``tokens`` is read-only and held in the narrowest unsigned dtype of its
+    largest count (of the module count m, from :func:`grid_from_schedule`),
+    checked here to hold nonnegative integer counts; a caller's array in
+    another dtype, writable or a view of another array is copied."""
 
     tokens: np.ndarray  # (inputs, outputs, slots)
 
     def __post_init__(self) -> None:
-        tokens = integer_array(self.tokens, 3)
-        if tokens is None or (tokens < 0).any():
-            raise PreconditionError("tokens must be a 3-D array of nonnegative integer counts")
-        if tokens.flags.writeable or tokens.base is not None:  # the caller could still change it
-            tokens = tokens.copy()
+        tokens = self.tokens
+        narrow = isinstance(tokens, np.ndarray) and tokens.dtype.kind == "u" and tokens.itemsize < 8
+        if not (narrow and tokens.ndim == 3):  # an unsigned array narrower than 64 bits is nonnegative by its type
+            tokens = integer_array(tokens, 3)
+            if tokens is None or (tokens < 0).any():
+                raise PreconditionError("tokens must be a 3-D array of nonnegative integer counts")
+        dtype = np.min_scalar_type(tokens.max(initial=0))
+        if tokens.dtype != dtype or tokens.flags.writeable or tokens.base is not None:  # or the caller could change it
+            tokens = tokens.astype(dtype)
         tokens.flags.writeable = False
         object.__setattr__(self, "tokens", tokens)
 
@@ -333,7 +338,7 @@ class TokenGrid:
         return self.tokens.shape[2]
 
     def token_counts(self) -> np.ndarray:
-        return self.tokens.sum(axis=2)
+        return self.tokens.sum(axis=2, dtype=np.int64)
 
     def to_text(self) -> str:
         if self.n_inputs > len(GRID_SYMBOLS):
@@ -357,40 +362,43 @@ class TokenGrid:
         return cls(np.array(counts, dtype=np.int64).transpose(2, 0, 1))
 
 
-def _slot_last(mats: list) -> np.ndarray | None:
-    """The (rows, columns, slots) int64 array of a list of integer matrices
-    of one shape, or None.  Each block of ``_SLOT_BLOCK`` slots passes the
-    integer gate and is copied in as one 2-D transpose, so no slot-major copy
-    of the whole frame is held."""
-    tokens = None
-    for start in range(0, len(mats), _SLOT_BLOCK):
-        block = integer_array(mats[start:start + _SLOT_BLOCK], 3)  # (slots, rows, columns)
-        if block is None or tokens is not None and block.shape[1:] != tokens.shape[:2]:
-            return None
-        if tokens is None:
-            tokens = np.empty((*block.shape[1:], len(mats)), dtype=np.int64)
-        tokens.reshape(-1, len(mats))[:, start:start + len(block)] = block.reshape(len(block), -1).T
-    return tokens
-
-
 def grid_from_schedule(patterns: Iterable[np.ndarray]) -> TokenGrid:
     """Token grid of a frame of connection patterns.
 
     Each slot pattern is a nonnegative integer matrix whose rows are inputs
     and columns outputs, with every line summing to the same m (a sum of m
     permutation matrices); entry (i, j) grants that many tokens to the path.
+    The grid is held in ``np.min_scalar_type(m)``: each block of
+    ``_SLOT_BLOCK`` slots passes the integer gate and its checks, then is
+    cast in as one 2-D transpose, so no int64 copy of the whole frame is held.
     """
     mats = list(patterns)
     if not mats:
         raise DomainError("schedule holds no slots")
-    tokens = _slot_last(mats)
-    if tokens is None or not 0 < tokens.shape[0] == tokens.shape[1]:
-        raise PreconditionError("patterns must be nonempty square integer matrices of one shape")
-    m = tokens[:, 0, 0].sum()
-    if (tokens.sum(axis=0) != m).any() or (tokens.sum(axis=1) != m).any():
+    tokens, sums_off, negative, above = None, False, False, False
+    for start in range(0, len(mats), _SLOT_BLOCK):
+        block = integer_array(mats[start:start + _SLOT_BLOCK], 3)  # (slots, rows, columns)
+        if block is None or not 0 < block.shape[1] == block.shape[2] or \
+                tokens is not None and block.shape[1:] != tokens.shape[:2]:
+            raise PreconditionError("patterns must be nonempty square integer matrices of one shape")
+        if tokens is None:
+            m = sum(block[0, :, 0].tolist())  # in Python ints: the int64 line sums below hold k entries <= m
+            if m > np.iinfo(np.int64).max // len(block[0]):
+                raise ResourceLimitError("the module count times the pattern size exceeds the int64 range")
+            tokens = np.empty((*block.shape[1:], len(mats)), dtype=np.min_scalar_type(m))
+        sums_off = sums_off or (np.einsum("sij->si", block) != m).any() or (np.einsum("sij->sj", block) != m).any()
+        negative, above = negative or block.min() < 0, above or block.max() > m
+        if not (sums_off or negative or above):  # the narrowing cast cannot wrap
+            tokens.reshape(-1, len(mats))[:, start:start + len(block)] = block.reshape(len(block), -1).T
+    # shape first, then line sums, then sign; above m with no entry negative, a line sum wrapped in int64
+    if sums_off or above and not negative:
         raise PreconditionError("patterns must have every line sum equal to the module count")
-    tokens.flags.writeable = False  # a fresh array: the grid keeps it without a copy, and checks its sign
-    return TokenGrid(tokens)
+    if negative:
+        raise PreconditionError("tokens must be a 3-D array of nonnegative integer counts")
+    tokens.flags.writeable = False
+    grid = TokenGrid.__new__(TokenGrid)  # checked above, and held in m's dtype rather than its largest count's
+    object.__setattr__(grid, "tokens", tokens)
+    return grid
 
 
 @dataclass(frozen=True, eq=False)  # identity equality: an array has no single truth value

@@ -55,16 +55,67 @@ def test_one_weight_has_unsigned_zero_entropy(capsys, algorithm):
     assert "entropy=0.0000" in out.splitlines()[1] and "-0.0" not in out
 
 
-@pytest.mark.parametrize("frame", [[], ["--frame", "4"]], ids=["fraction", "integer"])
-@pytest.mark.parametrize("command", ["decompose", "schedule2d"])
-def test_zero_capacity_matrix_is_refused_once(tmp_path, capsys, command, frame):
-    matrix = tmp_path / "cap.txt"
-    matrix.write_text("0 0\n0 0\n")
+# one row per refusal: (id, argv, input file or None, stderr prefix); {file} is the input file,
+# {missing} a path that does not exist and {dir} an empty directory
+NOT_UTF8 = b"\xff\xfe\x00"
+REFUSALS = [
+    ("tradeoff_n_0", ["tradeoff", "--n", "0"], None, "error: ports per outer module n=0 must be >= 1"),
+    ("tradeoff_n_not_an_int", ["tradeoff", "--n", "x"], None, "usage: switchlab tradeoff"),
+    ("deflect_rho_nan", ["deflect", "--rho", "nan"], None, "error: analysis holds for offered load in [0, 1] only"),
+    ("deflect_n_1", ["deflect", "--n", "1", "--slots", "10"], None, "error: need module_size >= 2 and stages >= 2"),
+    ("assign_repeated_port", ["assign", "0,0", "--n", "2"], None,
+     "error: sources and destinations must each be distinct"),
+    ("assign_m_below_n", ["assign", "1,0,3,2", "--n", "2", "--m", "1"], None, "error: m >= n required"),
+    ("decompose_zero_fraction", ["decompose", "{file}"], "0 0\n0 0\n", "error: the capacity matrix is all zero\n"),
+    ("decompose_zero_integer", ["decompose", "{file}", "--frame", "4"], "0 0\n0 0\n",
+     "error: the capacity matrix is all zero\n"),
+    ("decompose_negative", ["decompose", "{file}"], "-1 2\n2 -1\n", "error: capacities must be nonnegative"),
+    ("decompose_missing_file", ["decompose", "{missing}"], None, "error: [Errno 2] No such file or directory"),
+    ("decompose_not_utf8", ["decompose", "{file}"], NOT_UTF8, "error: 'utf-8' codec can't decode byte 0xff"),
+    ("schedule_zero_weight", ["schedule", "0.5,0.5,0"], None, "error: weights must be positive"),
+    ("schedule_unknown_algorithm", ["schedule", "0.5,0.5", "--algorithm", "nope"], None, "usage: switchlab schedule"),
+    ("schedule_random_too_short", ["schedule", "0.5,0.5", "--algorithm", "random", "--slots", "1"], None,
+     "error: state 0 occurs too rarely to estimate"),
+    ("schedule2d_zero_fraction", ["schedule2d", "{file}"], "0 0\n0 0\n", "error: the capacity matrix is all zero\n"),
+    ("schedule2d_zero_integer", ["schedule2d", "{file}", "--frame", "4"], "0 0\n0 0\n",
+     "error: the capacity matrix is all zero\n"),
+    ("schedule2d_hurr_one_state", ["schedule2d", "{file}", "--algorithm", "hurr"], "1\n",
+     "error: tree scheduling needs at least two states"),
+    ("schedule2d_not_utf8", ["schedule2d", "{file}"], NOT_UTF8, "error: 'utf-8' codec can't decode byte 0xff"),
+    ("experiment_no_id", ["experiment"], None, "error: experiment id or --manifest required"),
+    ("experiment_unknown_param", ["experiment", "fig6", "--param", "zz=1"], None,
+     "error: unknown experiment parameter zz"),
+    ("experiment_manifest_outdir_number", ["experiment", "--manifest", "{file}"],
+     '{"experiment": "fig6", "outdir": 5}', "error: manifest outdir 5 is not a path"),
+    ("experiment_manifest_not_utf8", ["experiment", "--manifest", "{file}"], NOT_UTF8,
+     "error: 'utf-8' codec can't decode byte 0xff"),
+    ("validate_missing_outdir", ["validate", "--outdir", "{missing}"], None, "error: no output directory"),
+    ("validate_outdir_is_a_file", ["validate", "--outdir", "{file}"], "", "error: no output directory"),
+    ("validate_tolerance_nan", ["validate", "--outdir", "{dir}", "--tolerance", "nan"], None,
+     "error: tolerance nan must be finite and >= 0"),
+    ("no_command", [], None, "usage: switchlab"),
+]
+
+
+@pytest.mark.parametrize("argv, text, prefix", [row[1:] for row in REFUSALS], ids=[row[0] for row in REFUSALS])
+def test_refusal(tmp_path, capsys, argv, text, prefix):
+    # a refusal exits 2 within 1 s with one error line and nothing on stdout, no warning and nothing written
+    source, empty = tmp_path / "input", tmp_path / "empty"
+    empty.mkdir()
+    if text is not None:
+        source.write_bytes(text if isinstance(text, bytes) else text.encode())
+    argv = [arg.format(file=source, missing=tmp_path / "missing", dir=empty) for arg in argv]
+    if argv[:1] == ["experiment"]:
+        argv += ["--outdir", str(tmp_path / "out")]
+    start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = _run(capsys, command, str(matrix), *frame)
-    assert code == cli.EXIT_USAGE
-    assert out == "" and err == "error: the capacity matrix is all zero\n"
+        code, out, err = _run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith(prefix) and sum("error:" in line for line in err.splitlines()) == 1
+    assert len(err.splitlines()) == 1 or prefix.startswith("usage:")  # argparse prints its usage first
+    assert not (tmp_path / "out").exists() and not list(empty.iterdir())
 
 
 def test_decompose_and_schedule2d(tmp_path, capsys):

@@ -234,7 +234,8 @@ class TestBvnDecompose:
     def test_result_arrays_are_read_only(self):
         dec = ps.bvn_decompose(fixtures.capacity_4x4())
         for arr in (dec.permutations, dec.patterns, dec.frame):
-            assert arr.dtype == np.int64 and not arr.flags.writeable
+            assert not arr.flags.writeable
+        assert dec.permutations.dtype == dec.frame.dtype == np.int64 and dec.patterns.dtype == np.uint8  # m = 1
 
     def test_permutation_matrix_is_single_state(self):
         perm = [[0, 1], [1, 0]]
@@ -294,7 +295,8 @@ class TestBvnDecompose:
             cap = ps.CapacityMatrix.from_integer_matrix(_random_scaled_doubly_stochastic(rng, k, m * f), f)
             dec = ps.bvn_decompose(cap)
             pats = dec.patterns
-            assert pats.dtype == np.int64 and pats.shape == (dec.state_count, k, k) and not pats.flags.writeable
+            assert pats.dtype == np.min_scalar_type(m) and pats.shape == (dec.state_count, k, k)
+            assert not pats.flags.writeable
             assert len({p.tobytes() for p in pats}) == len(pats)  # distinct, in order of first use
             assert dec.frame.dtype == np.int64 and dec.frame.shape == (f,) and not dec.frame.flags.writeable
             assert list(dict.fromkeys(dec.frame.tolist())) == list(range(len(pats)))
@@ -307,6 +309,20 @@ class TestBvnDecompose:
                 assert np.shares_memory(pattern, pats) and weight == Fraction(uses, f)
             stacked = [[sum(w * int(p[i, j]) for p, w in dec.states) for j in range(k)] for i in range(k)]
             assert dec.reconstruct() == stacked == [list(row) for row in cap.entries]
+
+    @pytest.mark.parametrize("m", [255, 256, 300])
+    def test_patterns_are_held_in_the_module_counts_dtype(self, m):
+        rng = random.Random(m)
+        k, f = 3, 4
+        cap = ps.CapacityMatrix.from_integer_matrix(_random_scaled_doubly_stochastic(rng, k, m * f), f)
+        dec = ps.bvn_decompose(cap)
+        assert dec.patterns.dtype == np.min_scalar_type(m) and (dec.patterns.sum(axis=1) == m).all()
+        for slot, state in enumerate(dec.frame):  # an int64 sum of the slot's m permutation rows
+            dense = np.zeros((k, k), dtype=np.int64)
+            for row in dec.permutations[slot * m:(slot + 1) * m]:
+                dense[np.arange(k), row] += 1
+            assert (dec.patterns[state] == dense).all()
+        assert dec.reconstruct() == [list(row) for row in cap.entries]
 
     def test_slots_of_different_rows_with_one_sum_are_one_state(self, monkeypatch):
         # at k = 3 the three even and the three odd permutations both sum to the all-ones matrix

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -270,15 +271,20 @@ class TestAgainstFractionReference:
         assert sum(len(set(w.counts)) < len(w) for w in sets) > 250
 
 
-def _exact_workload_weights(seed=0, k=32, m=4, frame=256):
-    """State weights of a k = 32, F = 256 decomposition, drawn and built as
-    the exact benchmark workload builds them."""
+def _exact_workload_decomposition(seed=0, k=32, m=4, frame=256):
+    """The k = 32, F = 256 decomposition, drawn and built as the exact
+    benchmark workload builds it."""
     rng = np.random.default_rng(seed)
     lam = rng.uniform(0.2, 1.0, size=(k, k))
     lam *= 0.8 * m / max(lam.sum(axis=0).max(), lam.sum(axis=1).max())
     traffic = ps.TrafficMatrix(lam, ClosSpec(m=m, n=m, k=k))
     rounded, _ = ps.bandlimit_and_round(ps.allocate_capacity(traffic), frame, modules=m)
-    return sc.WeightSet(tuple(w for _, w in ps.bvn_decompose(rounded).states))
+    return ps.bvn_decompose(rounded)
+
+
+def _exact_workload_weights(seed=0):
+    """State weights of the exact workload's decomposition."""
+    return sc.WeightSet(tuple(w for _, w in _exact_workload_decomposition(seed).states))
 
 
 class TestHeapsAgainstScan:
@@ -450,7 +456,7 @@ class TestTokenGrid:
             with pytest.raises(PreconditionError, match="3-D array of nonnegative integer counts"):
                 sc.smoothness_2d(sc.TokenGrid(bad))
         grid = sc.TokenGrid([[[1, 0]]])
-        assert grid.tokens.dtype == np.int64 and grid.tokens.tolist() == [[[1, 0]]]
+        assert grid.tokens.dtype == np.uint8 and grid.tokens.tolist() == [[[1, 0]]]  # its largest count's dtype
         with pytest.raises(ResourceLimitError):
             sc.TokenGrid([[[2**70]]])
 
@@ -497,7 +503,7 @@ class TestTokenGrid:
         with pytest.raises(PreconditionError):
             sc.grid_from_schedule([np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)])
         small = sc.grid_from_schedule([np.eye(2, dtype=np.int8), [[0, 1], [1, 0]]])
-        assert small.tokens.dtype == np.int64 and small.tokens[0, 1].tolist() == [0, 1]
+        assert small.tokens.dtype == np.uint8 and small.tokens[0, 1].tolist() == [0, 1]  # m = 1's dtype
 
     def test_from_text_refuses_unknown_symbols(self):
         for text, symbol in (("A", "'A'"), ("a1 b", "'1'"), ("ab- b", "'-'"), ("a\nb?", "'?'")):
@@ -515,9 +521,13 @@ class TestTokenGrid:
         grid = sc.TokenGrid(arr)
         arr[0, 0, 0] = -5
         assert grid.tokens[0, 0, 0] == 1 and not grid.tokens.flags.writeable
-        fixed = np.ones((2, 2, 3), dtype=np.int64)
+        fixed = np.ones((2, 2, 3), dtype=np.uint8)
         fixed.flags.writeable = False
-        assert sc.TokenGrid(fixed).tokens is fixed  # a read-only array that owns its data is kept as it is
+        assert sc.TokenGrid(fixed).tokens is fixed  # read-only, owning its data and in its stored dtype: kept
+        wide = np.ones((2, 2, 3), dtype=np.int64)
+        wide.flags.writeable = False
+        grid = sc.TokenGrid(wide)  # in another dtype: held narrow
+        assert grid.tokens.dtype == np.uint8 and (grid.tokens == wide).all() and not grid.tokens.flags.writeable
         source = np.ones((2, 2, 3), dtype=np.int64)
         view = source.view()
         view.flags.writeable = False
@@ -565,6 +575,68 @@ class TestTokenGrid:
             assert np.array_equal(sc.TokenGrid.from_text(grid.to_text()).tokens, grid.tokens)
             multi_token_grids += bool((grid.tokens.sum(axis=0) > 1).any())  # an (output, slot) of two tokens
         assert multi_token_grids > 0
+
+    @pytest.mark.parametrize("slots, message", [
+        # int64 -> uint8 would wrap 257 to 1 and -253 to 3, and 256 to 0 and -252 to 4: line sums of m = 4
+        ([np.eye(2, dtype=np.int64) * 4, [[257, -253], [-253, 257]]], "nonnegative integer counts"),
+        ([np.eye(2, dtype=np.int64) * 4, [[-252, 256], [256, -252]]], "nonnegative integer counts"),
+        ([np.eye(2, dtype=np.int64) * 4, [[260, 0], [0, 260]]], "every line sum equal to the module count"),
+        # every entry nonnegative and above m = 4, with line sums 2**64 + 4 that wrap to 4 in int64
+        ([np.eye(3, dtype=np.int64) * 4, [[2**63 - 1, 2**63 - 1, 6], [2**63 - 1, 6, 2**63 - 1],
+                                           [6, 2**63 - 1, 2**63 - 1]]], "every line sum equal to the module count"),
+    ], ids=["257_beside_negatives", "256_beside_negatives", "260_line_sums_off", "above_m_line_sums_wrap"])
+    def test_a_pattern_the_narrow_cast_would_wrap_is_refused(self, slots, message):
+        with pytest.raises(PreconditionError, match=message):
+            sc.grid_from_schedule(slots * 20)  # past one block of slots
+
+    def test_module_count_times_pattern_size_past_int64_refused(self):
+        # line sums of k entries <= m must not wrap in int64
+        with pytest.raises(ResourceLimitError, match="times the pattern size exceeds the int64 range"):
+            sc.grid_from_schedule([np.eye(2, dtype=np.int64) * 2**62] * 3)
+
+    def test_caller_grid_is_held_exactly_in_its_largest_counts_dtype(self):
+        for tokens, dtype in (([[[255]]], np.uint8), ([[[256]]], np.uint16), ([[[0, 70000]]], np.uint32),
+                              ([[[2**40]]], np.uint64), (np.zeros((2, 2, 0), dtype=np.int64), np.uint8)):
+            grid = sc.TokenGrid(tokens)
+            assert grid.tokens.dtype == dtype and np.array_equal(grid.tokens, tokens)
+            counts = grid.token_counts()
+            assert counts.dtype == np.int64 and counts.tolist() == np.sum(tokens, axis=2).tolist()
+
+    @pytest.mark.parametrize("m", [255, 256, 300])
+    def test_grids_of_large_module_counts_match_an_int64_slot_scan(self, m):
+        rng = random.Random(m)
+        k, f = 3, 40  # more than one block of slots
+        patterns = []
+        for _ in range(f):
+            mat = np.zeros((k, k), dtype=np.int64)
+            for _ in range(m):
+                perm = list(range(k))
+                rng.shuffle(perm)
+                mat[range(k), perm] += 1
+            patterns.append(mat)
+        grid = sc.grid_from_schedule(patterns)
+        scan = np.zeros((k, k, f), dtype=np.int64)
+        for t, p in enumerate(patterns):
+            for i in range(k):
+                for j in range(k):
+                    scan[i, j, t] = int(p[i, j])
+        assert grid.tokens.dtype == np.min_scalar_type(m) and np.array_equal(grid.tokens, scan)
+        assert grid.token_counts().dtype == np.int64 and (grid.token_counts() == scan.sum(axis=2)).all()
+        wide = sc.smoothness_2d(sc.TokenGrid(scan))
+        assert sc.smoothness_2d(grid).total == wide.total
+
+    def test_exact_workload_grid_never_holds_an_int64_frame(self):
+        # the int64 (32, 32, 256) grid alone is 2 MB; the narrow one is 256 KB beside 256 KB int64 blocks
+        dec = _exact_workload_decomposition()
+        weights = sc.WeightSet(tuple(w for _, w in dec.states))
+        patterns = [dec.states[s][0] for s in sc.schedule_wf2q(weights).slots]
+        tracemalloc.start()
+        try:
+            grid = sc.grid_from_schedule(patterns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.tokens.shape == (32, 32, 256) and peak < 1 << 20
 
     def test_from_text_reads_cells_as_multisets(self):
         grid = sc.TokenGrid.from_text("ba b\n- aab")
