@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -73,14 +73,20 @@ def _read_csv(path: Path) -> list[list[str]]:
     return rows
 
 
-def _key_values(items: list[str], what: str) -> dict[str, str]:
+def _unique_keys(pairs: Iterable[tuple]) -> dict:
+    """The (key, value) ``pairs`` as a dict; a key given twice is a usage error, not overwritten."""
     raw = {}
-    for item in items:
-        if "=" not in item:
-            raise DomainError(f"{what} is not key=value: {item!r}")
-        key, val = item.split("=", 1)
-        raw[key.strip()] = val.strip()
+    for key, val in pairs:
+        if key in raw:
+            raise DomainError(f"parameter {key} is given twice")
+        raw[key] = val
     return raw
+
+
+def _key_values(items: list[str], what: str) -> dict[str, str]:
+    if bad := [item for item in items if "=" not in item]:
+        raise DomainError(f"{what} is not key=value: {bad[0]!r}")
+    return _unique_keys(map(str.strip, item.split("=", 1)) for item in items)
 
 
 def _int_param(key: str, value) -> int:
@@ -104,7 +110,7 @@ class ExperimentManifest:
         text = Path(path).read_text()
         if text.lstrip().startswith("{"):
             try:
-                raw = json.loads(text)
+                raw = json.loads(text, object_pairs_hook=_unique_keys)
             except json.JSONDecodeError as exc:
                 raise DomainError(f"manifest is not valid JSON: {exc}") from None
         else:
@@ -434,6 +440,7 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
 
 
 def _cmd_deflect(args: argparse.Namespace) -> int:
+    check_count(args.seed, 0, "seed must be an integer >= 0")  # also without --slots, which alone reads it
     par = deflection.DeflectionParams.from_rho(args.rho)
     # simulate before printing, so a refused run prints nothing
     sim = (deflection.simulate_deflection(args.n, args.stages, args.rho, args.slots, seed=args.seed)
@@ -549,13 +556,17 @@ def _cmd_schedule2d(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    given = [name for name, value in (("experiment id", args.id), ("--outdir", args.outdir), ("--seed", args.seed),
+                                      ("--param", args.param)) if value is not None]
+    if args.manifest and given:  # each would be ignored
+        raise DomainError(f"--manifest names the experiment id, outdir, seed and params: give no {' or '.join(given)}")
     if args.manifest:
         man = ExperimentManifest.from_file(Path(args.manifest))
     else:
         if not args.id:
             raise DomainError("experiment id or --manifest required")
-        man = ExperimentManifest(experiment=args.id, seed=args.seed, outdir=Path(args.outdir),
-                                 params=_key_values(args.param or [], "--param"))
+        man = ExperimentManifest(args.id, args.seed or 0, Path("out" if args.outdir is None else args.outdir),
+                                 _key_values(args.param or [], "--param"))
     for exp in EXPERIMENT_IDS if man.experiment == "all" else (man.experiment,):
         for path in run_experiment(ExperimentManifest(exp, man.seed, man.outdir, man.params)):
             print(path)
@@ -624,9 +635,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="write deterministic CSV artifacts")
     p.add_argument("id", nargs="?", choices=EXPERIMENT_IDS + ("all",))
-    p.add_argument("--manifest", help="key=value or JSON manifest file")
-    p.add_argument("--outdir", default="out")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--manifest", help="key=value or JSON manifest file, which names the id, outdir, seed and params")
+    p.add_argument("--outdir", help="default out")  # None when not given, which --manifest requires
+    p.add_argument("--seed", type=int, help="default 0")
     p.add_argument("--param", action="append", help="extra key=value parameter")
     p.set_defaults(func=_cmd_experiment)
 

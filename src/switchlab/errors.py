@@ -1,5 +1,5 @@
-"""Shared exception types, the one integer gate of the exact core, and the
-one scalar gate of every count, load and probability argument."""
+"""Shared exception types, the one integer and one real-matrix gate, the one scalar gate of every
+count, load and probability argument, and the one way a frozen holder owns an array."""
 
 import numbers
 
@@ -71,3 +71,26 @@ def _stackable(arrays: "list | tuple", ndim: int) -> bool:
     """``arrays`` share one ``ndim``-dimensional shape, and each has an integer dtype other than uint64."""
     shapes, dtypes = {a.shape for a in arrays}, {a.dtype for a in arrays}
     return len(shapes) == 1 and len(shapes.pop()) == ndim and all(d.kind in "iu" and d != np.uint64 for d in dtypes)
+
+
+def real_array(value: object, ndim: int) -> "np.ndarray | None":
+    """``value`` as an ``ndim``-dimensional float64 array of finite entries (not copied if it is one), or None if
+    it is ragged, of another ``ndim`` or holds a bool, string, None, complex, NaN, inf or a value past the double
+    range; Fractions and numpy scalars are real numbers."""
+    try:
+        if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):  # else by the entries' types
+            value = np.array(value, dtype=object)
+            if not all(issubclass(t, numbers.Real) and t is not bool for t in set(map(type, value.flat))):
+                return None
+        with np.errstate(over="ignore"):  # a long double past the double range becomes inf, refused below
+            value = value.astype(np.float64, copy=False)
+    except (ValueError, OverflowError):  # arrays of ragged shapes; an int or Fraction past the double range
+        return None
+    return value if value.ndim == ndim and np.isfinite(value).all() else None
+
+
+def hold_array(holder: object, name: str, value: np.ndarray) -> None:
+    """Set field ``name`` of the frozen ``holder`` to a read-only copy of ``value``, not the caller's array."""
+    value = value.copy()
+    value.flags.writeable = False
+    object.__setattr__(holder, name, value)

@@ -18,7 +18,7 @@ from operator import attrgetter, eq, index, ne
 import numpy as np
 
 from .closmodel import ClosSpec, RoutingTag
-from .errors import DomainError, PreconditionError, ResourceLimitError, integer_array, is_integer
+from .errors import DomainError, PreconditionError, ResourceLimitError, hold_array, integer_array, is_integer
 
 __all__ = [
     "BipartiteGraph",
@@ -74,9 +74,7 @@ class BipartiteGraph:
         ends = _pair_array(self.edges, (self.left_count, self.right_count))
         if ends is None:
             raise PreconditionError(f"edges must be integer pairs below ({self.left_count}, {self.right_count})")
-        ends = ends.copy()  # the caller's array is not shared
-        ends.flags.writeable = False
-        object.__setattr__(self, "edges", ends)
+        hold_array(self, "edges", ends)
 
     @classmethod
     def from_edges(cls, left_count: int, right_count: int, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
@@ -340,9 +338,7 @@ class CallRequestSet:
         by_side = np.sort(pairs, axis=0)  # each side's ports ascending
         if (by_side[1:] == by_side[:-1]).any():
             raise PreconditionError("sources and destinations must each be distinct")
-        pairs = pairs.copy()  # the caller's array is not shared
-        pairs.flags.writeable = False
-        object.__setattr__(self, "pairs", pairs)
+        hold_array(self, "pairs", pairs)
 
     @classmethod
     def from_permutation(cls, pi: Sequence[int], spec: ClosSpec) -> "CallRequestSet":
@@ -369,9 +365,7 @@ class RouteSet(Sequence):
         if any(col is None for col in cols) or len({len(col) for col in cols}) != 1:
             raise PreconditionError("central, out_module and out_port must be integer arrays of one length")
         for name, col in zip(_ROUTE_FIELDS, cols):
-            col = col.copy()  # the caller's array is not shared
-            col.flags.writeable = False
-            object.__setattr__(self, name, col)
+            hold_array(self, name, col)
 
     def __len__(self) -> int:
         return len(self.central)

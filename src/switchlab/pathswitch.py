@@ -11,7 +11,6 @@ quantized afterwards by :func:`bandlimit_and_round`.
 
 from __future__ import annotations
 
-import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,7 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .closmodel import ClosSpec
-from .errors import ConvergenceError, DomainError, PreconditionError, ResourceLimitError, check_count, integer_array
+from .errors import (ConvergenceError, DomainError, PreconditionError, ResourceLimitError, check_count, hold_array,
+                     integer_array, real_array)
 from .matching import peel_matchings
 
 __all__ = [
@@ -49,8 +49,8 @@ GOLDEN_SECTION_STEPS = 200
 @dataclass(frozen=True, eq=False)  # identity equality: an array has no single truth value
 class TrafficMatrix:
     """Arrival rates (packets/slot) between input and output modules: the
-    read-only (k, k) float64 ``rates``, checked on construction.  Nested
-    sequences and arrays of real numbers are accepted."""
+    read-only (k, k) float64 ``rates``, copied from the caller and read by
+    the real-matrix gate ``errors.real_array``."""
 
     rates: np.ndarray
     spec: ClosSpec
@@ -64,25 +64,13 @@ class TrafficMatrix:
     def __post_init__(self) -> None:
         k = self.spec.k
         self.check_size(k)
-        try:
-            rates = np.array(self.rates)  # a copy: the caller's array is not shared
-        except ValueError:  # ragged
-            rates = None
-        if rates is None or rates.shape != (k, k):
-            raise PreconditionError(f"traffic matrix must be {k}x{k}")
-        kind = rates.dtype.kind  # real numbers only: no string, None or complex rate
-        ok = kind in "biuf" or kind == "O" and all(isinstance(v, numbers.Number) for v in rates.flat)
-        try:
-            rates = rates.astype(np.float64, copy=False) if ok else rates
-        except (TypeError, ValueError, OverflowError):  # a complex object or an int past the double range
-            ok = False
-        if not ok or not ((0 <= rates) & (rates < np.inf)).all():  # NaN fails too
-            raise PreconditionError("arrival rates must be finite and nonnegative")
+        rates = real_array(self.rates, 2)
+        if rates is None or rates.shape != (k, k) or (rates < 0).any():
+            raise PreconditionError(f"arrival rates must be a {k}x{k} matrix of finite and nonnegative real numbers")
         limit = min(self.spec.n, self.spec.m)
         if rates.sum(axis=1).max() >= limit or rates.sum(axis=0).max() >= limit:
             raise PreconditionError("row and column sums must stay below the module port count")
-        rates.flags.writeable = False
-        object.__setattr__(self, "rates", rates)
+        hold_array(self, "rates", rates)
 
 
 @dataclass(frozen=True, init=False, eq=False)  # equal rates, by __eq__
@@ -129,9 +117,7 @@ class CapacityMatrix:
             raise PreconditionError("row and column sums must all be equal")
         if total % frame_size:
             raise PreconditionError("line sums must be an integer multiple of F")
-        arr = arr.copy()  # the caller's array is not shared
-        arr.flags.writeable = False
-        object.__setattr__(self, "scaled", arr)
+        hold_array(self, "scaled", arr)
         object.__setattr__(self, "frame_size", frame_size)
         object.__setattr__(self, "modules", total // frame_size)
 
@@ -210,14 +196,14 @@ def allocate_capacity(traffic: TrafficMatrix) -> np.ndarray:
 def weighted_delay(capacity: np.ndarray, traffic: TrafficMatrix) -> float:
     """Total weighted M/M/1 delay  sum rate / (capacity - rate).
 
-    ``capacity`` is a float matrix such as :func:`allocate_capacity`
-    returns; every entry must strictly exceed the corresponding rate
-    (stability).
+    ``capacity`` is a real matrix of the traffic's shape, such as
+    :func:`allocate_capacity` returns; every entry must strictly exceed the
+    corresponding rate (stability).
     """
-    cap = np.asarray(capacity, dtype=float)
-    if not np.isfinite(cap).all():
-        raise PreconditionError("capacities must be finite")
     lam = traffic.rates
+    cap = real_array(capacity, 2)
+    if cap is None or cap.shape != lam.shape:
+        raise PreconditionError(f"capacities must be a {len(lam)}x{len(lam)} matrix of finite real numbers")
     gap = cap - lam
     loaded = lam > 0
     if (gap[loaded] <= 0).any() or (gap < 0).any():
@@ -396,13 +382,19 @@ def bandlimit_and_round(capacity: np.ndarray, f_target: int, *, modules: int) ->
     """
     check_count(f_target, 1, "target frame size must be >= 1")
     check_count(modules, 1, "module count must be >= 1")
-    cap = np.asarray(capacity, dtype=float)
-    if not np.isfinite(cap).all():  # before the int64 cast below, which NaN and inf would trip
-        raise PreconditionError("capacities must be finite")
-    target = cap * f_target
+    total = int(modules) * int(f_target)  # each line sum of the result, in Python ints
+    if total > np.iinfo(np.int64).max:
+        raise ResourceLimitError("the target frame size times the module count exceeds the int64 range")
+    cap = real_array(capacity, 2)
+    if cap is None or not 0 < len(cap) == cap.shape[1]:
+        raise PreconditionError("capacities must be a nonempty square matrix of finite real numbers")
+    with np.errstate(over="ignore"):  # an entry past the double range becomes inf, refused below
+        target = cap * f_target
+    if not (abs(target) < 2.0**63).all():  # before the int64 cast below, which such an entry would overflow
+        raise PreconditionError("a capacity times the target frame size exceeds the int64 range")
     base = np.floor(target + 1e-9).astype(np.int64)
-    row_need = modules * f_target - base.sum(axis=1)
-    col_need = modules * f_target - base.sum(axis=0)
+    row_need = total - base.sum(axis=1)
+    col_need = total - base.sum(axis=0)
     if (row_need < 0).any() or (col_need < 0).any() or row_need.sum() != col_need.sum():
         raise PreconditionError("input line sums are not m (cannot round)")
     scaled = base + _transportation_round(target - base, row_need, col_need)

@@ -435,20 +435,12 @@ def smoothness_2d(grid: TokenGrid, capacity: CapacityMatrix | None = None) -> Tw
                         total=float(weighted.sum()), kraft_matrix=kraft)
 
 
-def entropy_2d(capacity) -> tuple[np.ndarray, np.ndarray, float]:
+def entropy_2d(capacity: CapacityMatrix) -> tuple[np.ndarray, np.ndarray, float]:
     """Input-module entropies, output-module entropies and their common sum
-    for a doubly stochastic rate matrix (a CapacityMatrix is normalized by
-    its module count first).  Base 2; 0 log 0 counts as 0."""
-    if isinstance(capacity, CapacityMatrix):
-        c = capacity.as_float() / capacity.modules
-    else:
-        c = np.asarray(capacity, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise DomainError("rate matrix must be square")
-    if not (np.allclose(c.sum(axis=0), 1.0, atol=1e-9) and np.allclose(c.sum(axis=1), 1.0, atol=1e-9)):
-        raise DomainError("rate matrix must be doubly stochastic")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(c > 0, -c * np.log2(np.where(c > 0, c, 1.0)), 0.0)
-    h_in = terms.sum(axis=1)
-    h_out = terms.sum(axis=0)
-    return h_in, h_out, float(terms.sum())
+    of the doubly stochastic rate matrix C / m of a capacity matrix.  Base 2;
+    0 log 0 counts as 0."""
+    if not isinstance(capacity, CapacityMatrix):
+        raise PreconditionError("the rate matrix must be a CapacityMatrix")
+    c = capacity.as_float() / capacity.modules
+    terms = np.where(c > 0, -c * np.log2(np.where(c > 0, c, 1.0)), 0.0)
+    return terms.sum(axis=1), terms.sum(axis=0), float(terms.sum())

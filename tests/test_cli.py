@@ -56,13 +56,16 @@ def test_one_weight_has_unsigned_zero_entropy(capsys, algorithm):
 
 
 # one row per refusal: (id, argv, input file or None, stderr prefix); {file} is the input file,
-# {missing} a path that does not exist and {dir} an empty directory
+# {missing} a path that does not exist and {dir} an empty directory; in the input file {out}
+# is the output directory an experiment would write, which argv names by --outdir without --manifest
 NOT_UTF8 = b"\xff\xfe\x00"
 REFUSALS = [
     ("tradeoff_n_0", ["tradeoff", "--n", "0"], None, "error: ports per outer module n=0 must be >= 1"),
     ("tradeoff_n_not_an_int", ["tradeoff", "--n", "x"], None, "usage: switchlab tradeoff"),
     ("deflect_rho_nan", ["deflect", "--rho", "nan"], None, "error: analysis holds for offered load in [0, 1] only"),
     ("deflect_n_1", ["deflect", "--n", "1", "--slots", "10"], None, "error: need module_size >= 2 and stages >= 2"),
+    # without --slots the seed was never read, so the run printed its constants and exited 0
+    ("deflect_seed_-1", ["deflect", "--seed", "-1"], None, "error: seed must be an integer >= 0\n"),
     ("assign_repeated_port", ["assign", "0,0", "--n", "2"], None,
      "error: sources and destinations must each be distinct"),
     ("assign_m_below_n", ["assign", "1,0,3,2", "--n", "2", "--m", "1"], None, "error: m >= n required"),
@@ -89,6 +92,28 @@ REFUSALS = [
      '{"experiment": "fig6", "outdir": 5}', "error: manifest outdir 5 is not a path"),
     ("experiment_manifest_not_utf8", ["experiment", "--manifest", "{file}"], NOT_UTF8,
      "error: 'utf-8' codec can't decode byte 0xff"),
+    # a flag beside a manifest, and a key given twice, were ignored or overwritten without a word
+    ("experiment_manifest_beside_outdir", ["experiment", "--manifest", "{file}", "--outdir", "{dir}"],
+     "experiment=fig6\nn=2\noutdir={out}\n", "error: --manifest names the experiment id, outdir, seed and params: "
+     "give no --outdir\n"),
+    ("experiment_manifest_beside_seed", ["experiment", "--manifest", "{file}", "--seed", "5"],
+     "experiment=fig6\nn=2\noutdir={out}\n", "error: --manifest names the experiment id, outdir, seed and params: "
+     "give no --seed\n"),
+    ("experiment_manifest_beside_param", ["experiment", "--manifest", "{file}", "--param", "n=3"],
+     '{"experiment": "fig6", "n": 2, "outdir": "{out}"}', "error: --manifest names the experiment id, outdir, "
+     "seed and params: give no --param\n"),
+    ("experiment_manifest_beside_id_and_flags", ["experiment", "fig10", "--manifest", "{file}", "--seed", "1",
+                                                 "--outdir", "{dir}", "--param", "n=3"],
+     "experiment=fig6\nn=2\noutdir={out}\n", "error: --manifest names the experiment id, outdir, seed and params: "
+     "give no experiment id or --outdir or --seed or --param\n"),
+    ("experiment_param_twice", ["experiment", "fig6", "--param", "n=2", "--param", "n=3"], None,
+     "error: parameter n is given twice\n"),
+    ("experiment_manifest_line_twice", ["experiment", "--manifest", "{file}"],
+     "experiment=fig6\nn=2\noutdir={out}\nn=3\n", "error: parameter n is given twice\n"),
+    ("experiment_manifest_seed_twice", ["experiment", "--manifest", "{file}"],
+     "experiment=fig6\nseed=1\noutdir={out}\nseed=2\n", "error: parameter seed is given twice\n"),
+    ("experiment_json_manifest_key_twice", ["experiment", "--manifest", "{file}"],
+     '{"experiment": "fig6", "n": 2, "outdir": "{out}", "n": 3}', "error: parameter n is given twice\n"),
     ("validate_missing_outdir", ["validate", "--outdir", "{missing}"], None, "error: no output directory"),
     ("validate_outdir_is_a_file", ["validate", "--outdir", "{file}"], "", "error: no output directory"),
     ("validate_tolerance_nan", ["validate", "--outdir", "{dir}", "--tolerance", "nan"], None,
@@ -100,13 +125,13 @@ REFUSALS = [
 @pytest.mark.parametrize("argv, text, prefix", [row[1:] for row in REFUSALS], ids=[row[0] for row in REFUSALS])
 def test_refusal(tmp_path, capsys, argv, text, prefix):
     # a refusal exits 2 within 1 s with one error line and nothing on stdout, no warning and nothing written
-    source, empty = tmp_path / "input", tmp_path / "empty"
+    source, empty, outdir = tmp_path / "input", tmp_path / "empty", tmp_path / "out"
     empty.mkdir()
     if text is not None:
-        source.write_bytes(text if isinstance(text, bytes) else text.encode())
+        source.write_bytes(text if isinstance(text, bytes) else text.replace("{out}", str(outdir)).encode())
     argv = [arg.format(file=source, missing=tmp_path / "missing", dir=empty) for arg in argv]
-    if argv[:1] == ["experiment"]:
-        argv += ["--outdir", str(tmp_path / "out")]
+    if argv[:1] == ["experiment"] and "--manifest" not in argv:
+        argv += ["--outdir", str(outdir)]
     start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -115,7 +140,7 @@ def test_refusal(tmp_path, capsys, argv, text, prefix):
     assert code == cli.EXIT_USAGE and out == ""
     assert err.startswith(prefix) and sum("error:" in line for line in err.splitlines()) == 1
     assert len(err.splitlines()) == 1 or prefix.startswith("usage:")  # argparse prints its usage first
-    assert not (tmp_path / "out").exists() and not list(empty.iterdir())
+    assert not outdir.exists() and not list(empty.iterdir())
 
 
 def test_decompose_and_schedule2d(tmp_path, capsys):

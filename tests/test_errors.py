@@ -3,8 +3,11 @@ import importlib
 import inspect
 import math
 import pkgutil
+import re
 import time
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -19,7 +22,7 @@ from switchlab import matching as mt
 from switchlab import pathswitch as ps
 from switchlab import sched
 from switchlab.errors import (DomainError, PreconditionError, ResourceLimitError, check_count, check_real,
-                             integer_array, is_integer)
+                             integer_array, is_integer, real_array)
 
 INT_DTYPES = [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64]
 
@@ -91,6 +94,73 @@ def test_gate_refuses_entries_past_int64_as_a_resource_limit(value, ndim):
 def test_gate_does_not_copy_an_int64_array():
     arr = np.arange(6, dtype=np.int64).reshape(2, 3)
     assert integer_array(arr, 2) is arr
+
+
+FLOAT_DTYPES = [np.float16, np.float32, np.float64, np.longdouble]
+
+
+@pytest.mark.parametrize("value, ndim, expected", [
+    *[(np.array([[0, 1], [2, 3]], dtype=t), 2, [[0.0, 1.0], [2.0, 3.0]]) for t in INT_DTYPES + FLOAT_DTYPES],
+    ([[0.5, 1], [2, 0.25]], 2, [[0.5, 1.0], [2.0, 0.25]]),
+    (((0.5, 1.0), (2.0, 0.25)), 2, [[0.5, 1.0], [2.0, 0.25]]),
+    ([[Fraction(1, 4), Fraction(3, 2)]], 2, [[0.25, 1.5]]),
+    ([[np.float32(0.5), np.int8(-3)], [np.uint64(2**64 - 1), np.float64(2.0)]], 2, [[0.5, -3.0], [2.0**64, 2.0]]),
+    ([np.array([0.5, 1.0]), [2, Fraction(1, 2)]], 2, [[0.5, 1.0], [2.0, 0.5]]),
+    (np.array([[Fraction(1, 2), 3]], dtype=object), 2, [[0.5, 3.0]]),
+    ([2**70, -1e308], 1, [2.0**70, -1e308]),
+    ([[]], 2, [[]]),
+    (np.zeros((0, 3)), 2, np.zeros((0, 3)).tolist()),
+    ([], 1, []),
+], ids=[*[f"{t.__name__}_array" for t in INT_DTYPES + FLOAT_DTYPES], "lists", "tuples", "fractions",
+        "numpy_scalars", "array_and_list_rows", "object_array", "large_but_finite", "empty_row", "empty_array",
+        "empty_list"])
+@pytest.mark.filterwarnings("error")
+def test_real_gate_accepts_real_numbers(value, ndim, expected):
+    arr = real_array(value, ndim)
+    assert arr is not None and arr.dtype == np.float64 and arr.ndim == ndim
+    assert arr.tolist() == expected
+
+
+@pytest.mark.parametrize("value, ndim", [
+    (np.eye(2, dtype=bool), 2),
+    ([[True, 0.5], [0.5, 0.5]], 2),
+    ([[np.bool_(False), 0.5], [0.5, 0.5]], 2),
+    ([np.eye(2), np.eye(2, dtype=bool)], 2),
+    (None, 2),
+    ([[None, 0.5]], 2),
+    ("0.5", 1),
+    ([["0.5", 1.0]], 2),
+    (np.array([["0.5", "1"]]), 2),
+    ([[0.5 + 0j, 1.0]], 2),
+    (np.array([[0.5, 1.0]], dtype=complex), 2),
+    ([[Decimal("0.5"), 1.0]], 2),
+    ([[math.nan, 0.5]], 2),
+    ([[0.5, math.inf]], 2),
+    (np.array([[-np.inf, 0.5]]), 2),
+    ([[10**400, 0.5]], 2),
+    ([[Fraction(10**400), 0.5]], 2),
+    (np.array([[np.longdouble("1e400"), 0.5]]), 2),
+    ([[0.5, 0.5], [0.5]], 2),
+    ([[0.5, 0.5], 0.5], 2),
+    ([np.zeros((2, 2)), np.zeros((2, 3))], 3),
+    ([0.5, 0.5], 2),
+    ([[0.5]], 1),
+    (np.zeros((2, 2, 2)), 2),
+    (0.5, 2),
+    ([], 2),
+], ids=["bool_array", "bool_in_rows", "np_bool_in_rows", "bool_array_in_list", "none", "none_entry", "string",
+        "string_entry", "string_array", "complex_entry", "complex_array", "decimal", "nan", "inf", "minus_inf_array",
+        "int_past_double", "fraction_past_double", "long_double_past_double", "ragged", "row_and_scalar",
+        "arrays_of_two_shapes", "too_few_dims", "too_many_dims", "array_of_other_ndim", "scalar",
+        "empty_list_of_rows"])
+@pytest.mark.filterwarnings("error")
+def test_real_gate_refuses_all_but_finite_real_numbers(value, ndim):
+    assert real_array(value, ndim) is None
+
+
+def test_real_gate_does_not_copy_a_float64_array():
+    arr = np.ones((2, 3))
+    assert real_array(arr, 2) is arr
 
 
 def test_is_integer():
@@ -239,6 +309,63 @@ WORD_ROWS = {
     "word_np_two": (gc.flip_decode, (_CODE, [np.int64(2), 0, 0]), DomainError),
     "word_unhashable": (gc.flip_decode, (_CODE, [[1], 0, 0]), DomainError),
 }
+
+
+_TRAFFIC_SPEC = cm.ClosSpec(m=2, n=2, k=2)
+_TRAFFIC = ps.TrafficMatrix([[0.25, 0.5], [0.5, 0.25]], _TRAFFIC_SPEC)
+_ROUND = partial(ps.bandlimit_and_round, modules=1)
+
+# the four readers of a real-valued matrix; where the parent tree differed, each
+# row says how: it accepted bools and arrays, leaked numpy's or a bare error,
+# warned on its int64 cast, or returned negative entropies
+REAL_MATRIX_ROWS = {
+    "traffic_bool_array": (ps.TrafficMatrix, (np.eye(2, dtype=bool), _TRAFFIC_SPEC), PreconditionError),  # accepted
+    "traffic_bool_among_rates": (ps.TrafficMatrix, ([[True, 0.5], [0.5, 0.25]], _TRAFFIC_SPEC),
+                                 PreconditionError),  # accepted
+    "traffic_complex": (ps.TrafficMatrix, ([[0.5 + 0j, 0.0], [0.0, 0.5]], _TRAFFIC_SPEC), PreconditionError),
+    "traffic_ragged": (ps.TrafficMatrix, ([[0.5, 0.5], [0.5]], _TRAFFIC_SPEC), PreconditionError),
+    "traffic_past_double": (ps.TrafficMatrix, ([[10**400, 0.0], [0.0, 0.5]], _TRAFFIC_SPEC), PreconditionError),
+    "traffic_negative": (ps.TrafficMatrix, ([[-0.5, 0.0], [0.0, 0.5]], _TRAFFIC_SPEC), PreconditionError),
+    "round_string": (_ROUND, ([["0.5", "0.5"], ["0.5", "0.5"]], 4), PreconditionError),  # bare ValueError
+    "round_ragged": (_ROUND, ([[0.5, 0.5], [1.0]], 4), PreconditionError),  # bare ValueError
+    "round_one_dim": (_ROUND, ([1.0], 4), PreconditionError),  # AxisError
+    "round_empty_list": (_ROUND, ([], 4), PreconditionError),  # AxisError
+    "round_empty_matrix": (_ROUND, (np.zeros((0, 0)), 4), PreconditionError),
+    "round_not_square": (_ROUND, (np.full((2, 3), 0.5), 4), PreconditionError),
+    "round_bool_array": (_ROUND, (np.eye(2, dtype=bool), 4), PreconditionError),  # accepted
+    "round_nan": (_ROUND, ([[math.nan, 0.5], [0.5, 0.5]], 4), PreconditionError),
+    "round_frame_2^70": (_ROUND, (np.eye(2), 2**70), ResourceLimitError),  # warned on its cast
+    "round_frame_times_modules_past_int64": (partial(ps.bandlimit_and_round, modules=2**32), (np.eye(2), 2**31),
+                                             ResourceLimitError),  # warned on its cast
+    "round_entries_1e300": (_ROUND, (np.array([[1e300, -1e300], [-1e300, 1e300]]), 4),
+                            PreconditionError),  # warned on its cast
+    "round_lone_1e300": (_ROUND, (np.array([[1e300, 0.0], [0.0, 1.0]]), 4), PreconditionError),  # warned on its cast
+    "round_entry_times_frame_past_double": (_ROUND, (np.array([[1e308, 0.0], [0.0, 1.0]]), 4),
+                                            PreconditionError),  # warned on its multiply and cast
+    "delay_other_shape": (ps.weighted_delay, (np.full((3, 3), 2.0), _TRAFFIC), PreconditionError),  # bare ValueError
+    "delay_bool_array": (ps.weighted_delay, (np.ones((2, 2), dtype=bool), _TRAFFIC), PreconditionError),  # accepted
+    "delay_string": (ps.weighted_delay, ([["1", "1"], ["1", "1"]], _TRAFFIC), PreconditionError),  # bare ValueError
+    "delay_inf": (ps.weighted_delay, ([[math.inf, 1.0], [1.0, 1.0]], _TRAFFIC), PreconditionError),
+    "entropy_array": (sched.entropy_2d, (np.full((2, 2), 0.5),), PreconditionError),  # accepted
+    "entropy_negative_rates": (sched.entropy_2d, ([[2, -1], [-1, 2]],), PreconditionError),  # returned -2
+    "entropy_none": (sched.entropy_2d, (None,), PreconditionError),  # DomainError
+}
+
+
+@pytest.mark.parametrize("call, args, error", REAL_MATRIX_ROWS.values(), ids=REAL_MATRIX_ROWS.keys())
+def test_real_matrix_refusal_table(call, args, error):
+    assert_refused(call, args, error)
+
+
+def test_every_real_matrix_reader_has_a_row():
+    """Each public callable that reads a real matrix through the gate, and ``entropy_2d``, which reads its rate
+    matrix from a ``CapacityMatrix`` only, has a row; no module reads one by ``np.asarray(..., dtype=float)``."""
+    modules = [importlib.import_module(f"switchlab.{m.name}") for m in pkgutil.iter_modules(switchlab.__path__)]
+    public = [f for mod in modules for f in map(mod.__dict__.get, getattr(mod, "__all__", ())) if callable(f)]
+    readers = {f for f in public if "real_array(" in inspect.getsource(f)} | {sched.entropy_2d}
+    assert readers == {ps.TrafficMatrix, ps.bandlimit_and_round, ps.weighted_delay, sched.entropy_2d}
+    assert readers <= {getattr(call, "func", call) for call, _, _ in REAL_MATRIX_ROWS.values()}
+    assert not [mod.__name__ for mod in modules if re.search(r"asarray\([^)]*dtype=float", inspect.getsource(mod))]
 
 
 def _near_limit(carried: float) -> bool:

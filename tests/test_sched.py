@@ -720,17 +720,23 @@ class TestEntropy2d:
         assert np.allclose(h_out, [1.0613, 1.4056, 1.4056, 1.2988], atol=5e-4)
 
     def test_permutation_matrix_zero_entropy(self):
-        h_in, h_out, total = sc.entropy_2d(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        h_in, h_out, total = sc.entropy_2d(ps.CapacityMatrix.from_integer_matrix([[0, 1], [1, 0]], 1))
         assert total == 0.0
 
     def test_uniform_matrix(self):
         for n in (2, 4, 8):
-            _, _, total = sc.entropy_2d(np.full((n, n), 1.0 / n))
+            _, _, total = sc.entropy_2d(ps.CapacityMatrix.from_integer_matrix(np.ones((n, n), dtype=np.int64), n))
             assert total == pytest.approx(n * math.log2(n), abs=1e-9)
 
     def test_non_stochastic_rejected(self):
-        with pytest.raises(DomainError):
-            sc.entropy_2d(np.array([[0.5, 0.2], [0.5, 0.8]]))
+        # refused by the capacity matrix it would have to be, before any entropy
+        with pytest.raises(PreconditionError, match="sums must all be equal"):
+            ps.CapacityMatrix([[Fraction(1, 2), Fraction(1, 5)], [Fraction(1, 2), Fraction(4, 5)]], 10)
+
+    @pytest.mark.parametrize("rates", [np.array([[0.0, 1.0], [1.0, 0.0]]), [[0, 1], [1, 0]]], ids=["array", "list"])
+    def test_a_rate_matrix_that_is_not_a_capacity_matrix_is_refused(self, rates):
+        with pytest.raises(PreconditionError, match="must be a CapacityMatrix"):
+            sc.entropy_2d(rates)
 
 
 class TestTwoDimensionalBounds:
