@@ -118,9 +118,9 @@ class ExperimentManifest:
         exp = raw.pop("experiment", None)
         if exp is None:
             raise DomainError("manifest misses the experiment id")
-        seed = _int_param("seed", raw.pop("seed", 0))
-        outdir = raw.pop("outdir", "out")
-        if not isinstance(outdir, str):  # Path() of a JSON number, list or null raised a bare TypeError
+        seed = _int_param("seed", raw.pop("seed", cls.seed))  # a missing key takes its field's default
+        outdir = raw.pop("outdir", cls.outdir)
+        if not isinstance(outdir, (str, Path)):  # Path() of a JSON number, list or null raised a bare TypeError
             raise DomainError(f"manifest outdir {outdir!r} is not a path")
         return cls(experiment=str(exp), seed=seed, outdir=Path(outdir), params=raw)
 
@@ -565,8 +565,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     else:
         if not args.id:
             raise DomainError("experiment id or --manifest required")
-        man = ExperimentManifest(args.id, args.seed or 0, Path("out" if args.outdir is None else args.outdir),
-                                 _key_values(args.param or [], "--param"))
+        fields = {name: value for name, value in (("seed", args.seed), ("outdir", args.outdir)) if value is not None}
+        man = ExperimentManifest(args.id, params=_key_values(args.param or [], "--param"), **fields)
     for exp in EXPERIMENT_IDS if man.experiment == "all" else (man.experiment,):
         for path in run_experiment(ExperimentManifest(exp, man.seed, man.outdir, man.params)):
             print(path)
@@ -636,13 +636,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="write deterministic CSV artifacts")
     p.add_argument("id", nargs="?", choices=EXPERIMENT_IDS + ("all",))
     p.add_argument("--manifest", help="key=value or JSON manifest file, which names the id, outdir, seed and params")
-    p.add_argument("--outdir", help="default out")  # None when not given, which --manifest requires
-    p.add_argument("--seed", type=int, help="default 0")
+    p.add_argument("--outdir", type=Path, help=f"default {ExperimentManifest.outdir}")  # None unless given
+    p.add_argument("--seed", type=int, help=f"default {ExperimentManifest.seed}")  # as --manifest requires
     p.add_argument("--param", action="append", help="extra key=value parameter")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("validate", help="check experiment outputs")
-    p.add_argument("--outdir", default="out")
+    p.add_argument("--outdir", default=ExperimentManifest.outdir)  # where experiment writes by default
     p.add_argument("--tolerance", type=float, default=5e-4)
     p.set_defaults(func=_cmd_validate)
     return parser

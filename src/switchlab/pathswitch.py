@@ -393,6 +393,11 @@ def bandlimit_and_round(capacity: np.ndarray, f_target: int, *, modules: int) ->
     if not (abs(target) < 2.0**63).all():  # before the int64 cast below, which such an entry would overflow
         raise PreconditionError("a capacity times the target frame size exceeds the int64 range")
     base = np.floor(target + 1e-9).astype(np.int64)
+    # an entry below -1 or above the line sum cannot round; with both refusals no line sum below wraps
+    if ((base < -1) | (base > total)).any():
+        raise PreconditionError("every capacity must lie between 0 and the module count (cannot round)")
+    if (base > np.iinfo(np.int64).max // len(base)).any():  # as CapacityMatrix would refuse the result
+        raise ResourceLimitError("line sums of F * C exceed the int64 range")
     row_need = total - base.sum(axis=1)
     col_need = total - base.sum(axis=0)
     if (row_need < 0).any() or (col_need < 0).any() or row_need.sum() != col_need.sum():

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, ResourceLimitError, check_count, integer_array
+from .errors import DomainError, PreconditionError, ResourceLimitError, check_count, hold_array, integer_array
 from .pathswitch import CapacityMatrix
 
 __all__ = [
@@ -47,8 +47,6 @@ __all__ = [
 
 # the frame schedulers refuse K * F above this: wfq_trace and wf2q_trace hold K finish times a slot
 MAX_FRAME_CELLS = 1 << 20
-# grid_from_schedule gates, checks and transposes this many slots at a time
-_SLOT_BLOCK = 32
 # schedule_random refuses more slots than this before any draw: a call holds
 # about 16 bytes a slot, and the CLI's smoothness estimate 32 more
 MAX_RANDOM_SLOTS = 1 << 22
@@ -309,25 +307,20 @@ class TokenGrid:
     """Frame of granted connections: ``tokens[i, j, t]`` counts the tokens
     of path (input module i, output module j) in slot t (more than one when
     several central modules serve the same virtual path in one slot).
-    ``tokens`` is read-only and held in the narrowest unsigned dtype of its
-    largest count (of the module count m, from :func:`grid_from_schedule`),
-    checked here to hold nonnegative integer counts; a caller's array in
-    another dtype, writable or a view of another array is copied."""
+    ``tokens`` is a read-only copy of the caller's array, checked here to
+    hold nonnegative integer counts and held in the narrowest unsigned dtype
+    of its largest count."""
 
     tokens: np.ndarray  # (inputs, outputs, slots)
 
     def __post_init__(self) -> None:
         tokens = self.tokens
-        narrow = isinstance(tokens, np.ndarray) and tokens.dtype.kind == "u" and tokens.itemsize < 8
-        if not (narrow and tokens.ndim == 3):  # an unsigned array narrower than 64 bits is nonnegative by its type
-            tokens = integer_array(tokens, 3)
-            if tokens is None or (tokens < 0).any():
-                raise PreconditionError("tokens must be a 3-D array of nonnegative integer counts")
-        dtype = np.min_scalar_type(tokens.max(initial=0))
-        if tokens.dtype != dtype or tokens.flags.writeable or tokens.base is not None:  # or the caller could change it
-            tokens = tokens.astype(dtype)
-        tokens.flags.writeable = False
-        object.__setattr__(self, "tokens", tokens)
+        if not (isinstance(tokens, np.ndarray) and tokens.dtype.kind in "iu" and tokens.itemsize < 8):
+            tokens = integer_array(tokens, 3)  # a narrow integer array is checked in its own dtype, not copied to int64
+        # an unsigned array is nonnegative by its type
+        if tokens is None or tokens.ndim != 3 or tokens.dtype.kind == "i" and (tokens < 0).any():
+            raise PreconditionError("tokens must be a 3-D array of nonnegative integer counts")
+        hold_array(self, "tokens", tokens.astype(np.min_scalar_type(tokens.max(initial=0)), copy=False))
 
     @property
     def n_inputs(self) -> int:
@@ -368,37 +361,28 @@ def grid_from_schedule(patterns: Iterable[np.ndarray]) -> TokenGrid:
     Each slot pattern is a nonnegative integer matrix whose rows are inputs
     and columns outputs, with every line summing to the same m (a sum of m
     permutation matrices); entry (i, j) grants that many tokens to the path.
-    The grid is held in ``np.min_scalar_type(m)``: each block of
-    ``_SLOT_BLOCK`` slots passes the integer gate and its checks, then is
-    cast in as one 2-D transpose, so no int64 copy of the whole frame is held.
+    Integer arrays of one shape are stacked and checked in their own dtype,
+    so a decomposition's unsigned pattern views are never copied to int64;
+    any other input passes the integer gate.
     """
     mats = list(patterns)
     if not mats:
         raise DomainError("schedule holds no slots")
-    tokens, sums_off, negative, above = None, False, False, False
-    for start in range(0, len(mats), _SLOT_BLOCK):
-        block = integer_array(mats[start:start + _SLOT_BLOCK], 3)  # (slots, rows, columns)
-        if block is None or not 0 < block.shape[1] == block.shape[2] or \
-                tokens is not None and block.shape[1:] != tokens.shape[:2]:
-            raise PreconditionError("patterns must be nonempty square integer matrices of one shape")
-        if tokens is None:
-            m = sum(block[0, :, 0].tolist())  # in Python ints: the int64 line sums below hold k entries <= m
-            if m > np.iinfo(np.int64).max // len(block[0]):
-                raise ResourceLimitError("the module count times the pattern size exceeds the int64 range")
-            tokens = np.empty((*block.shape[1:], len(mats)), dtype=np.min_scalar_type(m))
-        sums_off = sums_off or (np.einsum("sij->si", block) != m).any() or (np.einsum("sij->sj", block) != m).any()
-        negative, above = negative or block.min() < 0, above or block.max() > m
-        if not (sums_off or negative or above):  # the narrowing cast cannot wrap
-            tokens.reshape(-1, len(mats))[:, start:start + len(block)] = block.reshape(len(block), -1).T
-    # shape first, then line sums, then sign; above m with no entry negative, a line sum wrapped in int64
-    if sums_off or above and not negative:
+    if all(type(p) is np.ndarray and p.dtype.kind in "iu" and p.dtype != np.uint64 for p in mats) and \
+            len({p.shape for p in mats}) == 1:
+        stack = np.stack(mats)  # (slots, rows, columns) in the arrays' common dtype, which uint64 would make float
+    else:
+        stack = integer_array(mats, 3)
+    if stack is None or stack.ndim != 3 or not 0 < stack.shape[1] == stack.shape[2]:
+        raise PreconditionError("patterns must be nonempty square integer matrices of one shape")
+    m = sum(stack[0, :, 0].tolist())  # in Python ints: the int64 line sums below hold k entries <= m
+    if m > np.iinfo(np.int64).max // stack.shape[1]:
+        raise ResourceLimitError("the module count times the pattern size exceeds the int64 range")
+    # einsum in int64, as a narrow one would wrap; above m with no entry negative, a line sum wrapped in int64
+    if (np.einsum("sij->si", stack, dtype=np.int64) != m).any() or \
+            (np.einsum("sij->sj", stack, dtype=np.int64) != m).any() or stack.max() > m and stack.min() >= 0:
         raise PreconditionError("patterns must have every line sum equal to the module count")
-    if negative:
-        raise PreconditionError("tokens must be a 3-D array of nonnegative integer counts")
-    tokens.flags.writeable = False
-    grid = TokenGrid.__new__(TokenGrid)  # checked above, and held in m's dtype rather than its largest count's
-    object.__setattr__(grid, "tokens", tokens)
-    return grid
+    return TokenGrid(stack.transpose(1, 2, 0))  # the grid refuses a negative count
 
 
 @dataclass(frozen=True, eq=False)  # identity equality: an array has no single truth value
@@ -422,6 +406,8 @@ def smoothness_2d(grid: TokenGrid, capacity: CapacityMatrix | None = None) -> Tw
     for a doubly stochastic rate matrix.
     """
     f = grid.frame_size
+    if f == 0:  # before the rates n_ij / F
+        raise DomainError("the grid holds no slots")
     counts = grid.token_counts()
     if capacity is not None and not capacity.has_rates(counts, f):
         raise DomainError("token counts disagree with the capacity matrix")
@@ -441,6 +427,8 @@ def entropy_2d(capacity: CapacityMatrix) -> tuple[np.ndarray, np.ndarray, float]
     0 log 0 counts as 0."""
     if not isinstance(capacity, CapacityMatrix):
         raise PreconditionError("the rate matrix must be a CapacityMatrix")
+    if capacity.modules == 0:  # before the rates C / m
+        raise DomainError("the capacity matrix is all zero")
     c = capacity.as_float() / capacity.modules
     terms = np.where(c > 0, -c * np.log2(np.where(c > 0, c, 1.0)), 0.0)
     return terms.sum(axis=1), terms.sum(axis=0), float(terms.sum())

@@ -310,6 +310,15 @@ WORD_ROWS = {
     "word_unhashable": (gc.flip_decode, (_CODE, [[1], 0, 0]), DomainError),
 }
 
+# a grid of no slots and a capacity matrix of no modules returned NaN after
+# numpy's "invalid value encountered in divide"
+EMPTY_ROWS = {
+    "smoothness_2d_no_slots": (sched.smoothness_2d, (sched.TokenGrid(np.zeros((2, 2, 0), dtype=np.int64)),),
+                               DomainError),
+    "entropy_2d_no_modules": (sched.entropy_2d, (ps.CapacityMatrix.from_integer_matrix([[0, 0], [0, 0]], 1),),
+                              DomainError),
+}
+
 
 _TRAFFIC_SPEC = cm.ClosSpec(m=2, n=2, k=2)
 _TRAFFIC = ps.TrafficMatrix([[0.25, 0.5], [0.5, 0.25]], _TRAFFIC_SPEC)
@@ -349,6 +358,10 @@ REAL_MATRIX_ROWS = {
     "entropy_array": (sched.entropy_2d, (np.full((2, 2), 0.5),), PreconditionError),  # accepted
     "entropy_negative_rates": (sched.entropy_2d, ([[2, -1], [-1, 2]],), PreconditionError),  # returned -2
     "entropy_none": (sched.entropy_2d, (None,), PreconditionError),  # DomainError
+    "round_entries_above_the_line_sum": (_ROUND, (np.full((2, 2), 5e18), 1),
+                                         PreconditionError),  # its line sums wrapped in int64
+    "round_entries_past_int64_over_k": (_ROUND, (np.ones((3, 3)), 2**62),
+                                        ResourceLimitError),  # PreconditionError after its line sums wrapped
 }
 
 
@@ -391,7 +404,7 @@ def test_accuracy_table(call, args, holds):
 
 
 REFUSALS = {**CONTENTION_ROWS, **DEFLECTION_ROWS, **ESCAPE_ROWS, **OVERFLOW_ROWS, **COVERAGE_ROWS, **PAIR_ROWS,
-            **WORD_ROWS}
+            **WORD_ROWS, **EMPTY_ROWS}
 
 # public functions with no scalar row, and why
 EXEMPT = {

@@ -523,7 +523,8 @@ class TestTokenGrid:
         assert grid.tokens[0, 0, 0] == 1 and not grid.tokens.flags.writeable
         fixed = np.ones((2, 2, 3), dtype=np.uint8)
         fixed.flags.writeable = False
-        assert sc.TokenGrid(fixed).tokens is fixed  # read-only, owning its data and in its stored dtype: kept
+        held = sc.TokenGrid(fixed).tokens  # read-only and in its stored dtype: still a copy
+        assert held is not fixed and held.base is None and np.array_equal(held, fixed) and not held.flags.writeable
         wide = np.ones((2, 2, 3), dtype=np.int64)
         wide.flags.writeable = False
         grid = sc.TokenGrid(wide)  # in another dtype: held narrow
@@ -551,7 +552,7 @@ class TestTokenGrid:
         rng = random.Random(404)
         multi_token_grids = 0
         for _ in range(40):
-            k, f, m = rng.randint(2, 6), rng.randint(1, 16), rng.randint(1, 2)
+            k, f, m = rng.randint(2, 6), rng.randint(1, 16), rng.randint(1, 4)
             mat = np.zeros((k, k), dtype=np.int64)
             for _ in range(m * f):
                 perm = list(range(k))
@@ -620,7 +621,7 @@ class TestTokenGrid:
             for i in range(k):
                 for j in range(k):
                     scan[i, j, t] = int(p[i, j])
-        assert grid.tokens.dtype == np.min_scalar_type(m) and np.array_equal(grid.tokens, scan)
+        assert grid.tokens.dtype == np.min_scalar_type(scan.max()) and np.array_equal(grid.tokens, scan)
         assert grid.token_counts().dtype == np.int64 and (grid.token_counts() == scan.sum(axis=2)).all()
         wide = sc.smoothness_2d(sc.TokenGrid(scan))
         assert sc.smoothness_2d(grid).total == wide.total
@@ -637,6 +638,25 @@ class TestTokenGrid:
         finally:
             tracemalloc.stop()
         assert grid.tokens.shape == (32, 32, 256) and peak < 1 << 20
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8])
+    def test_a_narrow_frame_is_stacked_in_its_own_dtype(self, dtype):
+        # a frame of k=32, F=256, m=4: its int64 copy alone would be 2 MB
+        rng = np.random.default_rng(0)
+        patterns = []
+        for _ in range(256):
+            p = np.zeros((32, 32), dtype=dtype)
+            for _ in range(4):
+                p[np.arange(32), rng.permutation(32)] += 1
+            patterns.append(p)
+        tracemalloc.start()
+        try:
+            grid = sc.grid_from_schedule(patterns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20 and grid.tokens.dtype == np.uint8 and grid.tokens.flags.c_contiguous
+        assert np.array_equal(grid.tokens, np.stack(patterns, axis=2))
 
     def test_from_text_reads_cells_as_multisets(self):
         grid = sc.TokenGrid.from_text("ba b\n- aab")
