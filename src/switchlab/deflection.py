@@ -222,6 +222,8 @@ class DeflectionSimResult:
 # which is below CHUNK_CELLS, and fits a nonnegative int64
 _INDEX_BITS = (CHUNK_CELLS - 1).bit_length()
 _DRAW_BITS = 63 - _INDEX_BITS
+# a cell of a chunk, and a wire n hi + lo < n^2 <= CHUNK_CELLS
+_CELL_TYPE = np.min_scalar_type(CHUNK_CELLS - 1)
 
 
 def _offered_packets(
@@ -230,12 +232,20 @@ def _offered_packets(
     """Cell index, module digit hi and port digit lo of the packets offered
     to a chunk: one 32-bit draw x per cell, two to a 64-bit word, and x <
     threshold holds a packet for wire n hi + lo = floor(x n^2 / threshold)
-    (:func:`~switchlab.contention.packet_draws`)."""
+    (:func:`~switchlab.contention.packet_draws`).
+
+    A cell is below CHUNK_CELLS and a digit below n, at most 256 for one
+    slot to fit a chunk, so the cells are returned in
+    ``np.min_scalar_type(CHUNK_CELLS - 1)`` (uint16) and the digits in
+    ``np.min_scalar_type(n - 1)`` (uint8); the wire is split in the cells'
+    type, as 256 does not fit a uint8."""
     x = rng.bit_generator.random_raw((cells + 1) // 2).view(np.uint32)[:cells]
     cell = np.flatnonzero(x < threshold)
-    dest = (x[cell] * scale).astype(np.int32)
-    hi = dest // n
-    return cell.astype(np.int32), hi, dest - hi * n
+    wire = (x[cell] * scale).astype(_CELL_TYPE)
+    hi = wire // n
+    lo = wire - hi * n
+    digit = np.min_scalar_type(n - 1)
+    return cell.astype(_CELL_TYPE), hi.astype(digit), lo.astype(digit)
 
 
 def _deflection_ports(
@@ -254,19 +264,25 @@ def _deflection_ports(
     has_loser = np.zeros(table.size // n, dtype=bool)
     has_loser[lrow] = True
     rows = np.flatnonzero(has_loser)
-    lbase = (np.cumsum(has_loser) - 1)[lrow] * n
+    lbase = np.cumsum(has_loser, dtype=np.int32)[lrow]
+    lbase -= 1
+    lbase *= n
     lpos = lbase + (lcell - lrow * n)  # the loser's port: a remainder by n, without numpy's slower %
     port_bits = (n - 1).bit_length()
     size = rows.size * n
     key = rng.bit_generator.random_raw((size + 1) // 2).view(np.uint32)[:size].reshape(rows.size, n)
     key &= (0x7FFFFFFF >> port_bits) << port_bits
     key |= np.arange(n, dtype=np.uint32)
-    key |= np.left_shift(table.reshape(-1, n)[rows] >= 0, 31, dtype=np.uint32)  # taken ports sort last
-    free_order = np.sort(key, axis=1).ravel()
-    rank = np.zeros((rows.size, n), dtype=np.int32)
+    taken = (table >= 0).reshape(-1, n)[rows]
+    key |= np.left_shift(taken, 31, dtype=np.uint32)  # taken ports sort last
+    key.sort(axis=1)
+    # a rank reaches 256 when every port of an n = 256 row loses, one past uint8
+    rank = np.zeros((rows.size, n), dtype=np.uint16)
     rank.ravel()[lpos] = 1
-    np.cumsum(rank, axis=1, out=rank)
-    return free_order[lbase + rank.ravel()[lpos] - 1] & ((1 << port_bits) - 1)
+    np.cumsum(rank, axis=1, dtype=np.uint16, out=rank)
+    lbase += rank.ravel()[lpos]
+    lbase -= 1
+    return key.ravel()[lbase] & ((1 << port_bits) - 1)
 
 
 def _stage(
@@ -280,11 +296,13 @@ def _stage(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
     """One traversal of a chunk's packets: contention, deflection, exit tap
     and transpose wiring.  Returns the packets still in flight, as the
-    (cell, hi, lo, need_r) arrays, and the stage's loser and exit counts."""
+    (cell, hi, lo, need_r) arrays, and the stage's loser and exit counts.
+    Cells stay in their uint16 and digits in their uint8, no digit array is
+    ever multiplied by n, and only the link index is intp."""
     m = cell.size
     row = cell // n  # (slot, module)
     base = row * n  # the row's first link
-    port = hi + need_r * (lo - hi)  # the digit contended for
+    port = hi + need_r * (lo - hi)  # the digit contended for; a uint8 wrap of lo - hi cancels in the sum
     link = np.add(base, port, dtype=np.intp)
 
     # contention: of the packets sent to one link, the one with the largest
@@ -293,7 +311,7 @@ def _stage(
     key = rng.bit_generator.random_raw(m)
     key >>= 64 - _DRAW_BITS
     key <<= _INDEX_BITS
-    key |= cell.view(np.uint32)
+    key |= cell
     key = key.view(np.int64)
     np.maximum.at(table, link, key)
     won = table[link] == key
@@ -350,7 +368,12 @@ def simulate_deflection(
 
     A chunk of b slots holds its packets as flat arrays of cell index
     (slot, module, port), destination digits and need-second-digit flag, so
-    a stage costs time in proportion to the packets in flight.
+    a stage costs time in proportion to the packets in flight.  Each is in
+    the narrowest dtype its bound allows: a cell is below CHUNK_CELLS = 2^16
+    (uint16) and a digit or port below n <= 256 (uint8), the flag is bool,
+    and only the link index is intp.  The contention table holds one int64
+    key per link, and the deflection step reads which links are taken from
+    its bool view ``table >= 0``.
     """
     for count in (module_size, stages):
         check_count(count, 2, "need module_size >= 2 and stages >= 2")
@@ -359,7 +382,7 @@ def simulate_deflection(
     check_count(seed, 0, "seed must be an integer >= 0")
     if stages > MAX_STAGES:
         raise ResourceLimitError(f"{stages} stages exceed {MAX_STAGES}")
-    n = module_size
+    n = int(module_size)  # a numpy integer would widen the narrow packet arithmetic
     wires = n * n
     check_run_size(slots, wires, "wires")
     chunk = CHUNK_CELLS // wires

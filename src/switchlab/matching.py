@@ -18,7 +18,7 @@ from operator import attrgetter, eq, index, ne
 import numpy as np
 
 from .closmodel import ClosSpec, RoutingTag
-from .errors import DomainError, PreconditionError, ResourceLimitError, hold_array, integer_array, is_integer
+from .errors import DomainError, PreconditionError, ResourceLimitError, check_count, hold_array, integer_array, is_integer
 
 __all__ = [
     "BipartiteGraph",
@@ -71,6 +71,8 @@ class BipartiteGraph:
     edges: np.ndarray
 
     def __post_init__(self) -> None:
+        check_count(self.left_count, 0, "left vertex count must be an integer >= 0")
+        check_count(self.right_count, 0, "right vertex count must be an integer >= 0")
         ends = _pair_array(self.edges, (self.left_count, self.right_count))
         if ends is None:
             raise PreconditionError(f"edges must be integer pairs below ({self.left_count}, {self.right_count})")

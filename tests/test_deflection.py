@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,10 @@ from switchlab.contention import CHUNK_CELLS, MAX_RUN_CELLS, carried_load
 from switchlab.errors import DomainError, ResourceLimitError
 
 from test_errors import DEFLECTION_ROWS, assert_refused
+
+# sha256 of exits_by_stage, live_by_stage and deflected_by_stage of every case
+# of test_outputs_are_pinned_where_the_narrow_packet_types_are_tight, in order
+SIMULATOR_SHA256 = "7be38617025e835516594da1155502de378ebc338ca3e8008f2c9c242f895ae2"
 
 
 def test_success_probability_values():
@@ -256,9 +262,9 @@ class TestSimulator:
         assert res.deflected_by_stage[1] == res.offered - n * slots
 
     def test_two_packets_on_one_link_are_refused(self, monkeypatch):
-        # every loser of a row sent to the same free port breaks the
-        # invariant: a free-port order of all-zero keys sends each to port 0
-        monkeypatch.setattr(dfl.np, "sort", lambda a, axis: np.zeros_like(a))
+        # every loser sent to port 0 breaks the invariant: a row whose port 0
+        # a winner holds, or that has two losers, sends two packets to one link
+        monkeypatch.setattr(dfl, "_deflection_ports", lambda lose, *_: np.zeros(lose.size, dtype=np.uint8))
         with pytest.raises(AssertionError, match="two packets leave on one link"):
             dfl.simulate_deflection(4, 8, 1.0, 50, seed=0)
 
@@ -283,6 +289,44 @@ class TestSimulator:
         expected = rows * n * (rho - carried_load(rho, n))
         bound = (n - 1) * math.sqrt(rows * math.log(2 / 1e-6) / 2)
         assert abs(sim.deflected_by_stage[1] - expected) <= bound
+
+    def test_numpy_integer_sizes_run_as_python_ints(self):
+        # a numpy module size ended in an AttributeError from (n - 1).bit_length()
+        wide = dfl.simulate_deflection(np.int64(4), np.int64(6), 1.0, np.int64(300), seed=np.int64(2))
+        plain = dfl.simulate_deflection(4, 6, 1.0, 300, seed=2)
+        for name in ("exits_by_stage", "live_by_stage", "deflected_by_stage"):
+            assert np.array_equal(getattr(wide, name), getattr(plain, name))
+
+    def test_outputs_are_pinned_where_the_narrow_packet_types_are_tight(self):
+        # n = 255 and 256 fill a chunk with one slot, whose cells reach 2^16 - 1
+        # and whose digits reach 255; a full row of n = 256 ranks 256 losers.
+        # The other sizes end inside their second chunk.  The digest was taken
+        # from the int32/int64 packet arrays the narrow ones replaced
+        digest = hashlib.sha256()
+        case = 0
+        for n in (2, 3, 5, 16, 255, 256):
+            chunk = CHUNK_CELLS // (n * n)
+            slots = chunk + chunk // 2 + 1 if chunk > 1 else 3
+            for rho in (0.05, 0.3, 1.0):
+                sim = dfl.simulate_deflection(n, 12, rho, slots, seed=case)
+                for counts in (sim.exits_by_stage, sim.live_by_stage, sim.deflected_by_stage):
+                    digest.update(counts.tobytes())
+                case += 1
+        assert digest.hexdigest() == SIMULATOR_SHA256
+
+    @pytest.mark.parametrize("n", [4, 16, 256])
+    def test_one_chunk_never_holds_wide_packet_arrays(self, n):
+        # int32 cells and digits and an int64 gather of the taken rows peaked at
+        # about 4.98 MiB; uint16 cells, uint8 digits and a bool taken view stay below 4 MiB
+        slots = CHUNK_CELLS // (n * n)
+        dfl.simulate_deflection(n, 16, 1.0, slots, seed=0)  # warm-up: numpy's first-call caches
+        tracemalloc.start()
+        try:
+            dfl.simulate_deflection(n, 16, 1.0, slots, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_one_slot_beyond_the_chunk_budget_is_refused(self):
         side = math.isqrt(CHUNK_CELLS)

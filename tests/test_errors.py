@@ -292,6 +292,16 @@ PAIR_ROWS = {
     "graph_edges_none": (mt.BipartiteGraph, (2, 2, None), PreconditionError),
 }
 
+# vertex counts that are no integer >= 0 built a graph; hall_check of the None
+# and 2.5 graphs then raised a bare TypeError
+GRAPH_COUNT_ROWS = {
+    "graph_left_count_none": (mt.BipartiteGraph, (None, 2, []), DomainError),
+    "graph_left_count_negative": (mt.BipartiteGraph, (-1, 2, []), DomainError),
+    "graph_left_count_float": (mt.BipartiteGraph, (2.5, 2, []), DomainError),
+    "graph_left_count_bool": (mt.BipartiteGraph, (True, 2, []), DomainError),
+    "graph_right_count_float": (mt.BipartiteGraph, (2, 2.5, []), DomainError),
+}
+
 _CODE = gc.TannerCode.from_rows([[1, 1, 0], [0, 1, 1]])
 
 # received words whose entries are not integers 0 or 1, checked by one test of
@@ -404,7 +414,7 @@ def test_accuracy_table(call, args, holds):
 
 
 REFUSALS = {**CONTENTION_ROWS, **DEFLECTION_ROWS, **ESCAPE_ROWS, **OVERFLOW_ROWS, **COVERAGE_ROWS, **PAIR_ROWS,
-            **WORD_ROWS, **EMPTY_ROWS}
+            **GRAPH_COUNT_ROWS, **WORD_ROWS, **EMPTY_ROWS}
 
 # public functions with no scalar row, and why
 EXEMPT = {

@@ -588,7 +588,7 @@ class TestTokenGrid:
     ], ids=["257_beside_negatives", "256_beside_negatives", "260_line_sums_off", "above_m_line_sums_wrap"])
     def test_a_pattern_the_narrow_cast_would_wrap_is_refused(self, slots, message):
         with pytest.raises(PreconditionError, match=message):
-            sc.grid_from_schedule(slots * 20)  # past one block of slots
+            sc.grid_from_schedule(slots * 20)  # 40 slots, checked as one stack
 
     def test_module_count_times_pattern_size_past_int64_refused(self):
         # line sums of k entries <= m must not wrap in int64
@@ -606,7 +606,7 @@ class TestTokenGrid:
     @pytest.mark.parametrize("m", [255, 256, 300])
     def test_grids_of_large_module_counts_match_an_int64_slot_scan(self, m):
         rng = random.Random(m)
-        k, f = 3, 40  # more than one block of slots
+        k, f = 3, 40
         patterns = []
         for _ in range(f):
             mat = np.zeros((k, k), dtype=np.int64)
@@ -627,7 +627,7 @@ class TestTokenGrid:
         assert sc.smoothness_2d(grid).total == wide.total
 
     def test_exact_workload_grid_never_holds_an_int64_frame(self):
-        # the int64 (32, 32, 256) grid alone is 2 MB; the narrow one is 256 KB beside 256 KB int64 blocks
+        # the int64 (32, 32, 256) grid alone is 2 MB; the uint8 stack is 256 KB, beside 64 KB int64 line sums
         dec = _exact_workload_decomposition()
         weights = sc.WeightSet(tuple(w for _, w in dec.states))
         patterns = [dec.states[s][0] for s in sc.schedule_wf2q(weights).slots]
