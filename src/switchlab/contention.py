@@ -10,9 +10,12 @@ load rho and uniformly random destinations.
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from functools import partial
+from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -184,41 +187,25 @@ def packet_draws(rho: float, bins: int) -> tuple[int, float]:
     return threshold, scale
 
 
-def simulate_crossbar(
-    n_ports: int, rho: float, slots: int, seed: int = 0
-) -> CrossbarSimResult:
-    """Monte Carlo slot simulation of an N x N bufferless crossbar.
+def _workers(chunks: int) -> int:
+    """Threads a crossbar run of ``chunks`` chunks splits its slots over:
+    one per usable CPU, at most one per chunk."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, chunks)
 
-    Each slot every input holds a packet with probability rho and draws an
-    independent uniform output; an output is busy when at least one packet
-    targets it.  Deterministic for a given seed; slots are independent, so
-    parallel runs with distinct seeds can be merged by summing counts.
 
-    One 32-bit draw x per input decides both (:func:`packet_draws`): x < t
-    = ceil(rho 2^32) holds a packet, with probability t / 2^32, bound for
-    output floor(x N / t), uniform to within N / (rho 2^32); any other x
-    lands in an idle bin N of its slot.  Each 64-bit word of the bit
-    generator gives two draws, low half first, and a half word left over
-    at the end of a chunk starts the next, so the draws do not depend on
-    the chunk size.
-
-    A chunk of b slots takes one ``bincount`` over its b (N + 1) bins, then
-    copies the counts into a buffer of dtype ``min_scalar_type(N)`` (exact,
-    as no bin holds more than N) and zeroes the idle bins.  Its nonzero
-    cells give level 0 and, times a float32 ones vector, each slot's busy
-    count (at most 2^16, so the sums are exact); ``count_nonzero(levels >
-    k)`` for k = 1, 2, ... gives the higher levels by differences, up to the
-    first level no output reaches.
-    """
-    check_real(rho, 0.0, 1.0, f"offered load {rho} outside [0, 1]")
-    for count in (n_ports, slots):
-        check_count(count, 1, "need n_ports >= 1 and slots >= 1")
-    check_count(seed, 0, "seed must be an integer >= 0")
-    check_run_size(slots, n_ports, "ports")
-    threshold, scale = packet_draws(rho, n_ports)
-    rows = min(CHUNK_CELLS // n_ports, slots)
+def _crossbar_tallies(
+    n_ports: int, threshold: int, scale: float, seed: int, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Level counts and busy-count counts of slots [start, stop) of a
+    :func:`simulate_crossbar` run, drawn from its own PCG64 stream of the
+    run's seed, advanced to the range's first draw start * N."""
+    rows = min(CHUNK_CELLS // n_ports, stop - start)
     width = n_ports + 1  # the outputs, then the idle bin
-    bits = np.random.default_rng(seed).bit_generator
+    bits = np.random.PCG64(seed)
+    bits.advance(start * n_ports // 2)
+    # an odd first draw is the high half of a word, whose low half the range before took
+    spare = bits.random_raw(1).view(np.uint32)[1:] if start * n_ports % 2 else np.empty(0, dtype=np.uint32)
     # chunk buffers, filled in place; the last chunk uses their leading rows
     cells = np.empty((rows, n_ports), dtype=np.intp)
     levels = np.empty((rows, width), dtype=np.min_scalar_type(n_ports))  # a bin holds at most N
@@ -226,12 +213,9 @@ def simulate_crossbar(
     ones = np.ones(width, dtype=np.float32)  # busy counts are at most 2^16, exact in float32
     hist = np.zeros(width, dtype=np.int64)
     busy_hist = np.zeros(width, dtype=np.int64)  # slots by their number of busy outputs
-    spare = np.empty(0, dtype=np.uint32)
-    done = 0
-    if threshold == 0:  # nothing is offered: every output idle in every slot, with no draw
-        hist[0], busy_hist[0], done = n_ports * slots, slots, slots
-    while done < slots:
-        b = min(rows, slots - done)
+    done = start
+    while done < stop:
+        b = min(rows, stop - done)
         need = b * n_ports - spare.size
         words = bits.random_raw((need + 1) // 2).view(np.uint32)
         draws = np.concatenate((spare, words[:need])) if spare.size else words[:need]
@@ -257,6 +241,88 @@ def simulate_crossbar(
             above = more
         hist[n_ports] += above
         done += b
+    return hist, busy_hist
+
+
+def _in_threads(task: Callable, ranges: list[tuple[int, int]]) -> list:
+    """``task(start, stop)`` of every range, the first in the calling thread
+    and each other in a thread of its own.  Every thread has ended when this
+    returns the results in order, or raises the first exception of a
+    range."""
+    results: list = [None] * len(ranges)
+    errors: list[BaseException] = []
+
+    def run(i: int) -> None:
+        try:
+            results[i] = task(*ranges[i])
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    threads = []
+    try:
+        for i in range(1, len(ranges)):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def simulate_crossbar(
+    n_ports: int, rho: float, slots: int, seed: int = 0
+) -> CrossbarSimResult:
+    """Monte Carlo slot simulation of an N x N bufferless crossbar.
+
+    Each slot every input holds a packet with probability rho and draws an
+    independent uniform output; an output is busy when at least one packet
+    targets it.  Deterministic for a given seed, whatever the number of CPUs.
+
+    One 32-bit draw x per input decides both (:func:`packet_draws`): x < t
+    = ceil(rho 2^32) holds a packet, with probability t / 2^32, bound for
+    output floor(x N / t), uniform to within N / (rho 2^32); any other x
+    lands in an idle bin N of its slot.  Each 64-bit word of the PCG64 bit
+    generator gives two draws, low half first, and a half word left over
+    at the end of a chunk starts the next, so the draws do not depend on
+    the chunk size.
+
+    The slots are split into one contiguous range per usable CPU, at most
+    one per chunk; the first range runs in the calling thread and each
+    other in a thread of its own, joined before the call returns.  A range
+    starting at slot s takes a generator of the seed advanced by
+    ``advance(s N // 2)`` words; when s N is odd it keeps the high half of
+    the next word as its first draw.  So every slot sees the draws of a
+    serial run, and the integer counts of the ranges add up to the same
+    result for any number of threads.
+
+    A chunk of b slots takes one ``bincount`` over its b (N + 1) bins, then
+    copies the counts into a buffer of dtype ``min_scalar_type(N)`` (exact,
+    as no bin holds more than N) and zeroes the idle bins.  Its nonzero
+    cells give level 0 and, times a float32 ones vector, each slot's busy
+    count (at most 2^16, so the sums are exact); ``count_nonzero(levels >
+    k)`` for k = 1, 2, ... gives the higher levels by differences, up to the
+    first level no output reaches.
+    """
+    check_real(rho, 0.0, 1.0, f"offered load {rho} outside [0, 1]")
+    for count in (n_ports, slots):
+        check_count(count, 1, "need n_ports >= 1 and slots >= 1")
+    check_count(seed, 0, "seed must be an integer >= 0")
+    check_run_size(slots, n_ports, "ports")
+    threshold, scale = packet_draws(rho, n_ports)
+    if threshold == 0:  # nothing is offered: every output idle in every slot, with no draw
+        hist = np.zeros(n_ports + 1, dtype=np.int64)
+        busy_hist = np.zeros(n_ports + 1, dtype=np.int64)
+        hist[0], busy_hist[0] = n_ports * slots, slots
+    else:
+        workers = _workers(-(-slots // (CHUNK_CELLS // n_ports)))
+        bounds = [slots * w // workers for w in range(workers + 1)]
+        tallies = _in_threads(partial(_crossbar_tallies, n_ports, threshold, scale, seed),
+                              list(zip(bounds, bounds[1:])))
+        hist, busy_hist = (np.sum(t, axis=0) for t in zip(*tallies))
     s1, s2, s3 = (sum(c * k**p for k, c in enumerate(busy_hist.tolist()) if c) for p in (1, 2, 3))
     mean = s1 / slots
     var = s2 / slots - mean**2

@@ -1,5 +1,6 @@
 """Shared exception types, the one integer and one real-matrix gate, the one scalar gate of every
-count, load and probability argument, and the one way a frozen holder owns an array."""
+count, load and probability argument, the one type gate of a holder argument, and the one way a
+frozen holder owns an array."""
 
 import numbers
 
@@ -41,6 +42,13 @@ def check_real(value: object, low: float, high: float, message: str) -> None:
     inside it: ``math.nextafter(1.0, 0.0)`` for < 1, ``sys.float_info.max`` for finite."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not low <= value <= high:
         raise DomainError(message)
+
+
+def check_holder(value: object, holder: type, name: str) -> None:
+    """Refuse with ``PreconditionError`` all but an instance of the holder type ``holder``, before an
+    attribute of it is read."""
+    if not isinstance(value, holder):
+        raise PreconditionError(f"{name} must be a {holder.__name__}, not {type(value).__name__}")
 
 
 def integer_array(value: object, ndim: int) -> "np.ndarray | None":

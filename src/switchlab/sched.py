@@ -18,7 +18,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, ResourceLimitError, check_count, hold_array, integer_array
+from .errors import (DomainError, PreconditionError, ResourceLimitError, check_count, check_holder, hold_array,
+                     integer_array)
 from .pathswitch import CapacityMatrix
 
 __all__ = [
@@ -62,7 +63,10 @@ class WeightSet:
     frame_size: int
 
     def __init__(self, weights: Iterable) -> None:
-        fracs = [Fraction(w) for w in weights]
+        try:
+            fracs = [Fraction(w) for w in weights]
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):  # no iterable, or no rational in it
+            raise PreconditionError("weights must be an iterable of rationals") from None
         if not fracs:
             raise PreconditionError("need at least one weight")
         if any(w.numerator <= 0 for w in fracs):  # a Fraction's denominator is positive
@@ -92,6 +96,7 @@ class WeightSet:
 
 def _frame_size(weights: WeightSet) -> int:
     """F, refused before a frame is built when K * F exceeds MAX_FRAME_CELLS."""
+    check_holder(weights, WeightSet, "weights")
     f = weights.frame_size
     if len(weights) * f > MAX_FRAME_CELLS:
         raise ResourceLimitError(f"K * F = {len(weights) * f} slot-states exceed {MAX_FRAME_CELLS}")
@@ -208,9 +213,9 @@ def schedule_hurr(weights: WeightSet) -> FrameSequence:
     of its left and right nodes in the two-state WFQ order of their counts.
     The k-th slot of a node takes the k-th entry of its frame, so this
     equals expanding the tree top-down by substitution."""
+    _frame_size(weights)
     if len(weights) < 2:
         raise DomainError("tree scheduling needs at least two states")
-    _frame_size(weights)
     # a node is (count, lowest contained state, its frame): no two tie on the first two
     heap = [(c, i, [i] * c) for i, c in enumerate(weights.counts)]
     heapq.heapify(heap)
@@ -229,6 +234,7 @@ SCHEDULERS = {"wfq": schedule_wfq, "wf2q": schedule_wf2q, "hurr": schedule_hurr}
 def schedule_random(weights: WeightSet, slots: int, seed: int = 0) -> np.ndarray:
     """Memoryless scheduling: each slot draws a state i.i.d. with the given
     probabilities, returned as an int64 array.  No frame structure is kept."""
+    check_holder(weights, WeightSet, "weights")
     check_count(slots, 1, "need at least one slot")
     if slots > MAX_RANDOM_SLOTS:
         raise ResourceLimitError(f"{slots} slots exceed {MAX_RANDOM_SLOTS}")
@@ -250,6 +256,7 @@ class SmoothnessReport:
 
 def entropy(weights: WeightSet) -> float:
     """Base-2 entropy of the weight distribution."""
+    check_holder(weights, WeightSet, "weights")
     return 0.0 - sum(w * math.log2(w) for w in weights.as_float())  # 0.0, not -0.0, for one weight
 
 
@@ -258,6 +265,8 @@ def smoothness(seq: FrameSequence, weights: WeightSet) -> SmoothnessReport:
     time; averaged with the state weights.  Kraft sum <= 1 and average >=
     entropy for every valid frame, with equality exactly at constant gaps
     1/phi."""
+    check_holder(seq, FrameSequence, "the sequence")
+    check_holder(weights, WeightSet, "weights")
     f, k = weights.frame_size, len(weights)
     if len(seq.slots) != f:
         raise DomainError("sequence length differs from the frame size")
@@ -277,6 +286,7 @@ def smoothness(seq: FrameSequence, weights: WeightSet) -> SmoothnessReport:
 def random_sequence_smoothness(seq: Sequence[int] | np.ndarray, weights: WeightSet) -> float:
     """Empirical smoothness of an unframed sequence: consecutive
     inter-occurrence gaps are the samples, weighted by the nominal phis."""
+    check_holder(weights, WeightSet, "weights")
     arr = integer_array(seq, 1)
     if arr is None or not ((0 <= arr) & (arr < len(weights))).all():
         raise DomainError("sequence holds unknown states")
@@ -293,6 +303,7 @@ def random_sequence_smoothness(seq: Sequence[int] | np.ndarray, weights: WeightS
 def expected_random_smoothness_gap(weights: WeightSet) -> float:
     """Analytic excess of memoryless scheduling over the entropy floor:
     (1/2) sum phi_i log2(2 - phi_i), always below 1/2."""
+    check_holder(weights, WeightSet, "weights")
     return 0.5 * sum(w * math.log2(2.0 - w) for w in weights.as_float())
 
 
@@ -405,6 +416,9 @@ def smoothness_2d(grid: TokenGrid, capacity: CapacityMatrix | None = None) -> Tw
     d_ij by the rates, and the Kraft matrix 2^-d is doubly sub-stochastic
     for a doubly stochastic rate matrix.
     """
+    check_holder(grid, TokenGrid, "the grid")
+    if capacity is not None:
+        check_holder(capacity, CapacityMatrix, "the capacity")
     f = grid.frame_size
     if f == 0:  # before the rates n_ij / F
         raise DomainError("the grid holds no slots")
@@ -425,8 +439,7 @@ def entropy_2d(capacity: CapacityMatrix) -> tuple[np.ndarray, np.ndarray, float]
     """Input-module entropies, output-module entropies and their common sum
     of the doubly stochastic rate matrix C / m of a capacity matrix.  Base 2;
     0 log 0 counts as 0."""
-    if not isinstance(capacity, CapacityMatrix):
-        raise PreconditionError("the rate matrix must be a CapacityMatrix")
+    check_holder(capacity, CapacityMatrix, "the rate matrix")
     if capacity.modules == 0:  # before the rates C / m
         raise DomainError("the capacity matrix is all zero")
     c = capacity.as_float() / capacity.modules

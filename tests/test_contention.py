@@ -1,5 +1,11 @@
 import dataclasses
+import functools
+import hashlib
 import math
+import os
+import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -73,6 +79,17 @@ def test_power_stats_values():
     assert s32.signal_mean + s32.noise_mean == pytest.approx(32.0)
 
 
+# (ports, slots, chunk budget) of the slot-by-slot reference cases
+REFERENCE_CASES = [
+    (7, (1 << 16) // 7 + 3, None), (9, 2500, 1000), (3, 3000, None),
+    (1, 1000, None), (2, 1000, None),  # at rho = 1 a level equals N
+    (255, 300, None), (256, 300, None),  # uint8 levels, then uint16
+    (5, 1003, 64),  # 12-slot chunks, the last one of 7 slots
+]
+REFERENCE_IDS = ["n7_partial_chunk", "n9_odd_chunks", "n3", "n1", "n2", "n255_uint8", "n256_uint16",
+                 "n5_small_chunks"]
+
+
 class TestSimulateCrossbar:
     def test_zero_load(self):
         res = ct.simulate_crossbar(8, 0.0, 100, seed=1)
@@ -126,13 +143,7 @@ class TestSimulateCrossbar:
                 b.busy_mean, b.busy_variance, b.busy_skewness)
 
     @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
-    @pytest.mark.parametrize("n, slots, budget", [
-        (7, (1 << 16) // 7 + 3, None), (9, 2500, 1000), (3, 3000, None),
-        (1, 1000, None), (2, 1000, None),  # at rho = 1 a level equals N
-        (255, 300, None), (256, 300, None),  # uint8 levels, then uint16
-        (5, 1003, 64),  # 12-slot chunks, the last one of 7 slots
-    ], ids=["n7_partial_chunk", "n9_odd_chunks", "n3", "n1", "n2", "n255_uint8", "n256_uint16",
-            "n5_small_chunks"])
+    @pytest.mark.parametrize("n, slots, budget", REFERENCE_CASES, ids=REFERENCE_IDS)
     def test_matches_the_slot_by_slot_reference(self, monkeypatch, n, rho, slots, budget):
         if budget:
             monkeypatch.setattr(ct, "CHUNK_CELLS", budget)
@@ -175,6 +186,7 @@ class TestSimulateCrossbar:
                 ct.simulate_crossbar(n_ports, 0.5, slots)
 
 
+@functools.cache
 def _reference_crossbar(n, rho, slots, seed):
     """Histogram, (mean, variance, skewness) of the busy count and carried
     load, one slot at a time from the same 32-bit draws as simulate_crossbar:
@@ -193,6 +205,102 @@ def _reference_crossbar(n, rho, slots, seed):
     var = sums[1] / slots - mean**2
     mu3 = sums[2] / slots - 3 * mean * var - mean**3
     return hist, (mean, var, mu3 / var**1.5 if var > 0 else 0.0), sums[0] / (slots * n)
+
+
+def _record_ranges(monkeypatch):
+    """The (start, stop) slot range of every chunk-loop call, in call order."""
+    ranges = []
+    tallies = ct._crossbar_tallies
+
+    def recorded(n_ports, threshold, scale, seed, start, stop):
+        ranges.append((start, stop))
+        return tallies(n_ports, threshold, scale, seed, start, stop)
+
+    monkeypatch.setattr(ct, "_crossbar_tallies", recorded)
+    return ranges
+
+
+class TestCrossbarWorkers:
+    """A run splits its slots into one contiguous range per worker thread;
+    every worker count must give the serial run's draws and results."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])  # 5: more threads than the host's CPUs
+    @pytest.mark.parametrize("rho", [0.3, 1.0])  # at rho = 0 nothing is drawn and no range runs
+    @pytest.mark.parametrize("n, slots, budget", REFERENCE_CASES, ids=REFERENCE_IDS)
+    def test_matches_the_reference_for_any_worker_count(self, monkeypatch, n, rho, slots, budget, workers):
+        if budget:
+            monkeypatch.setattr(ct, "CHUNK_CELLS", budget)
+        monkeypatch.setattr(ct, "_workers", lambda chunks: workers)
+        ranges = _record_ranges(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch often, so a lost update of a shared tally would show
+        try:
+            res = ct.simulate_crossbar(n, rho, slots, seed=8)
+        finally:
+            sys.setswitchinterval(interval)
+        hist, moments, carried = _reference_crossbar(n, rho, slots, seed=8)
+        assert res.histogram.tolist() == hist.tolist()
+        assert (res.busy_mean, res.busy_variance, res.busy_skewness) == moments
+        assert res.load.carried_load == carried
+        bounds = [slots * w // workers for w in range(workers + 1)]
+        assert sorted(ranges) == list(zip(bounds, bounds[1:]))
+        if (n, workers) in ((7, 3), (9, 3), (7, 5)):  # a range starts on the high half of a word
+            assert any(start * n % 2 for start, _ in ranges)
+
+    def test_one_worker_per_cpu_and_at_most_one_per_chunk(self, monkeypatch):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert [ct._workers(c) for c in (1, 2, 3, 10**6)] == [min(cpus, c) for c in (1, 2, 3, 10**6)]
+        # and the run uses them: four chunks of 512 slots at N = 128
+        ranges = _record_ranges(monkeypatch)
+        ct.simulate_crossbar(128, 1.0, 4 * 512, seed=0)
+        assert len(ranges) == min(cpus, 4)
+
+    def test_a_failing_worker_raises_in_the_caller_and_leaves_no_thread(self, monkeypatch):
+        class WorkerFault(Exception):
+            pass
+
+        tallies = ct._crossbar_tallies
+
+        def failing(n_ports, threshold, scale, seed, start, stop):
+            if start > 0:  # every range but the first, which runs in the calling thread
+                raise WorkerFault(f"slots from {start}")
+            return tallies(n_ports, threshold, scale, seed, start, stop)
+
+        monkeypatch.setattr(ct, "_crossbar_tallies", failing)
+        monkeypatch.setattr(ct, "_workers", lambda chunks: 3)
+        raised = []
+
+        def call():
+            try:
+                ct.simulate_crossbar(16, 1.0, 3 * 4096, seed=1)
+            except BaseException as exc:
+                raised.append(exc)
+
+        before = threading.active_count()
+        caller = threading.Thread(target=call, daemon=True)  # a hung call must not keep the test process alive
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive()
+        assert threading.active_count() == before
+        assert len(raised) == 1 and type(raised[0]) is WorkerFault
+
+
+# sha256 of each run's int64 histogram and its (mean, variance, skewness) as
+# doubles: the sim workload's crossbar sizes at seeds 0 and 1, then the four
+# runs of `experiment montecarlo` at seed 0; the serial chunk loop gave it
+BENCHMARK_SIZED_RUNS = [(n, rho, slots, seed) for seed in (0, 1) for n, rho, slots in
+                        ((128, 1.0, 200_000), (512, 0.5, 50_000))] + \
+                       [(n, rho, 200_000, 0) for n in (8, 32) for rho in (0.5, 1.0)]
+BENCHMARK_SIZED_SHA256 = "9c148e38b60b55c9b9e91914801a3140cce15f25e4883ab351804e5f88868e9f"
+
+
+def test_benchmark_sized_runs_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for n, rho, slots, seed in BENCHMARK_SIZED_RUNS:
+        res = ct.simulate_crossbar(n, rho, slots, seed=seed)
+        digest.update(res.histogram.astype("<i8").tobytes())
+        digest.update(struct.pack("<3d", res.busy_mean, res.busy_variance, res.busy_skewness))
+    assert digest.hexdigest() == BENCHMARK_SIZED_SHA256
 
 
 @pytest.mark.parametrize("bins", [1, 7, 64, 1000, 1 << 16])

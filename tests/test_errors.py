@@ -330,6 +330,47 @@ EMPTY_ROWS = {
 }
 
 
+_PAIR = sched.FrameSequence((0, 1))
+_GRID = sched.TokenGrid(np.eye(2, dtype=np.int64)[:, :, None])
+
+# a scheduler or smoothness call given something other than its holder type
+# raised a bare AttributeError or TypeError, and a weight set of no rationals
+# "Invalid literal for Fraction", a TypeError, OverflowError or ZeroDivisionError
+HOLDER_ROWS = {
+    "weights_string": (sched.WeightSet, ("a",), PreconditionError),  # ValueError
+    "weights_of_string": (sched.WeightSet.of, ("a",), PreconditionError),  # ValueError
+    "weights_int": (sched.WeightSet, (7,), PreconditionError),  # TypeError
+    "weights_none": (sched.WeightSet, (None,), PreconditionError),  # TypeError
+    "weights_rows": (sched.WeightSet, ([[1, 0]],), PreconditionError),  # TypeError
+    "weights_nan": (sched.WeightSet, ([math.nan],), PreconditionError),  # ValueError
+    "weights_inf": (sched.WeightSet, ([math.inf],), PreconditionError),  # OverflowError
+    "weights_zero_denominator": (sched.WeightSet, (["1/0"],), PreconditionError),  # ZeroDivisionError
+    "wfq_int": (sched.schedule_wfq, (7,), PreconditionError),
+    "wfq_none": (sched.schedule_wfq, (None,), PreconditionError),
+    "wfq_list": (sched.schedule_wfq, ([0.5, 0.5],), PreconditionError),
+    "wf2q_int": (sched.schedule_wf2q, (7,), PreconditionError),
+    "wf2q_none": (sched.schedule_wf2q, (None,), PreconditionError),
+    "wf2q_list": (sched.schedule_wf2q, ([0.5, 0.5],), PreconditionError),
+    "hurr_int": (sched.schedule_hurr, (7,), PreconditionError),  # TypeError
+    "hurr_none": (sched.schedule_hurr, (None,), PreconditionError),  # TypeError
+    "hurr_list": (sched.schedule_hurr, ([0.5, 0.5],), PreconditionError),
+    "wfq_trace_list": (sched.wfq_trace, ([0.5, 0.5],), PreconditionError),
+    "wf2q_trace_list": (sched.wf2q_trace, ([0.5, 0.5],), PreconditionError),
+    "random_list": (sched.schedule_random, ([0.5, 0.5], 10), PreconditionError),
+    "entropy_list": (sched.entropy, ([0.5, 0.5],), PreconditionError),
+    "random_smoothness_list": (sched.random_sequence_smoothness, ([0, 1, 0, 1], [0.5, 0.5]), PreconditionError),
+    "random_gap_list": (sched.expected_random_smoothness_gap, ([0.5, 0.5],), PreconditionError),
+    "smoothness_sequence_int": (sched.smoothness, (7, _HALVES), PreconditionError),
+    "smoothness_sequence_none": (sched.smoothness, (None, _HALVES), PreconditionError),
+    "smoothness_sequence_list": (sched.smoothness, ([0, 1], _HALVES), PreconditionError),
+    "smoothness_weights_list": (sched.smoothness, (_PAIR, [0.5, 0.5]), PreconditionError),
+    "smoothness_2d_int": (sched.smoothness_2d, (7,), PreconditionError),
+    "smoothness_2d_none": (sched.smoothness_2d, (None,), PreconditionError),
+    "smoothness_2d_list": (sched.smoothness_2d, ([[[1, 0]], [[0, 1]]],), PreconditionError),
+    "smoothness_2d_capacity_list": (sched.smoothness_2d, (_GRID, [[1, 0], [0, 1]]), PreconditionError),
+}
+
+
 _TRAFFIC_SPEC = cm.ClosSpec(m=2, n=2, k=2)
 _TRAFFIC = ps.TrafficMatrix([[0.25, 0.5], [0.5, 0.25]], _TRAFFIC_SPEC)
 _ROUND = partial(ps.bandlimit_and_round, modules=1)
@@ -414,7 +455,7 @@ def test_accuracy_table(call, args, holds):
 
 
 REFUSALS = {**CONTENTION_ROWS, **DEFLECTION_ROWS, **ESCAPE_ROWS, **OVERFLOW_ROWS, **COVERAGE_ROWS, **PAIR_ROWS,
-            **GRAPH_COUNT_ROWS, **WORD_ROWS, **EMPTY_ROWS}
+            **GRAPH_COUNT_ROWS, **WORD_ROWS, **EMPTY_ROWS, **HOLDER_ROWS}
 
 # public functions with no scalar row, and why
 EXEMPT = {
@@ -493,3 +534,12 @@ def test_exact_core_results_are_read_only():
     assignment = mt.benes_full_assign([1, 0, 3, 2])
     for arr in (dec.permutations, dec.patterns, dec.frame, coloring.color_of, assignment.crosses):
         assert not arr.flags.writeable
+
+
+def test_every_holder_parameter_in_sched_has_a_row():
+    """Each public function of ``sched`` with a parameter of a holder type has a row that passes it another type."""
+    holders = {"WeightSet", "FrameSequence", "TokenGrid", "CapacityMatrix"}
+    takers = {f for f in map(sched.__dict__.get, sched.__all__) if inspect.isfunction(f) and any(
+        str(p.annotation).split(" |")[0] in holders for p in inspect.signature(f).parameters.values())}
+    covered = {getattr(call, "func", call) for call, _, _ in [*HOLDER_ROWS.values(), *REAL_MATRIX_ROWS.values()]}
+    assert len(takers) == 12 and takers <= covered
